@@ -1,0 +1,74 @@
+"""Small dominating sets in circulant graphs.
+
+Constructions based on modular-ratio sets, exact verification oracles,
+greedy/random baselines, exponential-sum audits, and a CLI harness.
+"""
+
+from .arith import centered_residue, e_n, gcd, mod_inv
+from .baselines import greedy_dominating, random_chord_set, random_dominating
+from .construct import (
+    DominationReport,
+    LambdaSolution,
+    WSet,
+    almost_dominating_W,
+    all_representation_counts,
+    build_W,
+    construct_dominating,
+    construct_universal_2dom,
+    count_representations,
+    exceptional_set,
+    solve_lambda,
+    suggest_universal2_constants,
+)
+from .expsum import ExpSumAudit, centered_profile, exp_sum_W, expsum_audit
+from .graph import (
+    ChordSet,
+    CirculantSpec,
+    VertexSet,
+    coverage,
+    load_chord_file,
+    symmetrize,
+)
+from .primes import PrimeWindow, distinct_prime_divisors, primes_in_window
+from .verify import exact_gamma, gamma_lower_bound, is_dominating
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "ChordSet",
+    "CirculantSpec",
+    "DominationReport",
+    "ExpSumAudit",
+    "LambdaSolution",
+    "PrimeWindow",
+    "VertexSet",
+    "WSet",
+    "__version__",
+    "almost_dominating_W",
+    "all_representation_counts",
+    "build_W",
+    "centered_profile",
+    "centered_residue",
+    "construct_dominating",
+    "construct_universal_2dom",
+    "count_representations",
+    "coverage",
+    "distinct_prime_divisors",
+    "e_n",
+    "exact_gamma",
+    "exceptional_set",
+    "exp_sum_W",
+    "expsum_audit",
+    "gamma_lower_bound",
+    "gcd",
+    "greedy_dominating",
+    "is_dominating",
+    "load_chord_file",
+    "mod_inv",
+    "primes_in_window",
+    "random_chord_set",
+    "random_dominating",
+    "solve_lambda",
+    "suggest_universal2_constants",
+    "symmetrize",
+]

@@ -1,0 +1,413 @@
+"""Command-line surface: construct | audit | bench | gamma.
+
+JSON for single reports, CSV for sweeps. All science parameters are
+explicit flags; the only environment knob is CIRCDOM_OUT_DIR, which
+prefixes relative --out paths. Exit codes: 0 success/verified, 1 input
+or audit error, 2 theorem hypothesis not met.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+from . import construct as cons
+from .baselines import greedy_dominating, random_chord_set, random_dominating
+from .construct import DominationReport
+from .errors import AuditTooLarge, CircdomError, HypothesisNotMet
+from .expsum import expsum_audit, parseval_sum
+from .graph import ChordSet, CirculantSpec, load_chord_file
+from .verify import exact_gamma, gamma_lower_bound, is_dominating
+
+UNCOVERED_SAMPLE_CAP = 1000
+
+BENCH_COLUMNS = [
+    "n", "k", "method", "seed", "size", "wall_ms", "verified",
+    "L", "w_size", "u_size", "ratio_vs_envelope", "error",
+]
+
+
+def _resolve_out(path: str | None):
+    if path is None or path == "-":
+        return None
+    p = Path(path)
+    base = os.environ.get("CIRCDOM_OUT_DIR")
+    if base and not p.is_absolute():
+        p = Path(base) / p
+    return p
+
+
+def _emit(text: str, out_path) -> None:
+    if out_path is None:
+        sys.stdout.write(text)
+    else:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(text, encoding="utf-8")
+
+
+def _fmt_ms(ms: float, no_timing: bool) -> float:
+    return 0.0 if no_timing else round(ms, 3)
+
+
+def report_to_dict(rep: DominationReport, uncovered: list[int] | None = None,
+                   no_timing: bool = False) -> dict:
+    """Stable-schema JSON dict for a DominationReport."""
+    return {
+        "n": rep.n,
+        "k": rep.k,
+        "method": rep.method,
+        "r": rep.r,
+        "seed": rep.seed,
+        "generator": rep.generator,
+        "size": rep.size,
+        "verified": rep.verified,
+        "uncovered_count": rep.uncovered_count,
+        "uncovered_sample": (uncovered or [])[:UNCOVERED_SAMPLE_CAP],
+        "wall_ms": _fmt_ms(rep.wall_ms, no_timing),
+        "parameters": rep.parameters,
+    }
+
+
+def _chords_from_args(args) -> ChordSet:
+    if (args.chords_file is None) == (args.random_chords is None):
+        raise CircdomError(
+            "exactly one of --chords-file or --random-chords is required"
+        )
+    if args.chords_file is not None:
+        return load_chord_file(args.chords_file, args.n)
+    if args.seed is None:
+        raise CircdomError("--random-chords requires --seed")
+    return random_chord_set(
+        args.n, args.random_chords, args.seed, symmetric=args.symmetric
+    )
+
+
+def _run_method(method: str, spec: CirculantSpec, args) -> DominationReport:
+    n, k = spec.n, spec.k
+    if method == "paper":
+        return cons.construct_dominating(spec)
+    if method == "greedy":
+        return greedy_dominating(spec)
+    if method == "random":
+        return random_dominating(spec, args.seed or 0)
+    if method == "universal2":
+        t0 = time.perf_counter()
+        W = cons.construct_universal_2dom(n, k, c=args.c, C=args.C, c0=args.c0)
+        verified, uncov = is_dominating(spec, W.elements, 2)
+        return DominationReport(
+            method="universal2", n=n, k=k, r=2, D=W.elements,
+            size=W.size, verified=verified, uncovered_count=uncov.size,
+            wall_ms=(time.perf_counter() - t0) * 1000.0,
+            parameters={
+                "L": W.L, "num_primes": len(W.window), "w_size": W.size,
+                "c": args.c, "C": args.C, "c0": args.c0,
+            },
+        )
+    if method == "almost-w":
+        t0 = time.perf_counter()
+        W = cons.almost_dominating_W(n, k, psi=args.psi)
+        verified, uncov = is_dominating(spec, W.elements, 1)
+        frac = 1.0 - uncov.size / n
+        return DominationReport(
+            method="almostW", n=n, k=k, r=1, D=W.elements,
+            size=W.size, verified=verified, uncovered_count=uncov.size,
+            wall_ms=(time.perf_counter() - t0) * 1000.0,
+            parameters={
+                "L": W.L, "num_primes": len(W.window), "w_size": W.size,
+                "psi": args.psi,
+                "budget": cons.almost_budget(n, k, args.psi),
+                "coverage_fraction": frac,
+            },
+        )
+    raise CircdomError(f"unknown method {method!r}")
+
+
+def cmd_construct(args) -> int:
+    r = args.r
+    try:
+        chords = _chords_from_args(args)
+        spec = CirculantSpec(args.n, chords)
+        rep = _run_method(args.method, spec, args)
+        if rep.seed is None:
+            rep.seed = args.seed
+        if r != rep.r:
+            verified, uncov = is_dominating(spec, rep.D, r)
+            rep.r, rep.verified, rep.uncovered_count = r, verified, uncov.size
+            uncovered = [int(v) for v in uncov.indices()[:UNCOVERED_SAMPLE_CAP]]
+        else:
+            _, uncov = is_dominating(spec, rep.D, rep.r)
+            uncovered = [int(v) for v in uncov.indices()[:UNCOVERED_SAMPLE_CAP]]
+    except HypothesisNotMet as exc:
+        print(f"HypothesisNotMet: {exc}", file=sys.stderr)
+        return 2
+    except (CircdomError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    doc = report_to_dict(rep, uncovered, no_timing=args.no_timing)
+    _emit(json.dumps(doc) + "\n", _resolve_out(args.out))
+    if rep.method == "almostW":
+        return 0  # contract is the size budget, not full domination
+    return 0 if rep.verified else 1
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(t) for t in text.split(",") if t.strip()]
+
+
+def _audit_card_lines(args):
+    lines, ok = [], True
+    for n in args.n_list:
+        for L in args.l_list:
+            try:
+                W = cons.build_W(n, L)
+            except CircdomError as exc:
+                lines.append({"check": "card", "n": n, "L": L,
+                              "error": type(exc).__name__})
+                continue
+            expected = L * len(W.window)
+            hyp = W.card_hypothesis_ok
+            exact = W.size == expected
+            if hyp and not exact:
+                ok = False
+            lines.append({
+                "check": "card", "n": n, "L": L,
+                "num_primes": len(W.window), "w_size": W.size,
+                "expected": expected, "hypothesis_ok": hyp, "exact": exact,
+            })
+    return lines, ok
+
+
+def _audit_expsum_lines(args):
+    lines, ok = [], True
+    for n in args.n_list:
+        for L in args.l_list:
+            audit = expsum_audit(n, L, cap=args.cap)
+            W = cons.build_W(n, L)
+            parseval = parseval_sum(n, W)
+            rel_err = abs(parseval - n * W.size) / (n * W.size)
+            if rel_err > 1e-6:
+                ok = False
+            lines.append({
+                "n": audit.n, "L": audit.L, "w_size": audit.w_size,
+                "max_abs": audit.max_abs, "argmax_a": audit.argmax_a,
+                "bound": audit.bound, "ratio": audit.ratio,
+                "check": "expsum", "parseval_rel_err": rel_err,
+            })
+    return lines, ok
+
+
+def _audit_exceptional_lines(args):
+    lines, ok = [], True
+    for n in args.n_list:
+        for k in args.k_list:
+            for trial in range(args.trials):
+                seed = args.seed + trial
+                S = random_chord_set(n, k, seed)
+                sol = cons.solve_lambda(n, k)
+                W = cons.build_W(n, sol.L)
+                U = cons.exceptional_set(n, S, W)
+                bound = cons.exceptional_bound(n, k, len(W.window))
+                lines.append({
+                    "check": "exceptional", "n": n, "k": k, "trial": trial,
+                    "seed": seed, "L": sol.L, "num_primes": len(W.window),
+                    "u_size": U.size, "bound": bound,
+                    "ratio": U.size / bound,
+                })
+    return lines, ok
+
+
+def _audit_nu_lines(args):
+    lines, ok = [], True
+    for n in args.n_list:
+        for k in args.k_list:
+            sugg = cons.suggest_universal2_constants(n, k)
+            c, C, c0 = args.c, args.C, args.c0
+            fallback = False
+            try:
+                W = cons.construct_universal_2dom(n, k, c=c, C=C, c0=c0)
+            except HypothesisNotMet:
+                # defaults fail at desk scale; rerun with the feasible constants
+                fallback = True
+                c, C, c0 = sugg.c_max, sugg.C_max, sugg.c0_max / 2
+                W = cons.construct_universal_2dom(n, k, c=c, C=C, c0=c0)
+            for trial in range(args.trials):
+                seed = args.seed + trial
+                S = random_chord_set(n, k, seed)
+                spec = CirculantSpec(n, S)
+                counts = cons.all_representation_counts(n, S, W)
+                min_nu = int(counts.min())
+                dominated, _ = is_dominating(spec, W.elements, 2)
+                if min_nu <= 0 or not dominated:
+                    ok = False
+                lines.append({
+                    "check": "nu", "n": n, "k": k, "trial": trial,
+                    "seed": seed, "L": W.L, "w_size": W.size,
+                    "min_nu": min_nu, "two_dominates": dominated,
+                    "used_fallback_constants": fallback,
+                    "c": c, "C": C, "c0": c0,
+                    "c_max": sugg.c_max, "C_max": sugg.C_max,
+                    "c0_max": sugg.c0_max,
+                })
+    return lines, ok
+
+
+def cmd_audit(args) -> int:
+    runners = {
+        "card": _audit_card_lines,
+        "expsum": _audit_expsum_lines,
+        "exceptional": _audit_exceptional_lines,
+        "nu": _audit_nu_lines,
+    }
+    try:
+        lines, ok = runners[args.check](args)
+    except AuditTooLarge as exc:
+        print(f"AuditTooLarge: {exc}", file=sys.stderr)
+        return 1
+    except (CircdomError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    text = "".join(json.dumps(line) + "\n" for line in lines)
+    _emit(text, _resolve_out(args.out))
+    return 0 if ok else 1
+
+
+def _bench_row(task) -> dict:
+    n, k, method, seed = task
+    row = {c: "" for c in BENCH_COLUMNS}
+    row.update({"n": n, "k": k, "method": method, "seed": seed})
+    try:
+        S = random_chord_set(n, k, seed)
+        spec = CirculantSpec(n, S)
+        args = argparse.Namespace(seed=seed, c=1.0, C=1.0, c0=1.0, psi=1.0)
+        rep = _run_method(method, spec, args)
+        row["size"] = rep.size
+        row["wall_ms"] = round(rep.wall_ms, 3)
+        row["verified"] = rep.verified
+        row["L"] = rep.parameters.get("L", "")
+        row["w_size"] = rep.parameters.get("w_size", "")
+        row["u_size"] = rep.parameters.get("u_size", "")
+        row["ratio_vs_envelope"] = rep.size / cons.dom_size_envelope(n, k)
+    except CircdomError as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
+
+
+def cmd_bench(args) -> int:
+    tasks = [
+        (n, k, method, seed)
+        for n in args.n_list
+        for k in args.k_list
+        for method in args.methods.split(",")
+        for seed in args.seeds
+    ]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(_bench_row, tasks))
+    else:
+        rows = [_bench_row(t) for t in tasks]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:  # rows already in deterministic grid order
+        if args.no_timing:
+            row["wall_ms"] = 0.0
+        writer.writerow(row)
+    _emit(buf.getvalue(), _resolve_out(args.out))
+    return 0
+
+
+def cmd_gamma(args) -> int:
+    try:
+        chords = _chords_from_args(args)
+        spec = CirculantSpec(args.n, chords)
+        gamma = exact_gamma(spec)
+    except (CircdomError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    doc = {
+        "n": args.n,
+        "k": spec.k,
+        "gamma": gamma,
+        "lower_bound_n_over_k_minus_1": gamma_lower_bound(args.n, spec.k),
+        "lower_bound_n_over_k_plus_1": args.n / (spec.k + 1),
+    }
+    _emit(json.dumps(doc) + "\n", _resolve_out(args.out))
+    return 0
+
+
+def _add_chord_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--chords-file", type=str, default=None)
+    p.add_argument("--random-chords", type=int, default=None, metavar="K")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--symmetric", action="store_true")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="circdom",
+        description="Dominating sets in circulant graphs: construct, audit, bench.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("construct", help="build and verify a dominating set")
+    _add_chord_flags(p)
+    p.add_argument("--method", required=True,
+                   choices=["paper", "greedy", "random", "universal2", "almost-w"])
+    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--C", type=float, default=1.0)
+    p.add_argument("--c0", type=float, default=1.0)
+    p.add_argument("--psi", type=float, default=1.0)
+    p.add_argument("--out", type=str, default=None)
+    p.add_argument("--no-timing", action="store_true",
+                   help="write wall_ms as 0.0 for byte-reproducible output")
+    p.set_defaults(func=cmd_construct)
+
+    p = sub.add_parser("audit", help="numerical audits of the supporting lemmas")
+    p.add_argument("--check", required=True,
+                   choices=["card", "expsum", "exceptional", "nu"])
+    p.add_argument("--n-list", type=_int_list, required=True)
+    p.add_argument("--l-list", type=_int_list, default=[])
+    p.add_argument("--k-list", type=_int_list, default=[])
+    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--C", type=float, default=1.0)
+    p.add_argument("--c0", type=float, default=1.0)
+    p.add_argument("--cap", type=int, default=2**14)
+    p.add_argument("--out", type=str, default=None)
+    p.set_defaults(func=cmd_audit)
+
+    p = sub.add_parser("bench", help="CSV sweep over (n, k, method, seed)")
+    p.add_argument("--n-list", type=_int_list, required=True)
+    p.add_argument("--k-list", type=_int_list, required=True)
+    p.add_argument("--methods", type=str, default="paper")
+    p.add_argument("--seeds", type=_int_list, default=[0])
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--out", type=str, default=None)
+    p.add_argument("--no-timing", action="store_true")
+    p.set_defaults(func=cmd_bench)
+
+    p = sub.add_parser("gamma", help="exact domination number (n <= 24)")
+    _add_chord_flags(p)
+    p.add_argument("--out", type=str, default=None)
+    p.set_defaults(func=cmd_gamma)
+
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,386 @@
+"""The modular-ratio constructions.
+
+Core objects: the set W = {k * inv(ell) mod n : k in [1, L], ell prime in
+[L+1, 2L] coprime to n}, the exceptional set U of vertices missed by
+S + W, the dominating set D = U union W, the universal 2-dominating set,
+and the universal almost-dominating set.
+
+All logarithms are natural. Instances with n < 16 are rejected so that
+loglog n stays positive.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import DegenerateInstance, EmptyPrimeWindow, HypothesisNotMet
+from .graph import ChordSet, CirculantSpec, VertexSet
+from .primes import PrimeWindow, primes_in_window
+from .verify import is_dominating
+
+MIN_N = 16
+BISECT_ITERS = 200
+LAMBDA_RTOL = 1e-9
+
+
+@dataclass(frozen=True)
+class LambdaSolution:
+    """Root of the size-balancing equation and the integer cutoff L = ceil."""
+
+    lam: float
+    L: int
+    residual: float
+
+
+@dataclass
+class WSet:
+    """The modular-ratio set together with the window that generated it."""
+
+    n: int
+    L: int
+    elements: VertexSet
+    window: PrimeWindow
+
+    @property
+    def size(self) -> int:
+        return self.elements.size
+
+    @property
+    def card_hypothesis_ok(self) -> bool:
+        # L < 0.5 * sqrt(n), checked exactly: (2L)^2 < n
+        return 4 * self.L * self.L < self.n
+
+    def indices(self) -> np.ndarray:
+        return self.elements.indices()
+
+
+@dataclass
+class DominationReport:
+    """Outcome of one construction run: the set, its audit, and timings."""
+
+    method: str
+    n: int
+    k: int
+    r: int
+    D: VertexSet
+    size: int
+    verified: bool
+    uncovered_count: int
+    wall_ms: float
+    parameters: dict = field(default_factory=dict)
+    seed: int | None = None
+    generator: str | None = None
+
+
+def _loglog(n: int) -> float:
+    return math.log(math.log(n))
+
+
+def _require_scale(n: int) -> None:
+    if n < MIN_N:
+        raise DegenerateInstance(f"n must be >= {MIN_N}, got {n}")
+
+
+def _balance_target(n: int, k: int) -> float:
+    """Right side of the rearranged balance lam^4/(ln lam)^3 = target."""
+    return n * n * math.log(n) ** 4 / (k * _loglog(n) ** 2)
+
+
+def solve_lambda(n: int, k: int) -> LambdaSolution:
+    """Solve n^2 (ln lam)^2 (ln n)^4 / (k lam^2 (lnln n)^2) = lam^2 / ln lam.
+
+    Rearranged to the increasing form lam^4/(ln lam)^3 = target and
+    bisected. The bracket's upper end is doubled past n when the desk-scale
+    root exceeds n (happens for small n with small k; harmless, the
+    hypothesis flags downstream record it).
+    """
+    _require_scale(n)
+    if not 1 <= k < n:
+        raise ValueError("require 1 <= k < n")
+    target = _balance_target(n, k)
+
+    def g(lam: float) -> float:
+        return lam**4 / math.log(lam) ** 3
+
+    lo = n**0.25
+    hi = float(n)
+    while g(hi) < target:
+        hi *= 2.0
+    for _ in range(BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= LAMBDA_RTOL * lo * 1e-3:
+            break
+    lam = 0.5 * (lo + hi)
+    lhs = n * n * math.log(lam) ** 2 * math.log(n) ** 4 / (
+        k * lam * lam * _loglog(n) ** 2
+    )
+    rhs = lam * lam / math.log(lam)
+    residual = abs(lhs - rhs) / rhs
+    return LambdaSolution(lam=lam, L=math.ceil(lam), residual=residual)
+
+
+def build_W(n: int, L: int) -> WSet:
+    """The set {k * inv(ell) mod n : (k, ell) in [1, L] x window(L, n)}.
+
+    One modular inverse per prime, then L vectorized products; no division
+    in the inner loop. For L >= n the multiples of any unit already sweep
+    all of Z_n, so the full set is returned directly.
+    """
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    window = primes_in_window(L, n)
+    if not window.primes:
+        raise EmptyPrimeWindow(f"no primes in [{L + 1}, {2 * L}] coprime to {n}")
+    members = np.zeros(n, dtype=bool)
+    if L >= n:
+        members[:] = True
+    else:
+        ks = np.arange(1, L + 1, dtype=np.int64)
+        for ell in window.primes:
+            inv = pow(ell, -1, n)
+            members[(ks * inv) % n] = True
+    return WSet(n=n, L=L, elements=VertexSet(n, members), window=window)
+
+
+def exceptional_set(n: int, S: ChordSet, W: WSet) -> VertexSet:
+    """Vertices of Z_n not representable as s + w, (s, w) in S x W.
+
+    Marks w + s over all pairs into one bit array and returns the
+    complement; O(|W| * |S| + n).
+    """
+    covered = np.zeros(n, dtype=bool)
+    w_idx = W.indices()
+    for s in S.chords:
+        covered[(w_idx + s) % n] = True
+        if covered.all():
+            break
+    return VertexSet(n, ~covered)
+
+
+def exceptional_bound(n: int, s_size: int, num_primes: int) -> float:
+    """Envelope n^2 (ln n)^4 / (|S| |window|^2 (lnln n)^2) for |U|."""
+    return n * n * math.log(n) ** 4 / (
+        s_size * num_primes**2 * _loglog(n) ** 2
+    )
+
+
+def dom_size_envelope(n: int, k: int) -> float:
+    """Envelope n (ln n)^{5/2} / (sqrt(k) lnln n) for the dominating set."""
+    return n * math.log(n) ** 2.5 / (math.sqrt(k) * _loglog(n))
+
+
+MAX_WINDOW_RETRIES = 3
+
+
+def construct_dominating(spec: CirculantSpec) -> DominationReport:
+    """Build D = U union W with L = ceil(lambda) and verify domination.
+
+    Retry policy for an empty prime window: double L while 2L stays below
+    0.5*sqrt(n), at most three doublings, then give up.
+    """
+    _require_scale(spec.n)
+    n, k = spec.n, spec.k
+    t0 = time.perf_counter()
+    sol = solve_lambda(n, k)
+    L = sol.L
+    W = None
+    for attempt in range(MAX_WINDOW_RETRIES + 1):
+        try:
+            W = build_W(n, L)
+            break
+        except EmptyPrimeWindow:
+            if attempt < MAX_WINDOW_RETRIES and 4 * (2 * L) ** 2 < n:
+                L *= 2
+            else:
+                raise
+    U = exceptional_set(n, spec.chords, W)
+    D = W.elements.union(U)
+    verified, uncovered = is_dominating(spec, D, 1)
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    return DominationReport(
+        method="paper",
+        n=n,
+        k=k,
+        r=1,
+        D=D,
+        size=D.size,
+        verified=verified,
+        uncovered_count=uncovered.size,
+        wall_ms=wall_ms,
+        parameters={
+            "lambda": sol.lam,
+            "L": L,
+            "num_primes": len(W.window),
+            "w_size": W.size,
+            "u_size": U.size,
+            "card_hypothesis_ok": W.card_hypothesis_ok,
+        },
+    )
+
+
+@dataclass(frozen=True)
+class Universal2Checks:
+    """Evaluated hypothesis and runtime checks for the universal 2-dominator."""
+
+    n: int
+    k: int
+    c: float
+    C: float
+    c0: float
+    L: int
+    hypothesis_ok: bool  # k >= C sqrt(n) (ln n)^3 / lnln n
+    card_ok: bool  # L < 0.5 sqrt(n)
+    num_primes: int | None
+    runtime_ok: bool | None  # |window| > c0 n (ln n)^2 / (k lnln n)
+
+
+def universal2_L(n: int, k: int, c: float) -> int:
+    """L = ceil(c * n (ln n)^3 / (k lnln n))."""
+    return math.ceil(c * n * math.log(n) ** 3 / (k * _loglog(n)))
+
+
+def universal2_checks(
+    n: int, k: int, c: float = 1.0, C: float = 1.0, c0: float = 1.0
+) -> Universal2Checks:
+    """Evaluate all universal-2-domination feasibility checks without raising."""
+    _require_scale(n)
+    hypothesis_ok = k >= C * math.sqrt(n) * math.log(n) ** 3 / _loglog(n)
+    L = universal2_L(n, k, c)
+    card_ok = 4 * L * L < n
+    num_primes = None
+    runtime_ok = None
+    if card_ok:
+        num_primes = len(primes_in_window(L, n))
+        runtime_ok = num_primes > c0 * n * math.log(n) ** 2 / (k * _loglog(n))
+    return Universal2Checks(
+        n=n, k=k, c=c, C=C, c0=c0, L=L,
+        hypothesis_ok=hypothesis_ok, card_ok=card_ok,
+        num_primes=num_primes, runtime_ok=runtime_ok,
+    )
+
+
+def construct_universal_2dom(
+    n: int, k: int, c: float = 1.0, C: float = 1.0, c0: float = 1.0
+) -> WSet:
+    """Chord-set-independent W that 2-dominates every C_n(S) with |S| >= k.
+
+    Deterministic in (n, k, c): the same call always returns the same set.
+    Raises HypothesisNotMet when the theorem hypothesis, the cardinality
+    hypothesis L < 0.5*sqrt(n), or the runtime window check fails.
+    """
+    checks = universal2_checks(n, k, c=c, C=C, c0=c0)
+    if not checks.hypothesis_ok:
+        raise HypothesisNotMet(
+            f"k={k} below C*sqrt(n)(ln n)^3/lnln n with C={C} for n={n}"
+        )
+    if not checks.card_ok:
+        raise HypothesisNotMet(
+            f"L={checks.L} >= 0.5*sqrt(n) for n={n}; distinctness lemma fails"
+        )
+    W = build_W(n, checks.L)
+    if not checks.runtime_ok:
+        raise HypothesisNotMet(
+            f"window size {len(W.window)} fails the c0={c0} runtime check"
+        )
+    return W
+
+
+@dataclass(frozen=True)
+class Universal2Constants:
+    """Largest constants that keep the universal-2-dom checks satisfiable."""
+
+    C_max: float  # hypothesis holds iff C <= C_max
+    c_max: float  # L(c) < 0.5 sqrt(n) iff c <= c_max
+    L_at_c_max: int
+    c0_max: float  # runtime check at L_at_c_max holds iff c0 < c0_max
+
+
+def suggest_universal2_constants(n: int, k: int) -> Universal2Constants:
+    """Report the constants that would let construct_universal_2dom succeed.
+
+    The theorem's absolute constants are unspecified; at desk scale the
+    defaults c = C = 1 typically fail, and this reports the feasible values.
+    """
+    _require_scale(n)
+    ll = _loglog(n)
+    C_max = k * ll / (math.sqrt(n) * math.log(n) ** 3)
+    L_max = math.isqrt((n - 1) // 4)  # largest L with 4L^2 < n
+    if L_max < 1:
+        raise HypothesisNotMet(f"no L satisfies L < 0.5*sqrt(n) for n={n}")
+    c_max = L_max * k * ll / (n * math.log(n) ** 3)
+    num_primes = len(primes_in_window(L_max, n))
+    c0_max = num_primes * k * ll / (n * math.log(n) ** 2)
+    return Universal2Constants(
+        C_max=C_max, c_max=c_max, L_at_c_max=L_max, c0_max=c0_max
+    )
+
+
+def count_representations(n: int, S: ChordSet, W: WSet, u: int) -> int:
+    """N(u) = #{(s, t, w) in S x S x W : s + t + w = u mod n}.
+
+    Direct scan over S x S with a membership test in W; O(k^2).
+    """
+    s_arr = S.as_array()
+    pair_sums = (s_arr[:, None] + s_arr[None, :]) % n
+    needed = (u - pair_sums) % n
+    return int(W.elements.members[needed].sum())
+
+
+def all_representation_counts(n: int, S: ChordSet, W: WSet) -> np.ndarray:
+    """N(u) for every u at once via pair-sum histogram + circular shift.
+
+    Independent of count_representations' route: histograms S + S, then
+    accumulates one rolled copy per element of W.
+    """
+    s_arr = S.as_array()
+    pair_counts = np.bincount(
+        ((s_arr[:, None] + s_arr[None, :]) % n).ravel(), minlength=n
+    )
+    counts = np.zeros(n, dtype=np.int64)
+    for w in W.indices():
+        counts += np.roll(pair_counts, int(w))
+    return counts
+
+
+def almost_budget(n: int, k: int, psi: float) -> float:
+    """Size budget psi * n (ln n)^3 / (sqrt(k) lnln n)."""
+    return psi * n * math.log(n) ** 3 / (math.sqrt(k) * _loglog(n))
+
+
+def almost_dominating_W(n: int, k: int, psi: float = 1.0) -> WSet:
+    """Largest-L modular-ratio set whose predicted size fits the budget.
+
+    Predicted size is L * |window(L)|; the actual set is never larger, so
+    |W| <= budget holds on return. L is found by doubling then bisection,
+    with a final decrement pass to absorb the window count's jitter.
+    """
+    _require_scale(n)
+    budget = almost_budget(n, k, psi)
+    if budget < 1:
+        raise ValueError("budget below one element; increase psi")
+
+    def predicted(L: int) -> int:
+        return L * len(primes_in_window(L, n))
+
+    lo = 1
+    while 2 * lo < n and predicted(2 * lo) <= budget:
+        lo *= 2
+    hi = min(2 * lo, n - 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if predicted(mid) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    L = lo
+    while L > 1 and predicted(L) > budget:
+        L -= 1
+    return build_W(n, L)

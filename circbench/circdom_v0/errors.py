@@ -1,0 +1,37 @@
+"""Exception types shared across the package."""
+
+
+class CircdomError(Exception):
+    """Base class for all package-specific errors."""
+
+
+class NotInvertible(CircdomError):
+    """Raised when a residue has no inverse modulo n."""
+
+
+class InvalidChord(CircdomError):
+    """Raised for chord values outside [1, n-1]."""
+
+
+class ChordFileError(CircdomError):
+    """Raised for malformed chord files; message names the offending line."""
+
+
+class EmptyPrimeWindow(CircdomError):
+    """Raised when the prime window [L+1, 2L] contains no prime coprime to n."""
+
+
+class DegenerateInstance(CircdomError):
+    """Raised for instances too small for the asymptotic construction (n < 16)."""
+
+
+class HypothesisNotMet(CircdomError):
+    """Raised when a theorem-level hypothesis or runtime check fails."""
+
+
+class AuditTooLarge(CircdomError):
+    """Raised when an audit request exceeds the configured scan cap."""
+
+
+class TooLarge(CircdomError):
+    """Raised when an exhaustive-search guard rejects the instance size."""

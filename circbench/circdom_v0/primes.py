@@ -1,0 +1,74 @@
+"""Prime windows [L+1, 2L] and distinct-prime-divisor counts.
+
+The window is sieved segmented: base primes up to sqrt(2L) are found by
+a plain sieve, then marked off inside the window. Divisors of n are
+dropped from the window on the way out.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class PrimeWindow:
+    """Primes ell in [L+1, 2L] with gcd(ell, n) = 1, sorted ascending."""
+
+    L: int
+    n: int
+    primes: tuple[int, ...] = field(default=())
+
+    def __len__(self) -> int:
+        return len(self.primes)
+
+
+def _sieve_upto(limit: int) -> np.ndarray:
+    """Indices of primes <= limit (numpy int64 array)."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).astype(np.int64)
+
+
+def primes_in_window(L: int, n: int) -> PrimeWindow:
+    """All primes in [L+1, 2L] coprime to n."""
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    lo, hi = L + 1, 2 * L
+    flags = np.ones(hi - lo + 1, dtype=bool)
+    for p in _sieve_upto(math.isqrt(hi)):
+        p = int(p)
+        start = max(p * p, ((lo + p - 1) // p) * p)
+        flags[start - lo :: p] = False
+    if lo <= 1:
+        flags[: 2 - lo] = False
+    window = [int(v) for v in np.flatnonzero(flags) + lo]
+    coprime = tuple(p for p in window if math.gcd(p, n) == 1)
+    return PrimeWindow(L=L, n=n, primes=coprime)
+
+
+def distinct_prime_divisors(n: int) -> int:
+    """omega(n): the number of distinct primes dividing n (trial division)."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    count = 0
+    m = n
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            count += 1
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        count += 1
+    return count
