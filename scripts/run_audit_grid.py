@@ -22,7 +22,8 @@ RUNS = [
      "--l-list", "2,3,4,5,6,8,10,12",
      "--out", str(ART / "audit_card.jsonl")],
     ["audit", "--check", "expsum",
-     "--n-list", "257,521,1031,2053,4099,8191,12289,16381,16384",
+     "--n-list", "257,521,1031,2053,4099,8191,12289,16381,16384,"
+     "65521,262144,1048576",
      "--l-list", "4,8,12,16",
      "--out", str(ART / "audit_expsum.jsonl")],
     ["audit", "--check", "exceptional",

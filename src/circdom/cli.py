@@ -21,12 +21,19 @@ from pathlib import Path
 from . import construct as cons
 from .baselines import greedy_dominating, random_chord_set, random_dominating
 from .construct import DominationReport
-from .errors import AuditTooLarge, CircdomError, HypothesisNotMet
-from .expsum import expsum_audit, parseval_sum
+from .errors import AuditTooLarge, CircdomError, HypothesisNotMet, TooLarge
+from .expsum import AUDIT_CAP, FFT_TOL_PER_ELEMENT, expsum_audit
 from .graph import ChordSet, CirculantSpec, load_chord_file
-from .verify import exact_gamma, gamma_lower_bound, is_dominating
+from .verify import (
+    closed_neighborhood_bound,
+    exact_gamma,
+    gamma_lower_bound,
+    is_dominating,
+)
 
 UNCOVERED_SAMPLE_CAP = 1000
+# Largest --n / --n-list value accepted, checked before anything is allocated.
+MAX_N = 2**24
 
 BENCH_COLUMNS = [
     "n", "k", "method", "seed", "size", "wall_ms", "verified",
@@ -189,16 +196,15 @@ def _audit_expsum_lines(args):
     for n in args.n_list:
         for L in args.l_list:
             audit = expsum_audit(n, L, cap=args.cap)
-            W = cons.build_W(n, L)
-            parseval = parseval_sum(n, W)
-            rel_err = abs(parseval - n * W.size) / (n * W.size)
-            if rel_err > 1e-6:
+            if (audit.parseval_rel_err > 1e-6 or audit.direct_check_err
+                    > FFT_TOL_PER_ELEMENT * audit.w_size):
                 ok = False
             lines.append({
                 "n": audit.n, "L": audit.L, "w_size": audit.w_size,
                 "max_abs": audit.max_abs, "argmax_a": audit.argmax_a,
                 "bound": audit.bound, "ratio": audit.ratio,
-                "check": "expsum", "parseval_rel_err": rel_err,
+                "check": "expsum", "parseval_rel_err": audit.parseval_rel_err,
+                "direct_check_err": audit.direct_check_err,
             })
     return lines, ok
 
@@ -336,7 +342,8 @@ def cmd_gamma(args) -> int:
         "k": spec.k,
         "gamma": gamma,
         "lower_bound_n_over_k_minus_1": gamma_lower_bound(args.n, spec.k),
-        "lower_bound_n_over_k_plus_1": args.n / (spec.k + 1),
+        "lower_bound_n_over_k_plus_1": closed_neighborhood_bound(
+            args.n, spec.k),
     }
     _emit(json.dumps(doc) + "\n", _resolve_out(args.out))
     return 0
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--c0", type=float, default=1.0)
-    p.add_argument("--cap", type=int, default=2**14)
+    p.add_argument("--cap", type=int, default=AUDIT_CAP)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_audit)
 
@@ -406,6 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for n in args.n_list if hasattr(args, "n_list") else [args.n]:
+        if n > MAX_N:
+            print(f"error: {TooLarge.__name__}: n={n} exceeds MAX_N={MAX_N}",
+                  file=sys.stderr)
+            return 1
     return args.func(args)
 
 

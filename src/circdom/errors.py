@@ -33,5 +33,9 @@ class AuditTooLarge(CircdomError):
     """Raised when an audit request exceeds the configured scan cap."""
 
 
+class InexactCounts(CircdomError):
+    """Raised when transform-based counts stray too far from integers."""
+
+
 class TooLarge(CircdomError):
     """Raised when an exhaustive-search guard rejects the instance size."""

@@ -49,6 +49,16 @@ def naive_exp_sum(n, w_values, a):
     return sum(cmath.exp(2j * math.pi * ((a * w) % n) / n) for w in w_values)
 
 
+def naive_representation_counts(n, s_values, w_values):
+    """N(u) = #{(s, t, w) : s + t + w = u mod n} by the triple loop."""
+    counts = [0] * n
+    for s in s_values:
+        for t in s_values:
+            for w in w_values:
+                counts[(s + t + w) % n] += 1
+    return counts
+
+
 def naive_w_set(n, L, primes):
     """Direct enumeration of {k * inv(ell) mod n} with exhaustive inverses."""
     out = set()

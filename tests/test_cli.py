@@ -4,7 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from circdom.cli import MAX_N, main
+from circdom.expsum import AUDIT_CAP
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -106,7 +110,7 @@ def test_audit_card():
 
 
 def test_audit_expsum_cap():
-    res = run_cli("audit", "--check", "expsum", "--n-list", "32768",
+    res = run_cli("audit", "--check", "expsum", "--n-list", str(AUDIT_CAP + 1),
                   "--l-list", "5")
     assert res.returncode == 1
     assert "AuditTooLarge" in res.stderr
@@ -117,7 +121,8 @@ def test_audit_expsum_fields():
                   "--l-list", "3")
     assert res.returncode == 0, res.stderr
     line = json.loads(res.stdout.splitlines()[0])
-    for field in ("n", "L", "w_size", "max_abs", "argmax_a", "bound", "ratio"):
+    for field in ("n", "L", "w_size", "max_abs", "argmax_a", "bound", "ratio",
+                  "parseval_rel_err", "direct_check_err"):
         assert field in line
 
 
@@ -130,6 +135,32 @@ def test_audit_nu_smoke():
     for l in lines:
         assert l["min_nu"] > 0 and l["two_dominates"]
         assert l["used_fallback_constants"]  # c = C = 1 infeasible here
+
+
+def test_audit_nu_rounding_guard_exits_1(monkeypatch, capsys):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
+    rc = main(["audit", "--check", "nu", "--n-list", "10000",
+               "--k-list", "2000", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "error: InexactCounts: FFT representation counts" in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ("construct", "--random-chords", "10", "--seed", "1", "--method", "paper",
+     "--n"),
+    ("gamma", "--random-chords", "2", "--seed", "1", "--n"),
+    ("audit", "--check", "card", "--l-list", "3", "--n-list"),
+    ("bench", "--k-list", "10", "--n-list"),
+], ids=["construct", "gamma", "audit", "bench"])
+def test_input_size_guard(args):
+    # rejected in main before any array of length n is allocated
+    res = run_cli(*args, str(MAX_N + 1))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert f"error: TooLarge: n={MAX_N + 1} exceeds MAX_N={MAX_N}" in res.stderr
 
 
 def test_bench_csv_schema_and_determinism(tmp_path):

@@ -20,11 +20,16 @@ from circdom.construct import (
     suggest_universal2_constants,
     universal2_checks,
 )
-from circdom.errors import DegenerateInstance, EmptyPrimeWindow, HypothesisNotMet
+from circdom.errors import (
+    DegenerateInstance,
+    EmptyPrimeWindow,
+    HypothesisNotMet,
+    InexactCounts,
+)
 from circdom.graph import ChordSet, CirculantSpec, VertexSet
 from circdom.verify import exact_gamma, is_dominating
 
-from conftest import naive_sumset, naive_w_set
+from conftest import naive_representation_counts, naive_sumset, naive_w_set
 
 
 def lambda_oracle(n, k, dps=50):
@@ -232,6 +237,25 @@ def test_representation_total_mass_and_consistency(seed):
     assert counts.sum() == S.k**2 * W.size
     for u in (0, 1, 57, 210):
         assert counts[u] == count_representations(n, S, W, u)
+
+
+# n prime, composite, and a power of two; 8 seeded chord sets each
+@pytest.mark.parametrize("n, L", [(101, 4), (100, 4), (128, 5)])
+@pytest.mark.parametrize("seed", range(8))
+def test_representation_counts_match_triple_loop(n, L, seed):
+    S = random_chord_set(n, 3 + seed, seed)
+    W = build_W(n, L)
+    counts = all_representation_counts(n, S, W)
+    assert counts.dtype == np.int64
+    expected = naive_representation_counts(n, S.chords, W.indices().tolist())
+    assert counts.tolist() == expected
+
+
+def test_representation_counts_rounding_guard(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
+    with pytest.raises(InexactCounts):
+        all_representation_counts(211, random_chord_set(211, 12, 3), build_W(211, 5))
 
 
 def test_almost_dominating_budget_and_monotone():

@@ -6,6 +6,8 @@ from circdom.arith import centered_residue
 from circdom.construct import build_W
 from circdom.errors import AuditTooLarge
 from circdom.expsum import (
+    AUDIT_CAP,
+    FFT_TOL_PER_ELEMENT,
     centered_profile,
     dyadic_histogram,
     exp_sum_W,
@@ -39,17 +41,29 @@ def test_exp_sum_matches_termwise_oracle():
     assert got == pytest.approx(expected, abs=1e-12)
 
 
-def test_audit_101_3_matches_double_loop():
-    audit = expsum_audit(101, 3)
-    W = build_W(101, 3)
+@pytest.mark.parametrize("n, L", [(101, 3), (521, 8), (4099, 12)])
+def test_audit_matches_double_loop(n, L):
+    audit = expsum_audit(n, L)
+    W = build_W(n, L)
     w_vals = W.indices().tolist()
-    mags = {a: abs(naive_exp_sum(101, w_vals, a)) for a in range(1, 101)}
+    mags = {a: abs(naive_exp_sum(n, w_vals, a)) for a in range(1, n)}
     best = max(mags.values())
     assert audit.max_abs == pytest.approx(best, abs=1e-9)
     # argmax must be a maximizer up to float noise (conjugate pairs tie)
     assert mags[audit.argmax_a] >= best - 1e-9
-    assert audit.ratio == pytest.approx(best / expsum_bound(101, 3))
-    assert audit.w_size == 3
+    tol = FFT_TOL_PER_ELEMENT * W.size
+    assert audit.argmax_a == min(a for a in mags if mags[a] >= best - tol)
+    assert audit.ratio == pytest.approx(best / expsum_bound(n, L))
+    assert audit.w_size == len(w_vals)
+    assert audit.direct_check_err <= tol
+
+
+def test_audit_argmax_takes_smallest_of_conjugate_pair():
+    # |S(a)| = |S(n - a)|; float rounding once picked 8952 = 16381 - 7429
+    audit = expsum_audit(16381, 16)
+    assert audit.argmax_a == 7429
+    assert audit.direct_check_err <= FFT_TOL_PER_ELEMENT * audit.w_size
+    assert audit.parseval_rel_err <= 1e-12
 
 
 def test_audit_max_below_cardinality():
@@ -62,7 +76,7 @@ def test_audit_max_below_cardinality():
 
 def test_audit_cap():
     with pytest.raises(AuditTooLarge):
-        expsum_audit(2**15, 10)
+        expsum_audit(AUDIT_CAP + 1, 10)
 
 
 def test_parseval_identity():
