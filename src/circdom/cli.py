@@ -32,7 +32,8 @@ from .verify import (
 )
 
 UNCOVERED_SAMPLE_CAP = 1000
-# Largest --n / --n-list value accepted, checked before anything is allocated.
+# Largest --n / --n-list value accepted, checked before anything is allocated
+# (the smallest is 2, the smallest circulant graph).
 MAX_N = 2**24
 
 BENCH_COLUMNS = [
@@ -154,7 +155,7 @@ def cmd_construct(args) -> int:
     except HypothesisNotMet as exc:
         print(f"HypothesisNotMet: {exc}", file=sys.stderr)
         return 2
-    except (CircdomError, OSError) as exc:
+    except (CircdomError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     doc = report_to_dict(rep, uncovered, no_timing=args.no_timing)
@@ -276,7 +277,7 @@ def cmd_audit(args) -> int:
     except AuditTooLarge as exc:
         print(f"AuditTooLarge: {exc}", file=sys.stderr)
         return 1
-    except (CircdomError, OSError) as exc:
+    except (CircdomError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     text = "".join(json.dumps(line) + "\n" for line in lines)
@@ -300,7 +301,7 @@ def _bench_row(task) -> dict:
         row["w_size"] = rep.parameters.get("w_size", "")
         row["u_size"] = rep.parameters.get("u_size", "")
         row["ratio_vs_envelope"] = rep.size / cons.dom_size_envelope(n, k)
-    except CircdomError as exc:
+    except (CircdomError, ValueError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -334,7 +335,7 @@ def cmd_gamma(args) -> int:
         chords = _chords_from_args(args)
         spec = CirculantSpec(args.n, chords)
         gamma = exact_gamma(spec)
-    except (CircdomError, OSError) as exc:
+    except (CircdomError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     doc = {
@@ -417,6 +418,9 @@ def main(argv: list[str] | None = None) -> int:
         if n > MAX_N:
             print(f"error: {TooLarge.__name__}: n={n} exceeds MAX_N={MAX_N}",
                   file=sys.stderr)
+            return 1
+        if n < 2:
+            print(f"error: ValueError: n={n} is below 2", file=sys.stderr)
             return 1
     return args.func(args)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import centered_residue, mod_inv
-from .construct import WSet, build_W
+from .construct import WSet, _require_scale, build_W
 from .errors import AuditTooLarge
 from .primes import PrimeWindow
 
@@ -67,9 +67,13 @@ def _magnitudes(W: WSet) -> np.ndarray:
 
 
 def expsum_audit(n: int, L: int, cap: int = AUDIT_CAP) -> ExpSumAudit:
-    """Report the worst sum over a in [1, n-1] against the bound."""
+    """Report the worst sum over a in [1, n-1] against the bound.
+
+    Raises DegenerateInstance below MIN_N, where lnln n <= 0 leaves no bound.
+    """
     if n > cap:
         raise AuditTooLarge(f"n={n} exceeds the audit cap {cap}")
+    _require_scale(n)
     W = build_W(n, L)
     mags = _magnitudes(W)
     max_abs = float(mags[1:].max())

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-import math
-
 from .errors import TooLarge
 from .graph import CirculantSpec, VertexSet, coverage
 
@@ -19,30 +16,38 @@ def is_dominating(spec: CirculantSpec, D: VertexSet, r: int = 1):
 
 
 def exact_gamma(spec: CirculantSpec) -> int:
-    """Minimum dominating-set size by exhaustive subset search (n <= 24).
+    """Minimum dominating-set size by bitmask branch-and-bound (n <= 24).
 
-    Searches cardinalities upward from the closed-neighborhood floor
-    ceil(n/(k+1)), lexicographic within each cardinality, first hit wins.
+    Translation is an automorphism of C_n(S), so 0 is in some minimum
+    dominating set and is fixed. Each step branches on the lowest
+    uncovered vertex v over the k+1 vertices v - s (s in S u {0}) that
+    cover it, and a branch is cut once |D| + ceil(uncovered / (k+1))
+    cannot beat the best set found.
     """
     n = spec.n
     if n > EXACT_GAMMA_MAX_N:
         raise TooLarge(f"exact_gamma capped at n <= {EXACT_GAMMA_MAX_N}, got {n}")
     full = (1 << n) - 1
-    masks = []
-    for u in range(n):
-        m = 1 << u
-        for s in spec.chords.chords:
-            m |= 1 << ((u + s) % n)
-        masks.append(m)
-    start = max(1, math.ceil(n / (spec.k + 1)))
-    for size in range(start, n + 1):
-        for comb in itertools.combinations(range(n), size):
-            acc = 0
-            for u in comb:
-                acc |= masks[u]
-            if acc == full:
-                return size
-    raise AssertionError("unreachable: Z_n itself dominates")
+    offsets = (0, *spec.chords.chords)
+    masks = [sum(1 << ((u + s) % n) for s in offsets) for u in range(n)]
+    coverers = [[masks[(v - s) % n] for s in offsets] for v in range(n)]
+    width = len(offsets)
+    best = n
+
+    def search(covered: int, size: int) -> None:
+        nonlocal best
+        if covered == full:
+            best = size
+            return
+        uncovered = n - covered.bit_count()
+        if size + -(-uncovered // width) >= best:
+            return
+        v = (~covered & (covered + 1)).bit_length() - 1
+        for m in coverers[v]:
+            search(covered | m, size + 1)
+
+    search(masks[0], 1)
+    return best
 
 
 def gamma_lower_bound(n: int, k: int) -> float:

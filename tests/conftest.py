@@ -6,6 +6,7 @@ paths it checks.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -68,6 +69,59 @@ def naive_w_set(n, L, primes):
         for k in range(1, L + 1):
             out.add((k * inv) % n)
     return out
+
+
+def naive_exact_gamma(n, chords):
+    """Smallest dominating set by trying every subset in order of size."""
+    full = (1 << n) - 1
+    masks = []
+    for u in range(n):
+        m = 1 << u
+        for s in chords:
+            m |= 1 << ((u + s) % n)
+        masks.append(m)
+    start = max(1, math.ceil(n / (len(chords) + 1)))
+    for size in range(start, n + 1):
+        for comb in itertools.combinations(range(n), size):
+            acc = 0
+            for u in comb:
+                acc |= masks[u]
+            if acc == full:
+                return size
+    raise AssertionError("unreachable: Z_n itself dominates")
+
+
+def naive_greedy_picks(n, chords):
+    """Greedy picks in order, recounting every vertex's gain each round."""
+    chords = np.asarray(chords, dtype=np.int64)
+    uncovered = np.ones(n, dtype=bool)
+    idx = np.arange(n, dtype=np.int64)
+    picks = []
+    while uncovered.any():
+        gain = uncovered.astype(np.int64)
+        for s in chords:
+            gain = gain + uncovered[(idx + int(s)) % n]
+        u = int(np.argmax(gain))  # argmax returns the first maximum
+        picks.append(u)
+        uncovered[u] = False
+        uncovered[(u + chords) % n] = False
+    return picks
+
+
+def naive_random_cover(n, chords, seed):
+    """One PCG64 draw per iteration until covered: (sorted picks, draws)."""
+    rng = np.random.default_rng(seed)
+    covered = np.zeros(n, dtype=bool)
+    chosen = set()
+    draws = 0
+    while not covered.all():
+        v = int(rng.integers(0, n))
+        draws += 1
+        chosen.add(v)
+        covered[v] = True
+        for s in chords:
+            covered[(v + s) % n] = True
+    return sorted(chosen), draws
 
 
 def random_subset(rng, n, k):

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from circdom import baselines
 from circdom.baselines import (
+    _greedy_picks,
     greedy_dominating,
     random_chord_set,
     random_dominating,
 )
 from circdom.graph import ChordSet, CirculantSpec
 from circdom.verify import exact_gamma
+
+from conftest import naive_greedy_picks, naive_random_cover
 
 
 def spec_of(n, chords):
@@ -47,6 +51,46 @@ def test_greedy_dominance_over_exact():
         S = random_chord_set(n, k, int(rng.integers(2**32)))
         spec = CirculantSpec(n, S)
         assert greedy_dominating(spec).size >= exact_gamma(spec)
+
+
+def greedy_instances():
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        n = int(rng.integers(2, 300))
+        k = int(rng.integers(1, min(n - 1, 24) + 1))
+        yield n, random_chord_set(n, k, int(rng.integers(2**32))).chords
+    for _ in range(30):
+        n = 2 * int(rng.integers(2, 150))
+        k = int(rng.integers(1, min(n - 1, 24) + 1))
+        S = random_chord_set(n, k, int(rng.integers(2**32)), symmetric=True)
+        yield n, S.chords
+    for n in range(3, 43, 2):  # every vertex ties with every other
+        yield n, (1, n - 1)
+
+
+def test_greedy_picks_match_recount_oracle():
+    count = 0
+    for n, chords in greedy_instances():
+        picks = _greedy_picks(n, np.asarray(chords, dtype=np.int64))
+        assert picks == naive_greedy_picks(n, chords), (n, chords)
+        count += 1
+    assert count >= 200
+
+
+@pytest.mark.parametrize("cells", [1, 7, 200, baselines.RANDOM_CHUNK_CELLS])
+def test_random_draws_match_one_at_a_time(cells, monkeypatch):
+    # chunked draws stop at the same draw as the scalar loop, whatever B is
+    monkeypatch.setattr(baselines, "RANDOM_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(13)
+    for _ in range(12):
+        n = int(rng.integers(2, 400))
+        k = int(rng.integers(1, min(n - 1, 12) + 1))
+        S = random_chord_set(n, k, int(rng.integers(2**32)))
+        seed = int(rng.integers(2**32))
+        rep = random_dominating(CirculantSpec(n, S), seed)
+        picks, draws = naive_random_cover(n, S.chords, seed)
+        assert rep.D.indices().tolist() == picks
+        assert rep.parameters["draws"] == draws
 
 
 def test_random_dominating_verified_and_deterministic():

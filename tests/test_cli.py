@@ -163,6 +163,38 @@ def test_input_size_guard(args):
     assert f"error: TooLarge: n={MAX_N + 1} exceeds MAX_N={MAX_N}" in res.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (("construct", "--n", "-5", "--random-chords", "2", "--seed", "1",
+      "--method", "greedy"), "error: ValueError: n=-5 is below 2"),
+    (("audit", "--check", "card", "--n-list", "-5", "--l-list", "3"),
+     "error: ValueError: n=-5 is below 2"),
+    (("gamma", "--n", "1", "--random-chords", "1", "--seed", "1"),
+     "error: ValueError: n=1 is below 2"),
+    (("construct", "--n", "50", "--random-chords", "3", "--seed", "1",
+      "--method", "greedy", "--r", "0"), "error: ValueError: r must be >= 1"),
+    (("audit", "--check", "card", "--n-list", "101", "--l-list", "0"),
+     "error: ValueError: L must be >= 1"),
+    (("gamma", "--n", "5", "--random-chords", "9", "--seed", "1"),
+     "error: ValueError: require 1 <= k <= n - 1"),
+], ids=["construct-n", "audit-n", "gamma-n", "construct-r", "audit-L",
+        "gamma-k"])
+def test_input_floor(args, message, capsys):
+    # bad small inputs end in one error line and exit 1, not a traceback
+    rc = main(list(args))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.strip() == message
+
+
+def test_audit_expsum_below_scale_floor(capsys):
+    rc = main(["audit", "--check", "expsum", "--n-list", "2", "--l-list", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "error: DegenerateInstance: n must be >= 16, got 2" in captured.err
+
+
 def test_bench_csv_schema_and_determinism(tmp_path):
     out = tmp_path / "bench.csv"
     args = ("bench", "--n-list", "1000,2000", "--k-list", "20",
@@ -175,6 +207,13 @@ def test_bench_csv_schema_and_determinism(tmp_path):
     assert len(text1.splitlines()) == 1 + 2 * 1 * 2 * 2
     run_cli(*args)
     assert out.read_text() == text1  # byte-identical rerun
+
+
+def test_bench_reports_bad_k_in_row(capsys):
+    rc = main(["bench", "--n-list", "10", "--k-list", "20", "--no-timing"])
+    rows = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert rows[1].endswith(",ValueError: require 1 <= k <= n - 1")
 
 
 def test_bench_parallel_matches_serial(tmp_path):

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from circdom.arith import centered_residue
-from circdom.construct import build_W
-from circdom.errors import AuditTooLarge
+from circdom.construct import MIN_N, build_W
+from circdom.errors import AuditTooLarge, DegenerateInstance
 from circdom.expsum import (
     AUDIT_CAP,
     FFT_TOL_PER_ELEMENT,
@@ -77,6 +77,14 @@ def test_audit_max_below_cardinality():
 def test_audit_cap():
     with pytest.raises(AuditTooLarge):
         expsum_audit(AUDIT_CAP + 1, 10)
+
+
+def test_audit_scale_floor():
+    # below MIN_N, lnln n <= 0 would make the bound and the ratio negative
+    for n in (2, MIN_N - 1):
+        with pytest.raises(DegenerateInstance):
+            expsum_audit(n, 3)
+    assert expsum_audit(MIN_N, 3).bound > 0
 
 
 def test_parseval_identity():

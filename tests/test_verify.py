@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circdom.baselines import random_chord_set
 from circdom.errors import TooLarge
 from circdom.graph import ChordSet, CirculantSpec, VertexSet
 from circdom.verify import (
@@ -12,7 +15,7 @@ from circdom.verify import (
     is_dominating,
 )
 
-from conftest import naive_is_dominating
+from conftest import naive_exact_gamma, naive_is_dominating
 
 
 def spec_of(n, chords):
@@ -78,6 +81,24 @@ def test_exact_gamma_is_minimal_by_oracle():
             if naive_is_dominating(n, list(chords), comb, 1)
         )
         assert g == best
+
+
+def test_exact_gamma_matches_brute_force_all_small():
+    # every chord set with k <= 2 for n <= 16
+    for n in range(2, 17):
+        for k in (1, 2):
+            for chords in itertools.combinations(range(1, n), k):
+                g = exact_gamma(spec_of(n, chords))
+                assert g == naive_exact_gamma(n, chords), (n, chords)
+
+
+def test_exact_gamma_matches_brute_force_seeded():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n = int(rng.integers(8, 21))
+        k = int(rng.integers(1, 5))
+        chords = random_chord_set(n, k, int(rng.integers(2**32))).chords
+        assert exact_gamma(spec_of(n, chords)) == naive_exact_gamma(n, chords)
 
 
 def test_lower_bounds():
