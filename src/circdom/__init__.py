@@ -4,7 +4,7 @@ Constructions based on modular-ratio sets, exact verification oracles,
 greedy/random baselines, exponential-sum audits, and a CLI harness.
 """
 
-from .arith import centered_residue, e_n, gcd, mod_inv
+from .arith import centered_residue, e_n, mod_inv
 from .baselines import greedy_dominating, random_chord_set, random_dominating
 from .construct import (
     DominationReport,
@@ -60,7 +60,6 @@ __all__ = [
     "exp_sum_W",
     "expsum_audit",
     "gamma_lower_bound",
-    "gcd",
     "greedy_dominating",
     "is_dominating",
     "load_chord_file",

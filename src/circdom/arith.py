@@ -15,11 +15,6 @@ from .errors import NotInvertible
 TWO_PI = 2.0 * math.pi
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers, not both zero."""
-    return math.gcd(a, b)
-
-
 def mod_inv(a: int, n: int) -> int:
     """Inverse of a modulo n; raises NotInvertible when gcd(a, n) > 1."""
     try:

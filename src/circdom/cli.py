@@ -77,7 +77,7 @@ def report_to_dict(rep: DominationReport, uncovered: list[int] | None = None,
         "size": rep.size,
         "verified": rep.verified,
         "uncovered_count": rep.uncovered_count,
-        "uncovered_sample": (uncovered or [])[:UNCOVERED_SAMPLE_CAP],
+        "uncovered_sample": uncovered or [],
         "wall_ms": _fmt_ms(rep.wall_ms, no_timing),
         "parameters": rep.parameters,
     }
@@ -97,67 +97,51 @@ def _chords_from_args(args) -> ChordSet:
     )
 
 
-def _run_method(method: str, spec: CirculantSpec, args) -> DominationReport:
+def _run_method(method: str, spec: CirculantSpec, seed: int | None,
+                c: float = 1.0, C: float = 1.0, c0: float = 1.0,
+                psi: float = 1.0) -> DominationReport:
     n, k = spec.n, spec.k
     if method == "paper":
         return cons.construct_dominating(spec)
     if method == "greedy":
         return greedy_dominating(spec)
     if method == "random":
-        return random_dominating(spec, args.seed or 0)
+        return random_dominating(spec, seed or 0)
+    t0 = time.perf_counter()
     if method == "universal2":
-        t0 = time.perf_counter()
-        W = cons.construct_universal_2dom(n, k, c=args.c, C=args.C, c0=args.c0)
-        verified, uncov = is_dominating(spec, W.elements, 2)
-        return DominationReport(
-            method="universal2", n=n, k=k, r=2, D=W.elements,
-            size=W.size, verified=verified, uncovered_count=uncov.size,
-            wall_ms=(time.perf_counter() - t0) * 1000.0,
-            parameters={
-                "L": W.L, "num_primes": len(W.window), "w_size": W.size,
-                "c": args.c, "C": args.C, "c0": args.c0,
-            },
-        )
+        W = cons.construct_universal_2dom(n, k, c=c, C=C, c0=c0)
+        return cons.report("universal2", spec, W.elements, 2, t0, {
+            "L": W.L, "num_primes": len(W.window), "w_size": W.size,
+            "c": c, "C": C, "c0": c0,
+        })
     if method == "almost-w":
-        t0 = time.perf_counter()
-        W = cons.almost_dominating_W(n, k, psi=args.psi)
-        verified, uncov = is_dominating(spec, W.elements, 1)
-        frac = 1.0 - uncov.size / n
-        return DominationReport(
-            method="almostW", n=n, k=k, r=1, D=W.elements,
-            size=W.size, verified=verified, uncovered_count=uncov.size,
-            wall_ms=(time.perf_counter() - t0) * 1000.0,
-            parameters={
-                "L": W.L, "num_primes": len(W.window), "w_size": W.size,
-                "psi": args.psi,
-                "budget": cons.almost_budget(n, k, args.psi),
-                "coverage_fraction": frac,
-            },
-        )
+        W = cons.almost_dominating_W(n, k, psi=psi)
+        rep = cons.report("almostW", spec, W.elements, 1, t0, {
+            "L": W.L, "num_primes": len(W.window), "w_size": W.size,
+            "psi": psi, "budget": cons.almost_budget(n, k, psi),
+        })
+        rep.parameters["coverage_fraction"] = 1.0 - rep.uncovered_count / n
+        return rep
     raise CircdomError(f"unknown method {method!r}")
 
 
 def cmd_construct(args) -> int:
-    r = args.r
     try:
         chords = _chords_from_args(args)
         spec = CirculantSpec(args.n, chords)
-        rep = _run_method(args.method, spec, args)
+        rep = _run_method(args.method, spec, args.seed, c=args.c, C=args.C,
+                          c0=args.c0, psi=args.psi)
         if rep.seed is None:
             rep.seed = args.seed
-        if r != rep.r:
-            verified, uncov = is_dominating(spec, rep.D, r)
-            rep.r, rep.verified, rep.uncovered_count = r, verified, uncov.size
-            uncovered = [int(v) for v in uncov.indices()[:UNCOVERED_SAMPLE_CAP]]
-        else:
-            _, uncov = is_dominating(spec, rep.D, rep.r)
-            uncovered = [int(v) for v in uncov.indices()[:UNCOVERED_SAMPLE_CAP]]
+        verified, uncov = is_dominating(spec, rep.D, args.r)
     except HypothesisNotMet as exc:
         print(f"HypothesisNotMet: {exc}", file=sys.stderr)
         return 2
     except (CircdomError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    rep.r, rep.verified, rep.uncovered_count = args.r, verified, uncov.size
+    uncovered = [int(v) for v in uncov.indices()[:UNCOVERED_SAMPLE_CAP]]
     doc = report_to_dict(rep, uncovered, no_timing=args.no_timing)
     _emit(json.dumps(doc) + "\n", _resolve_out(args.out))
     if rep.method == "almostW":
@@ -214,13 +198,12 @@ def _audit_exceptional_lines(args):
     lines, ok = [], True
     for n in args.n_list:
         for k in args.k_list:
+            sol = cons.solve_lambda(n, k)
+            W = cons.build_W(n, sol.L)
+            bound = cons.exceptional_bound(n, k, len(W.window))
             for trial in range(args.trials):
                 seed = args.seed + trial
-                S = random_chord_set(n, k, seed)
-                sol = cons.solve_lambda(n, k)
-                W = cons.build_W(n, sol.L)
-                U = cons.exceptional_set(n, S, W)
-                bound = cons.exceptional_bound(n, k, len(W.window))
+                U = cons.exceptional_set(n, random_chord_set(n, k, seed), W)
                 lines.append({
                     "check": "exceptional", "n": n, "k": k, "trial": trial,
                     "seed": seed, "L": sol.L, "num_primes": len(W.window),
@@ -292,8 +275,7 @@ def _bench_row(task) -> dict:
     try:
         S = random_chord_set(n, k, seed)
         spec = CirculantSpec(n, S)
-        args = argparse.Namespace(seed=seed, c=1.0, C=1.0, c0=1.0, psi=1.0)
-        rep = _run_method(method, spec, args)
+        rep = _run_method(method, spec, seed)
         row["size"] = rep.size
         row["wall_ms"] = round(rep.wall_ms, 3)
         row["verified"] = rep.verified

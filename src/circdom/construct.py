@@ -23,7 +23,7 @@ from .errors import (
     HypothesisNotMet,
     InexactCounts,
 )
-from .graph import ChordSet, CirculantSpec, VertexSet
+from .graph import ChordSet, CirculantSpec, VertexSet, shift_cover
 from .primes import PrimeWindow, primes_in_window
 from .verify import is_dominating
 
@@ -81,6 +81,19 @@ class DominationReport:
     parameters: dict = field(default_factory=dict)
     seed: int | None = None
     generator: str | None = None
+
+
+def report(method: str, spec: CirculantSpec, D: VertexSet, r: int, t0: float,
+           parameters: dict, seed: int | None = None,
+           generator: str | None = None) -> DominationReport:
+    """Verify D at radius r once and report it, timed from perf_counter t0."""
+    verified, uncovered = is_dominating(spec, D, r)
+    return DominationReport(
+        method=method, n=spec.n, k=spec.k, r=r, D=D, size=D.size,
+        verified=verified, uncovered_count=uncovered.size,
+        wall_ms=(time.perf_counter() - t0) * 1000.0,
+        parameters=parameters, seed=seed, generator=generator,
+    )
 
 
 def _loglog(n: int) -> float:
@@ -163,13 +176,8 @@ def exceptional_set(n: int, S: ChordSet, W: WSet) -> VertexSet:
     Marks w + s over all pairs into one bit array and returns the
     complement; O(|W| * |S| + n).
     """
-    covered = np.zeros(n, dtype=bool)
-    w_idx = W.indices()
-    for s in S.chords:
-        covered[(w_idx + s) % n] = True
-        if covered.all():
-            break
-    return VertexSet(n, ~covered)
+    return VertexSet(n, ~shift_cover(np.zeros(n, dtype=bool), W.indices(),
+                                     S.chords))
 
 
 def exceptional_bound(n: int, s_size: int, num_primes: int) -> float:
@@ -209,28 +217,14 @@ def construct_dominating(spec: CirculantSpec) -> DominationReport:
             else:
                 raise
     U = exceptional_set(n, spec.chords, W)
-    D = W.elements.union(U)
-    verified, uncovered = is_dominating(spec, D, 1)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return DominationReport(
-        method="paper",
-        n=n,
-        k=k,
-        r=1,
-        D=D,
-        size=D.size,
-        verified=verified,
-        uncovered_count=uncovered.size,
-        wall_ms=wall_ms,
-        parameters={
-            "lambda": sol.lam,
-            "L": L,
-            "num_primes": len(W.window),
-            "w_size": W.size,
-            "u_size": U.size,
-            "card_hypothesis_ok": W.card_hypothesis_ok,
-        },
-    )
+    return report("paper", spec, W.elements.union(U), 1, t0, {
+        "lambda": sol.lam,
+        "L": L,
+        "num_primes": len(W.window),
+        "w_size": W.size,
+        "u_size": U.size,
+        "card_hypothesis_ok": W.card_hypothesis_ok,
+    })
 
 
 @dataclass(frozen=True)

@@ -79,10 +79,6 @@ class VertexSet:
         self._size: int | None = None
 
     @classmethod
-    def empty(cls, n: int) -> "VertexSet":
-        return cls(n, np.zeros(n, dtype=bool))
-
-    @classmethod
     def full(cls, n: int) -> "VertexSet":
         return cls(n, np.ones(n, dtype=bool))
 
@@ -135,10 +131,12 @@ def symmetrize(values, n: int) -> ChordSet:
     return ChordSet(n, tuple(sorted(out)))
 
 
-def shift_cover(n: int, sources: np.ndarray, chords: np.ndarray) -> np.ndarray:
-    """Boolean array marking sources and all (source + chord) mod n."""
-    covered = np.zeros(n, dtype=bool)
-    covered[sources] = True
+def shift_cover(covered: np.ndarray, sources: np.ndarray, chords) -> np.ndarray:
+    """Mark every (source + chord) mod n in covered, in place; return it.
+
+    Stops at the first chord after which every vertex is marked.
+    """
+    n = covered.size
     for s in chords:
         covered[(sources + int(s)) % n] = True
         if covered.all():  # dense sources saturate after a few chords
@@ -153,8 +151,7 @@ def coverage(spec: CirculantSpec, D: VertexSet, r: int) -> VertexSet:
     chords = spec.chords.as_array()
     covered = D.members.copy()
     for _ in range(r):
-        idx = np.flatnonzero(covered).astype(np.int64)
-        nxt = shift_cover(spec.n, idx, chords)
+        nxt = shift_cover(covered.copy(), np.flatnonzero(covered), chords)
         if np.array_equal(nxt, covered):
             break
         covered = nxt

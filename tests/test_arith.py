@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circdom.arith import centered_residue, e_n, gcd, mod_inv
+from circdom.arith import centered_residue, e_n, mod_inv
 from circdom.errors import NotInvertible
 
 from conftest import naive_mod_inv
-
-
-def test_gcd_examples():
-    assert gcd(12, 18) == 6
-    assert gcd(0, 5) == 5
-    for n in (1, 2, 97, 10**6):
-        assert gcd(1, n) == 1
 
 
 def test_mod_inv_identity():

@@ -138,11 +138,13 @@ def test_exceptional_set_tiny():
     assert sorted(U.indices().tolist()) == [0, 1, 2, 4]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_exceptional_set_matches_naive(seed):
+# L = 40 makes W dense enough that S + W saturates Z_101 before the last chord
+@pytest.mark.parametrize("seed, L", [(0, 3), (1, 3), (2, 3), (0, 40)],
+                         ids=["0", "1", "2", "dense"])
+def test_exceptional_set_matches_naive(seed, L):
     n = 101
     S = random_chord_set(n, 10, seed)
-    W = build_W(n, 3)
+    W = build_W(n, L)
     U = exceptional_set(n, S, W)
     reachable = naive_sumset(n, S.chords, W.indices().tolist())
     assert set(U.indices().tolist()) == set(range(n)) - reachable

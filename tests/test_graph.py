@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circdom.errors import ChordFileError, InvalidChord
@@ -71,6 +71,8 @@ def test_coverage_examples():
 
 
 @given(small_instances)
+@example((40, {1, 5, 7}, set(range(40)) - {17}, 1))  # saturates at chord 1
+@example((40, {3, 9}, set(range(40)) - {0}, 3))
 @settings(max_examples=150)
 def test_coverage_matches_naive(inst):
     n, chords, dset, r = inst
