@@ -150,9 +150,12 @@ def solve_lambda(n: int, k: int) -> LambdaSolution:
 def build_W(n: int, L: int) -> WSet:
     """The set {k * inv(ell) mod n : (k, ell) in [1, L] x window(L, n)}.
 
-    One modular inverse per prime, then L vectorized products; no division
-    in the inner loop. For L >= n the multiples of any unit already sweep
-    all of Z_n, so the full set is returned directly.
+    One modular inverse per prime, then L vectorized products reduced in
+    place by v - (v // n) * n: numpy floor-divides an int64 array by a
+    scalar with a precomputed multiplier (libdivide), while its % issues
+    one hardware division per element. Exact integer arithmetic, as
+    0 <= v < L * n < 2^63. For L >= n the multiples of any unit already
+    sweep all of Z_n, so the full set is returned directly.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -164,20 +167,24 @@ def build_W(n: int, L: int) -> WSet:
         members[:] = True
     else:
         ks = np.arange(1, L + 1, dtype=np.int64)
+        v, q = np.empty_like(ks), np.empty_like(ks)
         for ell in window.primes:
-            inv = pow(ell, -1, n)
-            members[(ks * inv) % n] = True
+            np.multiply(ks, pow(ell, -1, n), out=v)
+            np.floor_divide(v, n, out=q)
+            q *= n
+            v -= q
+            members[v] = True
     return WSet(n=n, L=L, elements=VertexSet(n, members), window=window)
 
 
 def exceptional_set(n: int, S: ChordSet, W: WSet) -> VertexSet:
     """Vertices of Z_n not representable as s + w, (s, w) in S x W.
 
-    Marks w + s over all pairs into one bit array and returns the
-    complement; O(|W| * |S| + n).
+    Rotates the membership mask of W by each chord into one bit array and
+    returns the complement; O(n * chords until saturation).
     """
-    return VertexSet(n, ~shift_cover(np.zeros(n, dtype=bool), W.indices(),
-                                     S.chords))
+    return VertexSet(n, ~shift_cover(np.zeros(n, dtype=bool),
+                                     W.elements.members, S.chords))
 
 
 def exceptional_bound(n: int, s_size: int, num_primes: int) -> float:

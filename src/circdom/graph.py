@@ -132,13 +132,21 @@ def symmetrize(values, n: int) -> ChordSet:
 
 
 def shift_cover(covered: np.ndarray, sources: np.ndarray, chords) -> np.ndarray:
-    """Mark every (source + chord) mod n in covered, in place; return it.
+    """Mark v + chord mod n for every v with sources[v] set; return covered.
 
-    Stops at the first chord after which every vertex is marked.
+    covered and sources are length-n boolean masks and every chord lies in
+    [1, n - 1], as in a ChordSet. Each chord s ORs the rotation of sources
+    by s into covered in place, as two slices, and the loop stops at the
+    first chord after which every vertex is marked. The masks must not
+    share memory: an aliased source would gain the marks of earlier chords
+    and carry them several hops.
     """
+    if np.may_share_memory(covered, sources):
+        raise ValueError("covered and sources must not share memory")
     n = covered.size
     for s in chords:
-        covered[(sources + int(s)) % n] = True
+        covered[s:] |= sources[:n - s]
+        covered[:s] |= sources[n - s:]
         if covered.all():  # dense sources saturate after a few chords
             break
     return covered
@@ -148,10 +156,9 @@ def coverage(spec: CirculantSpec, D: VertexSet, r: int) -> VertexSet:
     """Vertices reachable from D by at most r steps along +S, D included."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    chords = spec.chords.as_array()
     covered = D.members.copy()
     for _ in range(r):
-        nxt = shift_cover(covered.copy(), np.flatnonzero(covered), chords)
+        nxt = shift_cover(covered.copy(), covered, spec.chords.chords)
         if np.array_equal(nxt, covered):
             break
         covered = nxt

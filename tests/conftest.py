@@ -45,6 +45,16 @@ def naive_sumset(n, s_values, w_values):
     return {(s + w) % n for s in s_values for w in w_values}
 
 
+def naive_shift_cover(covered, sources, chords):
+    """Index scatter: mark (v + s) mod n for each source index v and chord s."""
+    n = covered.size
+    for s in chords:
+        covered[(sources + int(s)) % n] = True
+        if covered.all():
+            break
+    return covered
+
+
 def naive_exp_sum(n, w_values, a):
     """Term-by-term character sum with cmath, no vectorization."""
     return sum(cmath.exp(2j * math.pi * ((a * w) % n) / n) for w in w_values)

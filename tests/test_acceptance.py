@@ -216,15 +216,18 @@ def test_criterion_8_scaling():
     # warm-up so first-touch allocation noise stays out of the medians
     construct_dominating(
         CirculantSpec(ns[0], random_chord_set(ns[0], k, 0)))
-    medians = []
-    for n in ns:
-        times = []
-        for seed in range(5):
-            spec = CirculantSpec(n, random_chord_set(n, k, seed))
+    # round-robin over the 20 (n, seed) instances, best of 5 per instance,
+    # so a slow phase of the host hits every n alike instead of one n
+    specs = {(n, seed): CirculantSpec(n, random_chord_set(n, k, seed))
+             for n in ns for seed in range(5)}
+    best = dict.fromkeys(specs, math.inf)
+    for _ in range(5):
+        for key, spec in specs.items():
             rep = construct_dominating(spec)
             assert rep.verified
-            times.append(rep.wall_ms)
-        medians.append(statistics.median(times))
+            best[key] = min(best[key], rep.wall_ms)
+    medians = [statistics.median(best[n, seed] for seed in range(5))
+               for n in ns]
     factors = [medians[i + 1] / medians[i] for i in range(len(ns) - 1)]
     assert all(f <= 2.5 for f in factors), (medians, factors)
     csv_path = ROOT / "artifacts" / "bench_scaling.csv"

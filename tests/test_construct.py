@@ -26,10 +26,15 @@ from circdom.errors import (
     HypothesisNotMet,
     InexactCounts,
 )
-from circdom.graph import ChordSet, CirculantSpec, VertexSet
+from circdom.graph import ChordSet, CirculantSpec, VertexSet, coverage
 from circdom.verify import exact_gamma, is_dominating
 
-from conftest import naive_representation_counts, naive_sumset, naive_w_set
+from conftest import (
+    naive_representation_counts,
+    naive_shift_cover,
+    naive_sumset,
+    naive_w_set,
+)
 
 
 def lambda_oracle(n, k, dps=50):
@@ -91,6 +96,21 @@ def test_build_w_matches_naive(n, L):
     assert set(W.indices().tolist()) == expected
 
 
+# L = n // 2 - 1 takes products k * inv(ell) past 2^32 (up to ~5e9)
+@pytest.mark.parametrize(
+    "n,L",
+    [(n, L) for n in (10**5, 2**17, 99991) for L in (2, 97, 3000)]
+    + [(99991, 99991 // 2 - 1)],
+)
+def test_build_w_matches_hardware_modulo(n, L):
+    W = build_W(n, L)
+    ks = np.arange(1, L + 1, dtype=np.int64)
+    expected = np.zeros(n, dtype=bool)
+    for ell in W.window.primes:
+        expected[(ks * pow(ell, -1, n)) % n] = True
+    assert np.array_equal(W.elements.members, expected)
+
+
 @given(
     st.integers(min_value=50, max_value=5000),
     st.integers(min_value=1, max_value=30),
@@ -148,6 +168,37 @@ def test_exceptional_set_matches_naive(seed, L):
     U = exceptional_set(n, S, W)
     reachable = naive_sumset(n, S.chords, W.indices().tolist())
     assert set(U.indices().tolist()) == set(range(n)) - reachable
+
+
+def _scale_instance(kind):
+    """(n, S, W, D) at n = 10^5: the dense paper W, or a sparse one."""
+    n = 10**5
+    if kind == "dense":
+        S = random_chord_set(n, 100, seed=1)
+        W = build_W(n, solve_lambda(n, 100).L)
+        return n, S, W, W.elements
+    # 1000 chords including 1 and n - 1, so both wrap slices carry marks
+    rng = np.random.default_rng(5)
+    inner = rng.choice(np.arange(2, n - 1), size=998, replace=False)
+    S = ChordSet(n, tuple(sorted({1, n - 1, *map(int, inner)})))
+    D = VertexSet.from_indices(n, [0, n - 1, *rng.integers(0, n, 100)])
+    return n, S, build_W(n, 20), D
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_cover_at_scale_matches_index_scatter(kind):
+    n, S, W, D = _scale_instance(kind)
+    U = exceptional_set(n, S, W)
+    hit = naive_shift_cover(np.zeros(n, dtype=bool), W.indices(), S.chords)
+    assert np.array_equal(U.members, ~hit)
+    if kind == "sparse":  # never saturates, so every chord is scanned
+        assert U.size > 0
+    spec = CirculantSpec(n, S)
+    expected = D.members
+    for r in (1, 2):
+        expected = naive_shift_cover(expected.copy(), np.flatnonzero(expected),
+                                     S.chords)
+        assert np.array_equal(coverage(spec, D, r).members, expected)
 
 
 def test_construct_dominating_always_dominates():

@@ -10,6 +10,7 @@ from circdom.graph import (
     VertexSet,
     coverage,
     load_chord_file,
+    shift_cover,
     symmetrize,
 )
 
@@ -80,6 +81,18 @@ def test_coverage_matches_naive(inst):
     D = VertexSet.from_indices(n, dset)
     got = set(coverage(spec, D, r).indices().tolist())
     assert got == naive_coverage(n, sorted(chords), sorted(dset), r)
+
+
+def test_shift_cover_rejects_aliased_masks():
+    # in place, covered |= rotate(covered) would chain chords 1 and 2 into
+    # a 3-hop step and mark vertex 3 from 0
+    mask = np.zeros(8, dtype=bool)
+    mask[0] = True
+    for sources in (mask, mask[:]):
+        with pytest.raises(ValueError, match="share memory"):
+            shift_cover(mask, sources, (1, 2))
+    assert shift_cover(mask.copy(), mask, (1, 2)).tolist() == [
+        True, True, True, False, False, False, False, False]
 
 
 @given(small_instances)
