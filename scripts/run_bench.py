@@ -1,0 +1,185 @@
+#!/usr/bin/env python3
+"""Time build_W and `construct --method paper` on source trees; write BENCH JSON.
+
+Each tree is a `src/` directory holding a `circdom` package, named on the
+command line as NAME=PATH. Every repeat starts one fresh process per tree,
+in alternating order so that the trees share the host's conditions. Each
+process runs every grid point once untimed, then makes PASSES round-robin
+passes over the grid, each timing `build_W(n, L)` (wall and process CPU,
+which counts every thread) and one in-process
+`circdom construct --n N --random-chords K --seed 1 --method paper`.
+The JSON holds the medians over all repeats x PASSES samples, the set
+sizes (which must agree across trees), the worker count each tree used
+for build_W, and the machine. Run from the repo root, e.g. against a
+checkout of a base commit in ../base:
+
+    python3 scripts/run_bench.py --tree before=../base/src --tree after=src \\
+        --out BENCH_build_w.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GRID = [(n, k) for n in (10**5, 10**6) for k in (100, 1000)]
+CHORD_SEED = 1
+PASSES = 3  # timed passes over the grid per process
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def cpu_ticks() -> list[int] | None:
+    """The aggregate `cpu` line of /proc/stat: user, nice, system, idle,
+    iowait, irq, softirq, steal, ... ticks since boot; None off Linux."""
+    try:
+        line = Path("/proc/stat").read_text().split("\n", 1)[0]
+        return [int(x) for x in line.split()[1:]]
+    except (OSError, ValueError):
+        return None
+
+
+def steal_frac(before: list[int] | None, after: list[int] | None) -> float | None:
+    """Share of this machine's CPU ticks that the hypervisor took (steal)."""
+    if not before or not after or len(before) < 8:
+        return None
+    delta = [b - a for a, b in zip(before, after)]
+    return round(delta[7] / sum(delta), 4) if sum(delta) else None
+
+
+def measure(src: str) -> list[dict]:
+    """PASSES timed passes over the grid with the circdom package in src."""
+    sys.path.insert(0, src)
+    from circdom import construct
+    from circdom.cli import main
+
+    def run_construct(argv: list[str]) -> tuple[float, dict]:
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            rc = main(argv)
+        wall = time.perf_counter() - t0
+        if rc != 0:
+            raise SystemExit(f"error: {' '.join(argv)} exited {rc}")
+        return wall, json.loads(out.getvalue())
+
+    rows = []
+    for n, k in GRID:
+        argv = ["construct", "--n", str(n), "--random-chords", str(k),
+                "--seed", str(CHORD_SEED), "--method", "paper"]
+        _, doc = run_construct(argv)  # warm-up
+        L, primes = doc["parameters"]["L"], doc["parameters"]["num_primes"]
+        workers = (construct.w_workers(L * primes)
+                   if hasattr(construct, "w_workers") else 1)
+        rows.append({"n": n, "k": k, "L": L, "num_primes": primes,
+                     "size": doc["size"], "workers": workers, "argv": argv,
+                     "build_w_wall_ms": [], "build_w_cpu_ms": [],
+                     "construct_wall_ms": []})
+    for _ in range(PASSES):
+        for row in rows:
+            t0, c0 = time.perf_counter(), time.process_time()
+            construct.build_W(row["n"], row["L"])
+            row["build_w_wall_ms"].append((time.perf_counter() - t0) * 1e3)
+            row["build_w_cpu_ms"].append((time.process_time() - c0) * 1e3)
+            wall, doc = run_construct(row["argv"])
+            row["construct_wall_ms"].append(wall * 1e3)
+            if doc["size"] != row["size"]:
+                raise SystemExit(f"error: |D| changed between runs: {row['argv']}")
+    return rows
+
+
+def run_tree(src: str) -> list[dict]:
+    res = subprocess.run([sys.executable, __file__, "--measure", src],
+                         capture_output=True, text=True, check=True)
+    return json.loads(res.stdout)
+
+
+def summarise(trees: dict[str, str], passes: dict[str, list]) -> list[dict]:
+    grid = []
+    for i, (n, k) in enumerate(GRID):
+        first = passes[next(iter(trees))][0][i]
+        lb = -(-n // (k + 1))
+        point = {"n": n, "k": k, "L": first["L"],
+                 "num_primes": first["num_primes"], "size": first["size"],
+                 "size_over_n": first["size"] / n,
+                 "size_over_lb": first["size"] / lb}
+        for name in trees:
+            rows = [p[i] for p in passes[name]]
+            if any(r["size"] != first["size"] for r in rows):
+                raise SystemExit(f"error: |D| differs across trees at n={n}, k={k}")
+            point[name] = {"workers": rows[0]["workers"]} | {
+                f"{key}_median": round(statistics.median(
+                    t for r in rows for t in r[key]), 2)
+                for key in ("build_w_wall_ms", "build_w_cpu_ms",
+                            "construct_wall_ms")}
+        grid.append(point)
+    return grid
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", action="append", metavar="NAME=SRC",
+                        help="a src/ directory to time (repeatable; "
+                             "default: after=src)")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--out", default=None,
+                        help="JSON file to write (default: stdout)")
+    parser.add_argument("--measure", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure(args.measure)))
+        return 0
+
+    trees = dict(t.split("=", 1) for t in (args.tree or [f"after={ROOT / 'src'}"]))
+    passes: dict[str, list] = {name: [] for name in trees}
+    ticks = cpu_ticks()
+    for rep in range(args.repeats):
+        order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
+        for name in order:
+            passes[name].append(run_tree(trees[name]))
+    import numpy
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from circdom.construct import usable_cpus
+
+    doc = {
+        "what": "build_W and `construct --method paper` per (n, k), chord "
+                f"seed {CHORD_SEED}; medians over {args.repeats} processes "
+                f"per tree (trees alternating) x {PASSES} timed passes each",
+        "machine": {"cpu_model": cpu_model(), "usable_cpus": usable_cpus(),
+                    "python": platform.python_version(),
+                    "numpy": numpy.__version__,
+                    # CPU time stolen by the hypervisor while timing: with
+                    # two workers, build_W gains wall time only on a free core
+                    "cpu_steal_frac": steal_frac(ticks, cpu_ticks())},
+        "trees": list(trees),
+        "repeats": args.repeats,
+        "grid": summarise(trees, passes),
+    }
+    text = json.dumps(doc, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,6 @@ from .construct import (
     build_W,
     construct_dominating,
     construct_universal_2dom,
-    count_representations,
     exceptional_set,
     solve_lambda,
     suggest_universal2_constants,
@@ -51,7 +50,6 @@ __all__ = [
     "centered_residue",
     "construct_dominating",
     "construct_universal_2dom",
-    "count_representations",
     "coverage",
     "distinct_prime_divisors",
     "e_n",

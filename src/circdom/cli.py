@@ -24,12 +24,7 @@ from .construct import DominationReport
 from .errors import AuditTooLarge, CircdomError, HypothesisNotMet, TooLarge
 from .expsum import AUDIT_CAP, FFT_TOL_PER_ELEMENT, expsum_audit
 from .graph import ChordSet, CirculantSpec, load_chord_file
-from .verify import (
-    closed_neighborhood_bound,
-    exact_gamma,
-    gamma_lower_bound,
-    is_dominating,
-)
+from .verify import closed_neighborhood_bound, exact_gamma, is_dominating
 
 UNCOVERED_SAMPLE_CAP = 1000
 # Largest --n / --n-list value accepted, checked before anything is allocated
@@ -324,7 +319,8 @@ def cmd_gamma(args) -> int:
         "n": args.n,
         "k": spec.k,
         "gamma": gamma,
-        "lower_bound_n_over_k_minus_1": gamma_lower_bound(args.n, spec.k),
+        # each vertex covers at most k + 1: gamma >= ceil(n / (k + 1))
+        "lower_bound": -(-args.n // (spec.k + 1)),
         "lower_bound_n_over_k_plus_1": closed_neighborhood_bound(
             args.n, spec.k),
     }

@@ -12,7 +12,9 @@ loglog n stays positive.
 from __future__ import annotations
 
 import math
+import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,11 @@ BISECT_ITERS = 200
 LAMBDA_RTOL = 1e-9
 # FFT representation counts must lie closer than this to an integer.
 COUNT_ROUND_TOL = 0.25
+# build_W gives each thread at least this many marks, in blocks of about
+# BLOCK_CELLS products: large enough that a thread holds numpy's GIL-free
+# loops for long stretches.
+MARKS_PER_WORKER = 2**20
+BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -147,14 +154,58 @@ def solve_lambda(n: int, k: int) -> LambdaSolution:
     return LambdaSolution(lam=lam, L=math.ceil(lam), residual=residual)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def w_workers(marks: int) -> int:
+    """Threads for build_W: one per usable CPU, and MARKS_PER_WORKER each."""
+    return max(1, min(usable_cpus(), marks // MARKS_PER_WORKER))
+
+
+def _mark_ratios(mask: np.ndarray, invs: np.ndarray, ks: np.ndarray,
+                 v: np.ndarray, q: np.ndarray, starts: deque) -> None:
+    """Set mask[k * inv mod n] for every k in ks and every inv in the blocks
+    invs[start:start + v.shape[0]] whose starts this call pops.
+
+    One 2-D product per block, reduced in the caller's buffers v and q.
+    Threads sharing starts each pop the next block until none is left
+    (deque pops are atomic), so a thread on a busy core takes fewer blocks.
+    """
+    n, rows = mask.size, v.shape[0]
+    while True:
+        try:
+            start = starts.popleft()
+        except IndexError:
+            return
+        block = invs[start:start + rows]
+        vb, qb = v[:block.size], q[:block.size]
+        np.multiply(block[:, None], ks, out=vb)
+        np.floor_divide(vb, n, out=qb)
+        qb *= n
+        vb -= qb
+        mask[vb] = True
+
+
 def build_W(n: int, L: int) -> WSet:
     """The set {k * inv(ell) mod n : (k, ell) in [1, L] x window(L, n)}.
 
-    One modular inverse per prime, then L vectorized products reduced in
-    place by v - (v // n) * n: numpy floor-divides an int64 array by a
-    scalar with a precomputed multiplier (libdivide), while its % issues
-    one hardware division per element. Exact integer arithmetic, as
-    0 <= v < L * n < 2^63. For L >= n the multiples of any unit already
+    One modular inverse per prime, then 2-D products over blocks of about
+    BLOCK_CELLS cells, reduced in place by v - (v // n) * n: numpy
+    floor-divides an int64 array by a scalar with a precomputed multiplier
+    (libdivide), while its % issues one hardware division per element.
+    Exact integer arithmetic, as 0 <= v < L * n < 2^63.
+
+    w_workers(L * |window|) threads take the blocks from one queue, each
+    marking a private mask (a shared one would bounce cache lines between
+    cores); the masks are ORed at the end, so W does not depend on the
+    worker count or on which thread took which block. Every mask and
+    buffer is allocated here, in the calling thread. One worker runs
+    inline, with no thread. For L >= n the multiples of any unit already
     sweep all of Z_n, so the full set is returned directly.
     """
     if L < 1:
@@ -162,18 +213,26 @@ def build_W(n: int, L: int) -> WSet:
     window = primes_in_window(L, n)
     if not window.primes:
         raise EmptyPrimeWindow(f"no primes in [{L + 1}, {2 * L}] coprime to {n}")
-    members = np.zeros(n, dtype=bool)
     if L >= n:
-        members[:] = True
+        return WSet(n=n, L=L, elements=VertexSet.full(n), window=window)
+    invs = np.array([pow(ell, -1, n) for ell in window.primes], dtype=np.int64)
+    ks = np.arange(1, L + 1, dtype=np.int64)
+    rows = max(1, min(invs.size, BLOCK_CELLS // L))
+    starts = deque(range(0, invs.size, rows))
+    jobs = [(np.zeros(n, dtype=bool), invs, ks,
+             np.empty((rows, L), dtype=np.int64),
+             np.empty((rows, L), dtype=np.int64), starts)
+            for _ in range(w_workers(L * invs.size))]
+    if len(jobs) == 1:
+        _mark_ratios(*jobs[0])
     else:
-        ks = np.arange(1, L + 1, dtype=np.int64)
-        v, q = np.empty_like(ks), np.empty_like(ks)
-        for ell in window.primes:
-            np.multiply(ks, pow(ell, -1, n), out=v)
-            np.floor_divide(v, n, out=q)
-            q *= n
-            v -= q
-            members[v] = True
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            list(pool.map(_mark_ratios, *zip(*jobs)))
+    members = jobs[0][0]
+    for job in jobs[1:]:
+        members |= job[0]
     return WSet(n=n, L=L, elements=VertexSet(n, members), window=window)
 
 
@@ -331,24 +390,12 @@ def suggest_universal2_constants(n: int, k: int) -> Universal2Constants:
     )
 
 
-def count_representations(n: int, S: ChordSet, W: WSet, u: int) -> int:
-    """N(u) = #{(s, t, w) in S x S x W : s + t + w = u mod n}.
-
-    Direct scan over S x S with a membership test in W; O(k^2).
-    """
-    s_arr = S.as_array()
-    pair_sums = (s_arr[:, None] + s_arr[None, :]) % n
-    needed = (u - pair_sums) % n
-    return int(W.elements.members[needed].sum())
-
-
 def all_representation_counts(n: int, S: ChordSet, W: WSet) -> np.ndarray:
     """N(u) for every u at once: the circular convolution 1_S * 1_S * 1_W.
 
-    Computed as irfft(rfft(1_S)^2 * rfft(1_W)) in O(n log n), a route
-    independent of count_representations'. The float results are rounded
-    to integers; InexactCounts is raised if any lies COUNT_ROUND_TOL or
-    more from its integer.
+    Computed as irfft(rfft(1_S)^2 * rfft(1_W)) in O(n log n). The float
+    results are rounded to integers; InexactCounts is raised if any lies
+    COUNT_ROUND_TOL or more from its integer.
     """
     ind_s = np.bincount(S.as_array(), minlength=n).astype(float)
     f_s = np.fft.rfft(ind_s)

@@ -156,12 +156,14 @@ def coverage(spec: CirculantSpec, D: VertexSet, r: int) -> VertexSet:
     """Vertices reachable from D by at most r steps along +S, D included."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    covered = D.members.copy()
-    for _ in range(r):
-        nxt = shift_cover(covered.copy(), covered, spec.chords.chords)
-        if np.array_equal(nxt, covered):
+    covered, source = D.members.copy(), D.members
+    for step in range(1, r + 1):
+        shift_cover(covered, source, spec.chords.chords)
+        if step == r or covered.all() or np.array_equal(covered, source):
             break
-        covered = nxt
+        if source is D.members:  # later rounds read one reused scratch copy
+            source = np.empty_like(covered)
+        np.copyto(source, covered)
     return VertexSet(spec.n, covered)
 
 

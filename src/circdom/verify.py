@@ -58,5 +58,5 @@ def gamma_lower_bound(n: int, k: int) -> float:
 
 
 def closed_neighborhood_bound(n: int, k: int) -> float:
-    """The self-coverage variant n/(k+1); reported alongside n/k - 1."""
+    """The self-coverage bound n/(k+1); gamma is at least its ceiling."""
     return n / (k + 1)

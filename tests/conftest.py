@@ -70,6 +70,17 @@ def naive_representation_counts(n, s_values, w_values):
     return counts
 
 
+def count_representations(n, S, W, u):
+    """N(u) = #{(s, t, w) in S x S x W : s + t + w = u mod n}.
+
+    Direct scan over S x S with a membership test in W; O(k^2).
+    """
+    s_arr = S.as_array()
+    pair_sums = (s_arr[:, None] + s_arr[None, :]) % n
+    needed = (u - pair_sums) % n
+    return int(W.elements.members[needed].sum())
+
+
 def naive_w_set(n, L, primes):
     """Direct enumeration of {k * inv(ell) mod n} with exhaustive inverses."""
     out = set()

@@ -28,7 +28,6 @@ from circdom.construct import (
     build_W,
     construct_dominating,
     construct_universal_2dom,
-    count_representations,
     dom_size_envelope,
     exceptional_bound,
     suggest_universal2_constants,
@@ -37,6 +36,8 @@ from circdom.errors import EmptyPrimeWindow, HypothesisNotMet
 from circdom.expsum import expsum_audit, parseval_sum
 from circdom.graph import ChordSet, CirculantSpec
 from circdom.verify import exact_gamma, gamma_lower_bound, is_dominating
+
+from conftest import count_representations
 
 ROOT = Path(__file__).resolve().parents[1]
 GRID_SEED = 20260823

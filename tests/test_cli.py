@@ -229,7 +229,9 @@ def test_gamma_subcommand(cycle_file):
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
     assert doc["gamma"] == 3
-    assert doc["lower_bound_n_over_k_minus_1"] == pytest.approx(3.5)
+    # ceil(9 / 3); the old field n/k - 1 = 3.5 exceeded gamma here
+    assert doc["lower_bound"] == 3
+    assert "lower_bound_n_over_k_minus_1" not in doc
     res = run_cli("gamma", "--n", "25", "--random-chords", "2", "--seed", "1")
     assert res.returncode == 1
     assert "TooLarge" in res.stderr

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circdom import construct
 from circdom.baselines import random_chord_set
 from circdom.construct import (
     all_representation_counts,
@@ -14,7 +17,6 @@ from circdom.construct import (
     build_W,
     construct_dominating,
     construct_universal_2dom,
-    count_representations,
     exceptional_set,
     solve_lambda,
     suggest_universal2_constants,
@@ -27,9 +29,11 @@ from circdom.errors import (
     InexactCounts,
 )
 from circdom.graph import ChordSet, CirculantSpec, VertexSet, coverage
+from circdom.primes import primes_in_window
 from circdom.verify import exact_gamma, is_dominating
 
 from conftest import (
+    count_representations,
     naive_representation_counts,
     naive_shift_cover,
     naive_sumset,
@@ -104,11 +108,62 @@ def test_build_w_matches_naive(n, L):
 )
 def test_build_w_matches_hardware_modulo(n, L):
     W = build_W(n, L)
+    assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
+
+
+def hardware_modulo_w(n, L, W):
+    """Mask of (ks * inv(ell)) % n over the primes of W's window."""
     ks = np.arange(1, L + 1, dtype=np.int64)
     expected = np.zeros(n, dtype=bool)
     for ell in W.window.primes:
         expected[(ks * pow(ell, -1, n)) % n] = True
-    assert np.array_equal(W.elements.members, expected)
+    return expected
+
+
+# (101, 3) has a one-prime window, so all but one worker find no block;
+# (17, 20) takes the L >= n branch and marks nothing
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize(
+    "n,L", [(10**5, 97), (2**17, 3000), (99991, 2), (101, 3), (17, 20)]
+)
+def test_build_w_threaded_matches_hardware_modulo(monkeypatch, cpus, n, L):
+    monkeypatch.setattr(construct, "MARKS_PER_WORKER", 1)
+    monkeypatch.setattr(construct, "BLOCK_CELLS", 1)  # one prime per block
+    monkeypatch.setattr(construct, "usable_cpus", lambda: cpus)
+    workers = min(cpus, L * len(primes_in_window(L, n)))
+    start_together = threading.Barrier(workers)
+    threads = []
+    kernel = construct._mark_ratios
+
+    def spy(*args):
+        threads.append(threading.get_ident())
+        start_together.wait(timeout=10)
+        kernel(*args)
+
+    monkeypatch.setattr(construct, "_mark_ratios", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter over as often as it can
+    try:
+        W = build_W(n, L)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
+    if L >= n:
+        assert W.size == n and not threads
+        return
+    assert len(threads) == workers
+    assert threading.get_ident() not in threads
+
+
+def test_build_w_single_worker_below_threshold():
+    # spectral-audit's instance and every paper instance up to n = 10^5
+    assert construct.w_workers(16 * len(primes_in_window(16, 16381))) == 1
+    for n in (12_500, 25_000, 50_000, 100_000):
+        for k in (100, 1000):
+            L = solve_lambda(n, k).L
+            assert construct.w_workers(L * len(primes_in_window(L, n))) == 1
+    assert construct.w_workers(2 * construct.MARKS_PER_WORKER) == min(
+        2, construct.usable_cpus())
 
 
 @given(

@@ -74,6 +74,8 @@ def test_coverage_examples():
 @given(small_instances)
 @example((40, {1, 5, 7}, set(range(40)) - {17}, 1))  # saturates at chord 1
 @example((40, {3, 9}, set(range(40)) - {0}, 3))
+@example((40, {10, 30}, {0}, 5))  # stops growing, unsaturated, at round 3
+@example((40, {1}, {0, 20}, 4))  # grows every round, from the scratch copy
 @settings(max_examples=150)
 def test_coverage_matches_naive(inst):
     n, chords, dset, r = inst
