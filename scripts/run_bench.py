@@ -10,7 +10,8 @@ which counts every thread) and one in-process
 `circdom construct --n N --random-chords K --seed 1 --method paper`.
 The JSON holds the medians over all repeats x PASSES samples, the set
 sizes (which must agree across trees), the worker count each tree used
-for build_W, and the machine. Run from the repo root, e.g. against a
+for build_W, its work counters (cells marked, candidate x prime cells
+tested), and the machine. Run from the repo root, e.g. against a
 checkout of a base commit in ../base:
 
     python3 scripts/run_bench.py --tree before=../base/src --tree after=src \\
@@ -86,10 +87,13 @@ def measure(src: str) -> list[dict]:
                 "--seed", str(CHORD_SEED), "--method", "paper"]
         _, doc = run_construct(argv)  # warm-up
         L, primes = doc["parameters"]["L"], doc["parameters"]["num_primes"]
-        workers = (construct.w_workers(L * primes)
-                   if hasattr(construct, "w_workers") else 1)
+        W = construct.build_W(n, L)
         rows.append({"n": n, "k": k, "L": L, "num_primes": primes,
-                     "size": doc["size"], "workers": workers, "argv": argv,
+                     "size": doc["size"], "argv": argv,
+                     "workers": w_workers(construct, L * primes, n),
+                     # a tree without counters marks every prime
+                     "marks": getattr(W, "marks", L * primes),
+                     "checks": getattr(W, "checks", 0),
                      "build_w_wall_ms": [], "build_w_cpu_ms": [],
                      "construct_wall_ms": []})
     for _ in range(PASSES):
@@ -103,6 +107,17 @@ def measure(src: str) -> list[dict]:
             if doc["size"] != row["size"]:
                 raise SystemExit(f"error: |D| changed between runs: {row['argv']}")
     return rows
+
+
+def w_workers(construct, marks: int, n: int) -> int:
+    """build_W's worker count in a tree: one before it had workers, and
+    w_workers(marks) before the cap by marks // n."""
+    if not hasattr(construct, "w_workers"):
+        return 1
+    try:
+        return construct.w_workers(marks, n)
+    except TypeError:
+        return construct.w_workers(marks)
 
 
 def run_tree(src: str) -> list[dict]:
@@ -124,7 +139,8 @@ def summarise(trees: dict[str, str], passes: dict[str, list]) -> list[dict]:
             rows = [p[i] for p in passes[name]]
             if any(r["size"] != first["size"] for r in rows):
                 raise SystemExit(f"error: |D| differs across trees at n={n}, k={k}")
-            point[name] = {"workers": rows[0]["workers"]} | {
+            point[name] = {key: rows[0][key]
+                           for key in ("workers", "marks", "checks")} | {
                 f"{key}_median": round(statistics.median(
                     t for r in rows for t in r[key]), 2)
                 for key in ("build_w_wall_ms", "build_w_cpu_ms",

@@ -11,6 +11,7 @@ loglog n stays positive.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -39,6 +40,9 @@ COUNT_ROUND_TOL = 0.25
 # loops for long stretches.
 MARKS_PER_WORKER = 2**20
 BLOCK_CELLS = 2**16
+# build_W tests the vertices left unmarked after its first round of primes,
+# instead of marking the rest, when fewer than TEST_BELOW_L * L are left.
+TEST_BELOW_L = 2
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,8 @@ class WSet:
     L: int
     elements: VertexSet
     window: PrimeWindow
+    marks: int = 0  # (k, ell) cells marked
+    checks: int = 0  # (unmarked vertex, ell) cells tested
 
     @property
     def size(self) -> int:
@@ -162,9 +168,18 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def w_workers(marks: int) -> int:
-    """Threads for build_W: one per usable CPU, and MARKS_PER_WORKER each."""
-    return max(1, min(usable_cpus(), marks // MARKS_PER_WORKER))
+def w_workers(marks: int, n: int) -> int:
+    """Threads for build_W: one per usable CPU, MARKS_PER_WORKER marks
+    each, and no more n-byte masks than marks // n."""
+    return max(1, min(usable_cpus(), marks // MARKS_PER_WORKER, marks // n))
+
+
+def first_round(n: int, L: int) -> int:
+    """Primes build_W marks before it counts the vertices left unmarked:
+    1.25 m ln m with m = ceil(n / L). L random marks per prime would then
+    leave about n m^-1.25 < L vertices unmarked."""
+    m = -(-n // L)
+    return int(1.25 * m * math.log(m))
 
 
 def _mark_ratios(mask: np.ndarray, invs: np.ndarray, ks: np.ndarray,
@@ -191,49 +206,112 @@ def _mark_ratios(mask: np.ndarray, invs: np.ndarray, ks: np.ndarray,
         mask[vb] = True
 
 
+def _mark_primes(pool, workers: list, primes, ks: np.ndarray) -> None:
+    """Mark k * inv(ell) mod n for every k in ks and ell in primes, on
+    every (mask, v, q) of workers, then OR their masks into the first."""
+    members, v, _ = workers[0]
+    n = members.size
+    invs = np.array([pow(ell, -1, n) for ell in primes], dtype=np.int64)
+    starts = deque(range(0, invs.size, v.shape[0]))
+    jobs = [(mask, invs, ks, v, q, starts) for mask, v, q in workers]
+    if pool is None:
+        _mark_ratios(*jobs[0])
+    else:
+        list(pool.map(_mark_ratios, *zip(*jobs)))
+    for mask, _, _ in workers[1:]:
+        members |= mask
+
+
+def _test_unmarked(members: np.ndarray, primes: np.ndarray, L: int,
+                   v: np.ndarray, q: np.ndarray) -> int:
+    """Turn members, W's mask over all but these primes, into W's mask.
+
+    x is in W iff x * ell mod n lies in [1, L] for some prime ell of the
+    window: multiply x = k * inv(ell) by the unit ell. So each unmarked
+    x != 0 (0 is never k * inv(ell)) is tested against the primes in
+    blocks of at most v.size cells, reduced in v and q as in _mark_ratios
+    (exact, as x * ell < 2L * n < 2^63), and dropped once a product lands
+    in [1, L]; the survivors and 0 are the complement of W. members is
+    inverted in place to find the candidates, so no n-byte temporary is
+    made. Returns the number of (candidate, prime) cells tested.
+    """
+    n, cells = members.size, v.size
+    v, q = v.reshape(-1), q.reshape(-1)
+    alive = np.flatnonzero(np.logical_not(members, out=members))[1:]
+    checks, i = 0, 0
+    while i < primes.size and alive.size:
+        block = primes[i:i + max(1, cells // alive.size), None]
+        i += block.size
+        hit = np.empty(alive.size, dtype=bool)
+        for c in range(0, alive.size, cells):
+            cand = alive[c:c + cells]
+            shape, size = (block.size, cand.size), block.size * cand.size
+            t, tq = v[:size].reshape(shape), q[:size].reshape(shape)
+            np.multiply(block, cand, out=t)
+            np.floor_divide(t, n, out=tq)
+            tq *= n
+            t -= tq
+            hit[c:c + cand.size] = (t <= L).any(axis=0)
+        checks += block.size * alive.size
+        alive = alive[~hit]
+    members[:] = True
+    members[0] = members[alive] = False
+    return checks
+
+
 def build_W(n: int, L: int) -> WSet:
     """The set {k * inv(ell) mod n : (k, ell) in [1, L] x window(L, n)}.
 
-    One modular inverse per prime, then 2-D products over blocks of about
-    BLOCK_CELLS cells, reduced in place by v - (v // n) * n: numpy
-    floor-divides an int64 array by a scalar with a precomputed multiplier
-    (libdivide), while its % issues one hardware division per element.
-    Exact integer arithmetic, as 0 <= v < L * n < 2^63.
-
-    w_workers(L * |window|) threads take the blocks from one queue, each
+    Phase 1 marks: one modular inverse per prime, then 2-D products over
+    blocks of about BLOCK_CELLS cells, reduced in place by v - (v // n) * n:
+    numpy floor-divides an int64 array by a scalar with a precomputed
+    multiplier (libdivide), while its % issues one hardware division per
+    element. Exact integer arithmetic, as 0 <= v < L * n < 2^63.
+    w_workers(L * |window|, n) threads take the blocks from one queue, each
     marking a private mask (a shared one would bounce cache lines between
-    cores); the masks are ORed at the end, so W does not depend on the
-    worker count or on which thread took which block. Every mask and
+    cores); the masks are ORed after each round, so W does not depend on
+    the worker count or on which thread took which block. Every mask and
     buffer is allocated here, in the calling thread. One worker runs
-    inline, with no thread. For L >= n the multiples of any unit already
-    sweep all of Z_n, so the full set is returned directly.
+    inline, with no thread.
+
+    Phase 1 marks first_round(n, L) primes, then counts the unmarked
+    vertices. If fewer than TEST_BELOW_L * L are left, phase 2 tests just
+    those against the remaining primes (_test_unmarked) on this thread;
+    otherwise phase 1 marks the rest of the window. Under 4L^2 < n at
+    most L^2 < n / 4 vertices are ever marked, so phase 2 never runs. For
+    L >= n the multiples of any unit already sweep all of Z_n, so the
+    full set is returned directly.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
     window = primes_in_window(L, n)
-    if not window.primes:
+    primes = window.primes
+    if not primes:
         raise EmptyPrimeWindow(f"no primes in [{L + 1}, {2 * L}] coprime to {n}")
     if L >= n:
         return WSet(n=n, L=L, elements=VertexSet.full(n), window=window)
-    invs = np.array([pow(ell, -1, n) for ell in window.primes], dtype=np.int64)
     ks = np.arange(1, L + 1, dtype=np.int64)
-    rows = max(1, min(invs.size, BLOCK_CELLS // L))
-    starts = deque(range(0, invs.size, rows))
-    jobs = [(np.zeros(n, dtype=bool), invs, ks,
-             np.empty((rows, L), dtype=np.int64),
-             np.empty((rows, L), dtype=np.int64), starts)
-            for _ in range(w_workers(L * invs.size))]
-    if len(jobs) == 1:
-        _mark_ratios(*jobs[0])
-    else:
+    rows = max(1, min(len(primes), BLOCK_CELLS // L))
+    workers = [(np.zeros(n, dtype=bool), np.empty((rows, L), dtype=np.int64),
+                np.empty((rows, L), dtype=np.int64))
+               for _ in range(w_workers(L * len(primes), n))]
+    members, v, q = workers[0]
+    marked = min(len(primes), first_round(n, L))
+    threads = contextlib.nullcontext()
+    if len(workers) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(len(jobs)) as pool:
-            list(pool.map(_mark_ratios, *zip(*jobs)))
-    members = jobs[0][0]
-    for job in jobs[1:]:
-        members |= job[0]
-    return WSet(n=n, L=L, elements=VertexSet(n, members), window=window)
+        threads = ThreadPoolExecutor(len(workers))
+    with threads as pool:
+        _mark_primes(pool, workers, primes[:marked], ks)
+        if (marked < len(primes)
+                and n - np.count_nonzero(members) >= TEST_BELOW_L * L):
+            _mark_primes(pool, workers, primes[marked:], ks)
+            marked = len(primes)
+    checks = _test_unmarked(members, np.array(primes[marked:], dtype=np.int64),
+                            L, v, q) if marked < len(primes) else 0
+    return WSet(n=n, L=L, elements=VertexSet(n, members), window=window,
+                marks=L * marked, checks=checks)
 
 
 def exceptional_set(n: int, S: ChordSet, W: WSet) -> VertexSet:

@@ -95,7 +95,7 @@ class VertexSet:
     @property
     def size(self) -> int:
         if self._size is None:
-            self._size = int(self.members.sum())
+            self._size = int(np.count_nonzero(self.members))
         return self._size
 
     def indices(self) -> np.ndarray:

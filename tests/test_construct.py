@@ -5,7 +5,7 @@ import threading
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circdom import construct
@@ -120,6 +120,51 @@ def hardware_modulo_w(n, L, W):
     return expected
 
 
+# Threshold 0 marks the whole window; threshold n tests the vertices left
+# after the first round whenever primes are left. (10^5, 3562) is the paper
+# instance at k = 100.
+@pytest.mark.parametrize(
+    "n,L",
+    [(n, L) for n in (10**5, 2**17, 99991) for L in (2, 97, 3000)]
+    + [(99991, 99991 // 2 - 1), (10**5, 3562)],
+)
+def test_build_w_both_phases_match_hardware_modulo(monkeypatch, n, L):
+    window = primes_in_window(L, n)
+    first = min(len(window), construct.first_round(n, L))
+    expected = None
+    for threshold in (0, n):
+        monkeypatch.setattr(construct, "TEST_BELOW_L", threshold)
+        W = build_W(n, L)
+        if expected is None:
+            expected = hardware_modulo_w(n, L, W)
+        assert np.array_equal(W.elements.members, expected)
+        if threshold == 0 or first == len(window):
+            assert (W.marks, W.checks) == (L * len(window), 0)
+        else:
+            assert W.marks == L * first and W.checks > 0
+
+
+# Small dense W where some x = L * inv(ell) of a tested prime has no other
+# representation, e.g. (57, 24): the bound k <= L is tight
+@given(
+    st.integers(min_value=20, max_value=400),
+    st.floats(min_value=0.05, max_value=0.5),
+)
+@settings(max_examples=100, deadline=None)
+@example(57, 24 / 57)
+def test_build_w_tested_primes_match_naive(n, frac):
+    L = max(1, int(frac * n))
+    try:
+        W = build_W(n, L)
+    except EmptyPrimeWindow:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "TEST_BELOW_L", n)  # test after the first round
+        tested = build_W(n, L)
+    assert set(tested.indices().tolist()) == naive_w_set(n, L, W.window.primes)
+    assert np.array_equal(tested.elements.members, W.elements.members)
+
+
 # (101, 3) has a one-prime window, so all but one worker find no block;
 # (17, 20) takes the L >= n branch and marks nothing
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -127,11 +172,35 @@ def hardware_modulo_w(n, L, W):
     "n,L", [(10**5, 97), (2**17, 3000), (99991, 2), (101, 3), (17, 20)]
 )
 def test_build_w_threaded_matches_hardware_modulo(monkeypatch, cpus, n, L):
-    monkeypatch.setattr(construct, "MARKS_PER_WORKER", 1)
-    monkeypatch.setattr(construct, "BLOCK_CELLS", 1)  # one prime per block
-    monkeypatch.setattr(construct, "usable_cpus", lambda: cpus)
-    workers = min(cpus, L * len(primes_in_window(L, n)))
-    start_together = threading.Barrier(workers)
+    threads = spy_on_threads(monkeypatch, cpus)
+    W = build_w_switching_often(n, L)
+    assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
+    if L >= n:
+        assert W.size == n and not threads
+        return
+    assert len(threads) == cpus
+    assert threading.get_ident() not in threads
+
+
+def test_build_w_threaded_marks_two_rounds(monkeypatch):
+    # threshold 0 marks the primes past the first round in a second round,
+    # on the same pool threads
+    monkeypatch.setattr(construct, "TEST_BELOW_L", 0)
+    threads = spy_on_threads(monkeypatch, 2)
+    n, L = 2**17, 3000
+    W = build_w_switching_often(n, L)
+    assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
+    assert W.marks == L * len(W.window) and W.checks == 0
+    assert len(threads) == 4 and len(set(threads)) == 2
+    assert threading.get_ident() not in threads
+
+
+def spy_on_threads(monkeypatch, cpus):
+    """Run build_W on cpus workers of one prime per block, started together;
+    return the list of thread idents that enter _mark_ratios."""
+    monkeypatch.setattr(construct, "w_workers", lambda marks, n: cpus)
+    monkeypatch.setattr(construct, "BLOCK_CELLS", 1)
+    start_together = threading.Barrier(cpus)
     threads = []
     kernel = construct._mark_ratios
 
@@ -141,29 +210,66 @@ def test_build_w_threaded_matches_hardware_modulo(monkeypatch, cpus, n, L):
         kernel(*args)
 
     monkeypatch.setattr(construct, "_mark_ratios", spy)
+    return threads
+
+
+def build_w_switching_often(n, L):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter over as often as it can
     try:
-        W = build_W(n, L)
+        return build_W(n, L)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
-    if L >= n:
-        assert W.size == n and not threads
-        return
-    assert len(threads) == workers
-    assert threading.get_ident() not in threads
 
 
 def test_build_w_single_worker_below_threshold():
     # spectral-audit's instance and every paper instance up to n = 10^5
-    assert construct.w_workers(16 * len(primes_in_window(16, 16381))) == 1
+    assert construct.w_workers(16 * len(primes_in_window(16, 16381)), 16381) == 1
     for n in (12_500, 25_000, 50_000, 100_000):
         for k in (100, 1000):
             L = solve_lambda(n, k).L
-            assert construct.w_workers(L * len(primes_in_window(L, n))) == 1
-    assert construct.w_workers(2 * construct.MARKS_PER_WORKER) == min(
+            assert construct.w_workers(L * len(primes_in_window(L, n)), n) == 1
+    assert construct.w_workers(2 * construct.MARKS_PER_WORKER, 2**16) == min(
         2, construct.usable_cpus())
+
+
+def test_build_w_workers_capped_by_masks(monkeypatch):
+    # each worker marks at least n cells, so the n-byte masks stay below
+    # the marks in bytes however many CPUs there are
+    monkeypatch.setattr(construct, "usable_cpus", lambda: 64)
+    assert construct.w_workers(20 * 2**24, 2**24) == 20
+    assert construct.w_workers(2**24 - 1, 2**24) == 1
+    assert construct.w_workers(200 * 2**20, 2**20) == 64
+    for k, cap in ((100, 20), (1000, 6)):  # the paper instances at n = 10^6
+        L = solve_lambda(10**6, k).L
+        marks = L * len(primes_in_window(L, 10**6))
+        assert construct.w_workers(marks, 10**6) == cap
+
+
+def test_build_w_tests_unmarked_only_past_card_hypothesis(monkeypatch):
+    # phase 2 runs at the paper instances with k = 100, and never when
+    # 4L^2 < n: then at most L^2 < n / 4 vertices are marked
+    calls = []
+    kernel = construct._test_unmarked
+
+    def spy(members, primes, L, v, q):
+        calls.append((members.size, L))
+        return kernel(members, primes, L, v, q)
+
+    monkeypatch.setattr(construct, "_test_unmarked", spy)
+    for n in (12_500, 25_000, 50_000, 100_000):
+        L = solve_lambda(n, 100).L
+        W = build_W(n, L)
+        assert calls[-1] == (n, L) and W.checks > 0
+        assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
+    calls.clear()
+    nu = suggest_universal2_constants(10**4, 2000)
+    W = construct_universal_2dom(10**4, 2000, c=nu.c_max, C=nu.C_max,
+                                 c0=nu.c0_max / 2)
+    assert W.card_hypothesis_ok and W.checks == 0
+    for n, L in ((16381, 16), (16384, 16)):
+        assert build_W(n, L).checks == 0
+    assert not calls
 
 
 @given(
