@@ -2,8 +2,10 @@
 
 JSON for single reports, CSV for sweeps. All science parameters are
 explicit flags; the only environment knob is CIRCDOM_OUT_DIR, which
-prefixes relative --out paths. Exit codes: 0 success/verified, 1 input
-or audit error, 2 theorem hypothesis not met.
+prefixes relative --out paths. Each cmd_* returns (text, exit code: 0
+verified or passed, 1 not); main alone checks n, writes the text and maps
+errors: HypothesisNotMet exits 2 with "HypothesisNotMet: msg", any other
+CircdomError, OSError or ValueError exits 1 with "error: Name: msg".
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 from . import construct as cons
 from .baselines import greedy_dominating, random_chord_set, random_dominating
 from .construct import DominationReport
-from .errors import AuditTooLarge, CircdomError, HypothesisNotMet, TooLarge
+from .errors import CircdomError, HypothesisNotMet, TooLarge
 from .expsum import AUDIT_CAP, FFT_TOL_PER_ELEMENT, expsum_audit
 from .graph import ChordSet, CirculantSpec, load_chord_file
 from .verify import closed_neighborhood_bound, exact_gamma, is_dominating
@@ -53,6 +55,10 @@ def _emit(text: str, out_path) -> None:
     else:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(text, encoding="utf-8")
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _fmt_ms(ms: float, no_timing: bool) -> float:
@@ -120,28 +126,18 @@ def _run_method(method: str, spec: CirculantSpec, seed: int | None,
     raise CircdomError(f"unknown method {method!r}")
 
 
-def cmd_construct(args) -> int:
-    try:
-        chords = _chords_from_args(args)
-        spec = CirculantSpec(args.n, chords)
-        rep = _run_method(args.method, spec, args.seed, c=args.c, C=args.C,
-                          c0=args.c0, psi=args.psi)
-        if rep.seed is None:
-            rep.seed = args.seed
-        verified, uncov = is_dominating(spec, rep.D, args.r)
-    except HypothesisNotMet as exc:
-        print(f"HypothesisNotMet: {exc}", file=sys.stderr)
-        return 2
-    except (CircdomError, OSError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+def cmd_construct(args) -> tuple[str, int]:
+    spec = CirculantSpec(args.n, _chords_from_args(args))
+    rep = _run_method(args.method, spec, args.seed, c=args.c, C=args.C,
+                      c0=args.c0, psi=args.psi)
+    if rep.seed is None:
+        rep.seed = args.seed
+    verified, uncov = is_dominating(spec, rep.D, args.r)
     rep.r, rep.verified, rep.uncovered_count = args.r, verified, uncov.size
     uncovered = [int(v) for v in uncov.indices()[:UNCOVERED_SAMPLE_CAP]]
     doc = report_to_dict(rep, uncovered, no_timing=args.no_timing)
-    _emit(json.dumps(doc) + "\n", _resolve_out(args.out))
-    if rep.method == "almostW":
-        return 0  # contract is the size budget, not full domination
-    return 0 if rep.verified else 1
+    # almostW's contract is the size budget, not full domination
+    return json.dumps(doc) + "\n", int(not verified and rep.method != "almostW")
 
 
 def _int_list(text: str) -> list[int]:
@@ -243,24 +239,15 @@ def _audit_nu_lines(args):
     return lines, ok
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> tuple[str, int]:
     runners = {
         "card": _audit_card_lines,
         "expsum": _audit_expsum_lines,
         "exceptional": _audit_exceptional_lines,
         "nu": _audit_nu_lines,
     }
-    try:
-        lines, ok = runners[args.check](args)
-    except AuditTooLarge as exc:
-        print(f"AuditTooLarge: {exc}", file=sys.stderr)
-        return 1
-    except (CircdomError, OSError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    text = "".join(json.dumps(line) + "\n" for line in lines)
-    _emit(text, _resolve_out(args.out))
-    return 0 if ok else 1
+    lines, ok = runners[args.check](args)
+    return "".join(json.dumps(line) + "\n" for line in lines), int(not ok)
 
 
 def _bench_row(task) -> dict:
@@ -279,11 +266,11 @@ def _bench_row(task) -> dict:
         row["u_size"] = rep.parameters.get("u_size", "")
         row["ratio_vs_envelope"] = rep.size / cons.dom_size_envelope(n, k)
     except (CircdomError, ValueError) as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        row["error"] = _describe(exc)
     return row
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple[str, int]:
     tasks = [
         (n, k, method, seed)
         for n in args.n_list
@@ -303,29 +290,21 @@ def cmd_bench(args) -> int:
         if args.no_timing:
             row["wall_ms"] = 0.0
         writer.writerow(row)
-    _emit(buf.getvalue(), _resolve_out(args.out))
-    return 0
+    return buf.getvalue(), 0
 
 
-def cmd_gamma(args) -> int:
-    try:
-        chords = _chords_from_args(args)
-        spec = CirculantSpec(args.n, chords)
-        gamma = exact_gamma(spec)
-    except (CircdomError, OSError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+def cmd_gamma(args) -> tuple[str, int]:
+    spec = CirculantSpec(args.n, _chords_from_args(args))
     doc = {
         "n": args.n,
         "k": spec.k,
-        "gamma": gamma,
+        "gamma": exact_gamma(spec),
         # each vertex covers at most k + 1: gamma >= ceil(n / (k + 1))
         "lower_bound": -(-args.n // (spec.k + 1)),
         "lower_bound_n_over_k_plus_1": closed_neighborhood_bound(
             args.n, spec.k),
     }
-    _emit(json.dumps(doc) + "\n", _resolve_out(args.out))
-    return 0
+    return json.dumps(doc) + "\n", 0
 
 
 def _add_chord_flags(p: argparse.ArgumentParser) -> None:
@@ -392,15 +371,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    for n in args.n_list if hasattr(args, "n_list") else [args.n]:
-        if n > MAX_N:
-            print(f"error: {TooLarge.__name__}: n={n} exceeds MAX_N={MAX_N}",
-                  file=sys.stderr)
-            return 1
-        if n < 2:
-            print(f"error: ValueError: n={n} is below 2", file=sys.stderr)
-            return 1
-    return args.func(args)
+    try:
+        for n in args.n_list if hasattr(args, "n_list") else [args.n]:
+            if n > MAX_N:
+                raise TooLarge(f"n={n} exceeds MAX_N={MAX_N}")
+            if n < 2:
+                raise ValueError(f"n={n} is below 2")
+        text, code = args.func(args)
+        _emit(text, _resolve_out(args.out))
+    except HypothesisNotMet as exc:
+        print(_describe(exc), file=sys.stderr)
+        return 2
+    except (CircdomError, OSError, ValueError) as exc:
+        print(f"error: {_describe(exc)}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -336,34 +336,21 @@ def dom_size_envelope(n: int, k: int) -> float:
     return n * math.log(n) ** 2.5 / (math.sqrt(k) * _loglog(n))
 
 
-MAX_WINDOW_RETRIES = 3
-
-
 def construct_dominating(spec: CirculantSpec) -> DominationReport:
     """Build D = U union W with L = ceil(lambda) and verify domination.
 
-    Retry policy for an empty prime window: double L while 2L stays below
-    0.5*sqrt(n), at most three doublings, then give up.
+    The prime window of L = ceil(lambda) is never empty, since lambda >=
+    n^(1/4) (see test_paper_window_never_empty).
     """
     _require_scale(spec.n)
     n, k = spec.n, spec.k
     t0 = time.perf_counter()
     sol = solve_lambda(n, k)
-    L = sol.L
-    W = None
-    for attempt in range(MAX_WINDOW_RETRIES + 1):
-        try:
-            W = build_W(n, L)
-            break
-        except EmptyPrimeWindow:
-            if attempt < MAX_WINDOW_RETRIES and 4 * (2 * L) ** 2 < n:
-                L *= 2
-            else:
-                raise
+    W = build_W(n, sol.L)
     U = exceptional_set(n, spec.chords, W)
     return report("paper", spec, W.elements.union(U), 1, t0, {
         "lambda": sol.lam,
-        "L": L,
+        "L": sol.L,
         "num_primes": len(W.window),
         "w_size": W.size,
         "u_size": U.size,
@@ -387,6 +374,11 @@ class Universal2Checks:
     runtime_ok: bool | None  # |window| > c0 n (ln n)^2 / (k lnln n)
 
 
+def _universal2_k_floor(n: int, C: float) -> float:
+    """Hypothesis threshold C sqrt(n) (ln n)^3 / lnln n for k."""
+    return C * math.sqrt(n) * math.log(n) ** 3 / _loglog(n)
+
+
 def universal2_L(n: int, k: int, c: float) -> int:
     """L = ceil(c * n (ln n)^3 / (k lnln n))."""
     return math.ceil(c * n * math.log(n) ** 3 / (k * _loglog(n)))
@@ -397,7 +389,7 @@ def universal2_checks(
 ) -> Universal2Checks:
     """Evaluate all universal-2-domination feasibility checks without raising."""
     _require_scale(n)
-    hypothesis_ok = k >= C * math.sqrt(n) * math.log(n) ** 3 / _loglog(n)
+    hypothesis_ok = k >= _universal2_k_floor(n, C)
     L = universal2_L(n, k, c)
     card_ok = 4 * L * L < n
     num_primes = None
@@ -461,6 +453,12 @@ def suggest_universal2_constants(n: int, k: int) -> Universal2Constants:
     if L_max < 1:
         raise HypothesisNotMet(f"no L satisfies L < 0.5*sqrt(n) for n={n}")
     c_max = L_max * k * ll / (n * math.log(n) ** 3)
+    # The quotients may round just past their boundary; step back onto it,
+    # so that the checks themselves pass at C_max and c_max.
+    while k < _universal2_k_floor(n, C_max):
+        C_max = math.nextafter(C_max, 0.0)
+    while universal2_L(n, k, c_max) > L_max:
+        c_max = math.nextafter(c_max, 0.0)
     num_primes = len(primes_in_window(L_max, n))
     c0_max = num_primes * k * ll / (n * math.log(n) ** 2)
     return Universal2Constants(

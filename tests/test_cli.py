@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from circdom import construct
 from circdom.cli import MAX_N, main
+from circdom.errors import HypothesisNotMet
 from circdom.expsum import AUDIT_CAP
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -114,6 +116,7 @@ def test_audit_expsum_cap():
                   "--l-list", "5")
     assert res.returncode == 1
     assert "AuditTooLarge" in res.stderr
+    assert res.stderr.startswith("error: AuditTooLarge: ")
 
 
 def test_audit_expsum_fields():
@@ -146,6 +149,37 @@ def test_audit_nu_rounding_guard_exits_1(monkeypatch, capsys):
     assert rc == 1
     assert captured.out == ""
     assert "error: InexactCounts: FFT representation counts" in captured.err
+
+
+def test_audit_nu_hypothesis_not_met_exits_2(monkeypatch, capsys):
+    # the fallback constants fail too: same exit as construct's
+    def refuse(n, k, **kwargs):
+        raise HypothesisNotMet(f"refused n={n}")
+
+    monkeypatch.setattr(construct, "construct_universal_2dom", refuse)
+    rc = main(["audit", "--check", "nu", "--n-list", "10000",
+               "--k-list", "2000"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "HypothesisNotMet: refused n=10000\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("construct", "--n", "50", "--random-chords", "3", "--seed", "1",
+     "--method", "greedy"),
+    ("gamma", "--n", "9", "--random-chords", "2", "--seed", "1"),
+    ("audit", "--check", "card", "--n-list", "101", "--l-list", "3"),
+    ("bench", "--n-list", "100", "--k-list", "5", "--methods", "greedy"),
+], ids=["construct", "gamma", "audit", "bench"])
+def test_unwritable_out(args, tmp_path):
+    # --out below a regular file cannot be created: one error line, exit 1
+    (tmp_path / "afile").write_text("")
+    res = run_cli(*args, "--out", str(tmp_path / "afile" / "x.out"))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("args", [

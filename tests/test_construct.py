@@ -90,6 +90,26 @@ def test_build_w_empty_window():
         build_W(6, 1)
 
 
+def test_paper_window_never_empty():
+    """construct_dominating's L = ceil(lambda(n, k)) always has a prime.
+
+    solve_lambda returns lambda >= n^(1/4), so n <= L^4. The window
+    (L, 2L] is empty only when every prime in it divides n. For L >= 15
+    it holds at least 4 primes (Ramanujan prime R_4 = 29), whose product
+    exceeds L^4 >= n, so they cannot all divide n. For L <= 14 this checks
+    every multiple n <= L^4 of the window's primes: lambda falls as k
+    grows, and already at k = n - 1 it lies above L.
+    """
+    checked = 0
+    for L in range(1, 15):
+        P = math.prod(primes_in_window(L, 101).primes)  # 101 > 2L: all
+        for n in range(P * -(-construct.MIN_N // P), L**4 + 1, P):
+            assert not primes_in_window(L, n).primes
+            assert math.ceil(solve_lambda(n, n - 1).lam) > L, (n, L)
+            checked += 1
+    assert checked == 180
+
+
 @pytest.mark.parametrize(
     "n,L",
     [(101, 3), (101, 4), (1009, 10), (4099, 25), (10007, 40), (997, 2)],
@@ -411,6 +431,20 @@ def test_universal2_hypothesis_not_met():
         construct_universal_2dom(10**4, 50, c=1.0, C=0.0)  # L >= 0.5 sqrt(n)
     with pytest.raises(HypothesisNotMet):
         construct_universal_2dom(10**4, 2000, c=1.0, C=1.0)  # k below threshold
+
+
+def test_universal2_suggested_constants_pass_checks():
+    # unstepped, the quotients round past their boundary: at (1000, 999)
+    # L comes out at L_max + 1, at (4988, 997) k falls below C_max's floor
+    points = [(n, k) for n in range(1000, 199_404, 997)
+              for k in {n // 20, n // 5, n // 2, n - 1}]
+    assert (1000, 999) in points and (4988, 997) in points
+    for n, k in points:
+        sugg = suggest_universal2_constants(n, k)
+        checks = universal2_checks(n, k, c=sugg.c_max, C=sugg.C_max,
+                                   c0=sugg.c0_max / 2)
+        assert checks.hypothesis_ok and checks.card_ok, (n, k)
+        assert checks.L == sugg.L_at_c_max and checks.runtime_ok, (n, k)
 
 
 def test_universal2_checks_record_outcomes():
