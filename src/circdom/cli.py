@@ -3,9 +3,9 @@
 JSON for single reports, CSV for sweeps. All science parameters are
 explicit flags; the only environment knob is CIRCDOM_OUT_DIR, which
 prefixes relative --out paths. Each cmd_* returns (text, exit code: 0
-verified or passed, 1 not); main alone checks n, writes the text and maps
-errors: HypothesisNotMet exits 2 with "HypothesisNotMet: msg", any other
-CircdomError, OSError or ValueError exits 1 with "error: Name: msg".
+verified or passed, 1 not); main alone range-checks n and L, writes the
+text and maps errors: HypothesisNotMet exits 2 with "HypothesisNotMet:
+msg", any other CircdomError, OSError or ValueError exits 1 with "error: Name: msg".
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import construct as cons
@@ -29,8 +28,8 @@ from .graph import ChordSet, CirculantSpec, load_chord_file
 from .verify import closed_neighborhood_bound, exact_gamma, is_dominating
 
 UNCOVERED_SAMPLE_CAP = 1000
-# Largest --n / --n-list value accepted, checked before anything is allocated
-# (the smallest is 2, the smallest circulant graph).
+# Largest --n / --n-list / --l-list value accepted, checked before anything
+# is allocated (the smallest n is 2, the smallest circulant graph).
 MAX_N = 2**24
 
 BENCH_COLUMNS = [
@@ -145,48 +144,39 @@ def _int_list(text: str) -> list[int]:
 
 
 def _audit_card_lines(args):
-    lines, ok = [], True
     for n in args.n_list:
         for L in args.l_list:
             try:
                 W = cons.build_W(n, L)
             except CircdomError as exc:
-                lines.append({"check": "card", "n": n, "L": L,
-                              "error": type(exc).__name__})
+                yield {"check": "card", "n": n, "L": L,
+                       "error": type(exc).__name__}, True
                 continue
             expected = L * len(W.window)
             hyp = W.card_hypothesis_ok
             exact = W.size == expected
-            if hyp and not exact:
-                ok = False
-            lines.append({
+            yield {
                 "check": "card", "n": n, "L": L,
                 "num_primes": len(W.window), "w_size": W.size,
                 "expected": expected, "hypothesis_ok": hyp, "exact": exact,
-            })
-    return lines, ok
+            }, exact or not hyp
 
 
 def _audit_expsum_lines(args):
-    lines, ok = [], True
     for n in args.n_list:
         for L in args.l_list:
             audit = expsum_audit(n, L, cap=args.cap)
-            if (audit.parseval_rel_err > 1e-6 or audit.direct_check_err
-                    > FFT_TOL_PER_ELEMENT * audit.w_size):
-                ok = False
-            lines.append({
+            yield {
                 "n": audit.n, "L": audit.L, "w_size": audit.w_size,
                 "max_abs": audit.max_abs, "argmax_a": audit.argmax_a,
                 "bound": audit.bound, "ratio": audit.ratio,
                 "check": "expsum", "parseval_rel_err": audit.parseval_rel_err,
                 "direct_check_err": audit.direct_check_err,
-            })
-    return lines, ok
+            }, (audit.parseval_rel_err <= 1e-6 and audit.direct_check_err
+                <= FFT_TOL_PER_ELEMENT * audit.w_size)
 
 
 def _audit_exceptional_lines(args):
-    lines, ok = [], True
     for n in args.n_list:
         for k in args.k_list:
             sol = cons.solve_lambda(n, k)
@@ -195,17 +185,15 @@ def _audit_exceptional_lines(args):
             for trial in range(args.trials):
                 seed = args.seed + trial
                 U = cons.exceptional_set(n, random_chord_set(n, k, seed), W)
-                lines.append({
+                yield {
                     "check": "exceptional", "n": n, "k": k, "trial": trial,
                     "seed": seed, "L": sol.L, "num_primes": len(W.window),
                     "u_size": U.size, "bound": bound,
                     "ratio": U.size / bound,
-                })
-    return lines, ok
+                }, True
 
 
 def _audit_nu_lines(args):
-    lines, ok = [], True
     for n in args.n_list:
         for k in args.k_list:
             sugg = cons.suggest_universal2_constants(n, k)
@@ -225,9 +213,7 @@ def _audit_nu_lines(args):
                 counts = cons.all_representation_counts(n, S, W)
                 min_nu = int(counts.min())
                 dominated, _ = is_dominating(spec, W.elements, 2)
-                if min_nu <= 0 or not dominated:
-                    ok = False
-                lines.append({
+                yield {
                     "check": "nu", "n": n, "k": k, "trial": trial,
                     "seed": seed, "L": W.L, "w_size": W.size,
                     "min_nu": min_nu, "two_dominates": dominated,
@@ -235,8 +221,7 @@ def _audit_nu_lines(args):
                     "c": c, "C": C, "c0": c0,
                     "c_max": sugg.c_max, "C_max": sugg.C_max,
                     "c0_max": sugg.c0_max,
-                })
-    return lines, ok
+                }, min_nu > 0 and dominated
 
 
 def cmd_audit(args) -> tuple[str, int]:
@@ -246,39 +231,38 @@ def cmd_audit(args) -> tuple[str, int]:
         "exceptional": _audit_exceptional_lines,
         "nu": _audit_nu_lines,
     }
-    lines, ok = runners[args.check](args)
-    return "".join(json.dumps(line) + "\n" for line in lines), int(not ok)
+    results = list(runners[args.check](args))
+    text = "".join(json.dumps(line) + "\n" for line, _ in results)
+    return text, int(not all(passed for _, passed in results))
 
 
 def _bench_row(task) -> dict:
-    n, k, method, seed = task
-    row = {c: "" for c in BENCH_COLUMNS}
-    row.update({"n": n, "k": k, "method": method, "seed": seed})
+    """One CSV row: the construct record and its parameters, with n, k,
+    method and seed as given, or those four and the error; absent cells
+    are empty."""
+    n, k, method, seed, no_timing = task
+    record = {"n": n, "k": k, "method": method, "seed": seed}
     try:
-        S = random_chord_set(n, k, seed)
-        spec = CirculantSpec(n, S)
-        rep = _run_method(method, spec, seed)
-        row["size"] = rep.size
-        row["wall_ms"] = round(rep.wall_ms, 3)
-        row["verified"] = rep.verified
-        row["L"] = rep.parameters.get("L", "")
-        row["w_size"] = rep.parameters.get("w_size", "")
-        row["u_size"] = rep.parameters.get("u_size", "")
-        row["ratio_vs_envelope"] = rep.size / cons.dom_size_envelope(n, k)
+        spec = CirculantSpec(n, random_chord_set(n, k, seed))
+        doc = report_to_dict(_run_method(method, spec, seed),
+                             no_timing=no_timing)
+        record = {**doc["parameters"], **doc, **record, "ratio_vs_envelope":
+                  doc["size"] / cons.dom_size_envelope(n, k)}
     except (CircdomError, ValueError) as exc:
-        row["error"] = _describe(exc)
-    return row
+        record["error"] = _describe(exc)
+    return {c: record.get(c, "") for c in BENCH_COLUMNS}
 
 
 def cmd_bench(args) -> tuple[str, int]:
     tasks = [
-        (n, k, method, seed)
+        (n, k, method, seed, args.no_timing)
         for n in args.n_list
         for k in args.k_list
         for method in args.methods.split(",")
         for seed in args.seeds
     ]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_bench_row, tasks))
     else:
@@ -286,10 +270,7 @@ def cmd_bench(args) -> tuple[str, int]:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:  # rows already in deterministic grid order
-        if args.no_timing:
-            row["wall_ms"] = 0.0
-        writer.writerow(row)
+    writer.writerows(rows)  # rows already in deterministic grid order
     return buf.getvalue(), 0
 
 
@@ -377,6 +358,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise TooLarge(f"n={n} exceeds MAX_N={MAX_N}")
             if n < 2:
                 raise ValueError(f"n={n} is below 2")
+        for L in getattr(args, "l_list", []):
+            if L > MAX_N:
+                raise TooLarge(f"L={L} exceeds MAX_N={MAX_N}")
         text, code = args.func(args)
         _emit(text, _resolve_out(args.out))
     except HypothesisNotMet as exc:

@@ -51,7 +51,12 @@ def exact_gamma(spec: CirculantSpec) -> int:
 
 
 def gamma_lower_bound(n: int, k: int) -> float:
-    """Counting bound n/k - 1 on the domination number."""
+    """n/k - 1, the counting bound of open-neighbourhood domination.
+
+    It is not a lower bound on gamma under the closed-neighbourhood
+    convention used here: gamma(C_9({1, 8})) = 3 < 9/2 - 1 (criterion 7's
+    strict xfail). closed_neighborhood_bound gives the sound bound n/(k+1).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     return n / k - 1.0

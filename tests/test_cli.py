@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -7,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circdom import construct
-from circdom.cli import MAX_N, main
+from circdom import cli, construct
+from circdom.cli import BENCH_COLUMNS, MAX_N, main
 from circdom.errors import HypothesisNotMet
 from circdom.expsum import AUDIT_CAP
 
@@ -111,6 +114,33 @@ def test_audit_card():
     assert all(l["exact"] for l in lines)
 
 
+def test_audit_card_error_line_passes(capsys):
+    # n = 102 is even, so L = 1 has an empty window: reported, not failed
+    rc = main(["audit", "--check", "card", "--n-list", "102",
+               "--l-list", "3,1"])
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert rc == 0
+    assert lines[0]["hypothesis_ok"] and lines[0]["exact"]
+    assert lines[1] == {"check": "card", "n": 102, "L": 1,
+                        "error": "EmptyPrimeWindow"}
+
+
+def test_audit_failed_line_prints_whole_grid(monkeypatch, capsys):
+    # the first of two lines fails: both are printed, the exit code is 1
+    def first_fails(n, L, cap):
+        audit = expsum_audit(n, L, cap=cap)
+        return dataclasses.replace(audit, parseval_rel_err=float(n == 101))
+
+    expsum_audit = cli.expsum_audit
+    monkeypatch.setattr(cli, "expsum_audit", first_fails)
+    rc = main(["audit", "--check", "expsum", "--n-list", "101,1009",
+               "--l-list", "3"])
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert rc == 1
+    assert [l["n"] for l in lines] == [101, 1009]
+    assert [l["parseval_rel_err"] for l in lines] == [1.0, 0.0]
+
+
 def test_audit_expsum_cap():
     res = run_cli("audit", "--check", "expsum", "--n-list", str(AUDIT_CAP + 1),
                   "--l-list", "5")
@@ -197,6 +227,18 @@ def test_input_size_guard(args):
     assert f"error: TooLarge: n={MAX_N + 1} exceeds MAX_N={MAX_N}" in res.stderr
 
 
+@pytest.mark.parametrize("check", ["card", "expsum"])
+def test_l_list_size_guard(check, capsys):
+    # build_W sieves (L, 2L] whatever n is: L is capped like n, up front
+    rc = main(["audit", "--check", check, "--n-list", "101",
+               "--l-list", f"3,{MAX_N + 1}"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: TooLarge: L={MAX_N + 1} exceeds MAX_N={MAX_N}\n")
+
+
 @pytest.mark.parametrize("args, message", [
     (("construct", "--n", "-5", "--random-chords", "2", "--seed", "1",
       "--method", "greedy"), "error: ValueError: n=-5 is below 2"),
@@ -248,6 +290,42 @@ def test_bench_reports_bad_k_in_row(capsys):
     rows = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert rows[1].endswith(",ValueError: require 1 <= k <= n - 1")
+
+
+@pytest.mark.parametrize("method", ["paper", "greedy", "random"])
+def test_bench_row_is_construct_record(method, capsys):
+    grid = ("--n", "2000", "--random-chords", "25", "--seed", "3")
+    assert main(["construct", *grid, "--method", method, "--no-timing"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(["bench", "--n-list", "2000", "--k-list", "25", "--methods",
+                 method, "--seeds", "3", "--no-timing"]) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    record = {**doc["parameters"], **doc}
+    for field in ("size", "verified", "wall_ms", "L", "w_size", "u_size"):
+        assert row[field] == str(record.get(field, "")), field
+
+
+@pytest.mark.parametrize("timing", [[], ["--no-timing"]],
+                         ids=["timed", "no-timing"])
+def test_bench_error_row_cells_empty(timing, capsys):
+    rc = main(["bench", "--n-list", "1000", "--k-list", "25",
+               "--methods", "universal2,greedy", *timing])
+    failed, passed = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert rc == 0
+    assert failed["error"].startswith("HypothesisNotMet: k=25 below")
+    assert all(failed[c] == "" for c in BENCH_COLUMNS[4:-1])  # wall_ms too
+    assert passed["error"] == "" and passed["wall_ms"] != ""
+
+
+def test_import_loads_no_process_pool_or_fft():
+    # bench --jobs 1, construct and gamma need neither; they load on use
+    code = ("import sys, circdom.cli; "
+            "print([m for m in ('multiprocessing', 'numpy.fft') "
+            "if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_bench_parallel_matches_serial(tmp_path):

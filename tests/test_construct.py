@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -431,6 +432,32 @@ def test_universal2_hypothesis_not_met():
         construct_universal_2dom(10**4, 50, c=1.0, C=0.0)  # L >= 0.5 sqrt(n)
     with pytest.raises(HypothesisNotMet):
         construct_universal_2dom(10**4, 2000, c=1.0, C=1.0)  # k below threshold
+
+
+def test_universal2_runtime_check_before_build_w(monkeypatch):
+    # fails only the runtime check: the same error, and W is never built
+    n, k = 10**4, 2000
+    sugg = suggest_universal2_constants(n, k)
+    c0 = 2 * sugg.c0_max
+    checks = universal2_checks(n, k, c=sugg.c_max, C=sugg.C_max, c0=c0)
+    assert checks.hypothesis_ok and checks.card_ok and not checks.runtime_ok
+    assert checks.num_primes == len(construct.build_W(n, checks.L).window)
+
+    def refuse(n, L):
+        raise AssertionError("build_W called")
+
+    monkeypatch.setattr(construct, "build_W", refuse)
+    message = f"window size {checks.num_primes} fails the c0={c0} runtime check"
+    with pytest.raises(HypothesisNotMet, match=f"^{re.escape(message)}$"):
+        construct_universal_2dom(n, k, c=sugg.c_max, C=sugg.C_max, c0=c0)
+
+
+def test_universal2_empty_window_left_to_build_w():
+    # L = 1 and n even: the window {2} is empty, which is not a c0 failure
+    checks = universal2_checks(10**4, 2000, c=1e-6, C=0.01)
+    assert (checks.L, checks.num_primes, checks.runtime_ok) == (1, 0, False)
+    with pytest.raises(EmptyPrimeWindow):
+        construct_universal_2dom(10**4, 2000, c=1e-6, C=0.01)
 
 
 def test_universal2_suggested_constants_pass_checks():
