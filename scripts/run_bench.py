@@ -8,7 +8,8 @@ process runs every grid point once untimed, then makes PASSES round-robin
 passes over the grid, each timing `build_W(n, L)` (wall and process CPU,
 which counts every thread) and one in-process
 `circdom construct --n N --random-chords K --seed 1 --method paper`.
-The JSON holds the medians over all repeats x PASSES samples, the set
+The JSON holds the medians and quartiles over all repeats x PASSES
+samples (the quartiles give each tree's run-to-run spread), the set
 sizes (which must agree across trees), the worker count each tree used
 for build_W, its work counters (cells marked, candidate x prime cells
 tested), and the machine. Run from the repo root, e.g. against a
@@ -140,11 +141,13 @@ def summarise(trees: dict[str, str], passes: dict[str, list]) -> list[dict]:
             if any(r["size"] != first["size"] for r in rows):
                 raise SystemExit(f"error: |D| differs across trees at n={n}, k={k}")
             point[name] = {key: rows[0][key]
-                           for key in ("workers", "marks", "checks")} | {
-                f"{key}_median": round(statistics.median(
-                    t for r in rows for t in r[key]), 2)
-                for key in ("build_w_wall_ms", "build_w_cpu_ms",
-                            "construct_wall_ms")}
+                           for key in ("workers", "marks", "checks")}
+            for key in ("build_w_wall_ms", "build_w_cpu_ms",
+                        "construct_wall_ms"):
+                q1, median, q3 = statistics.quantiles(
+                    [t for r in rows for t in r[key]], n=4)
+                point[name][f"{key}_median"] = round(median, 2)
+                point[name][f"{key}_quartiles"] = [round(q1, 2), round(q3, 2)]
         grid.append(point)
     return grid
 
@@ -177,7 +180,8 @@ def main(argv=None) -> int:
 
     doc = {
         "what": "build_W and `construct --method paper` per (n, k), chord "
-                f"seed {CHORD_SEED}; medians over {args.repeats} processes "
+                f"seed {CHORD_SEED}; medians and quartiles over "
+                f"{args.repeats} processes "
                 f"per tree (trees alternating) x {PASSES} timed passes each",
         "machine": {"cpu_model": cpu_model(), "usable_cpus": usable_cpus(),
                     "python": platform.python_version(),

@@ -116,7 +116,7 @@ def random_chord_set(n: int, k: int, seed: int, symmetric: bool = False):
     rng = np.random.default_rng(seed)
     if not symmetric:
         chords = rng.choice(n - 1, size=k, replace=False) + 1
-        return ChordSet(n, tuple(sorted(int(c) for c in chords)))
+        return ChordSet(n, tuple(np.sort(chords).tolist()))
     out: set[int] = set()
     if k % 2 == 1:
         if n % 2 != 0:

@@ -3,9 +3,10 @@
 JSON for single reports, CSV for sweeps. All science parameters are
 explicit flags; the only environment knob is CIRCDOM_OUT_DIR, which
 prefixes relative --out paths. Each cmd_* returns (text, exit code: 0
-verified or passed, 1 not); main alone range-checks n and L, writes the
-text and maps errors: HypothesisNotMet exits 2 with "HypothesisNotMet:
-msg", any other CircdomError, OSError or ValueError exits 1 with "error: Name: msg".
+verified or passed, 1 not); main alone range-checks n and L, rejects a
+grid with no points, writes the text and maps errors: HypothesisNotMet
+exits 2 with "HypothesisNotMet: msg", any other CircdomError, OSError or
+ValueError exits 1 with "error: Name: msg".
 """
 
 from __future__ import annotations
@@ -116,12 +117,10 @@ def _run_method(method: str, spec: CirculantSpec, seed: int | None,
         })
     if method == "almost-w":
         W = cons.almost_dominating_W(n, k, psi=psi)
-        rep = cons.report("almostW", spec, W.elements, 1, t0, {
+        return cons.report("almostW", spec, W.elements, 1, t0, {
             "L": W.L, "num_primes": len(W.window), "w_size": W.size,
             "psi": psi, "budget": cons.almost_budget(n, k, psi),
         })
-        rep.parameters["coverage_fraction"] = 1.0 - rep.uncovered_count / n
-        return rep
     raise CircdomError(f"unknown method {method!r}")
 
 
@@ -133,6 +132,8 @@ def cmd_construct(args) -> tuple[str, int]:
         rep.seed = args.seed
     verified, uncov = is_dominating(spec, rep.D, args.r)
     rep.r, rep.verified, rep.uncovered_count = args.r, verified, uncov.size
+    if rep.method == "almostW":  # the share covered at --r
+        rep.parameters["coverage_fraction"] = 1.0 - uncov.size / spec.n
     uncovered = [int(v) for v in uncov.indices()[:UNCOVERED_SAMPLE_CAP]]
     doc = report_to_dict(rep, uncovered, no_timing=args.no_timing)
     # almostW's contract is the size budget, not full domination
@@ -261,9 +262,11 @@ def cmd_bench(args) -> tuple[str, int]:
         for method in args.methods.split(",")
         for seed in args.seeds
     ]
-    if args.jobs > 1:
+    # a fork pool starts all its processes at the first submit
+    jobs = min(args.jobs, len(tasks), cons.usable_cpus())
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_bench_row, tasks))
     else:
         rows = [_bench_row(t) for t in tasks]
@@ -352,7 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    swept = ["n_list", "k_list", "seeds"]  # an audit or bench grid's axes
+    if getattr(args, "check", None) in ("card", "expsum"):
+        swept[1] = "l_list"
     try:
+        for name in swept:
+            if not getattr(args, name, True):
+                raise ValueError(f"--{name.replace('_', '-')} is empty")
+        if getattr(args, "trials", 1) < 1:
+            raise ValueError(f"--trials={args.trials} is below 1")
         for n in args.n_list if hasattr(args, "n_list") else [args.n]:
             if n > MAX_N:
                 raise TooLarge(f"n={n} exceeds MAX_N={MAX_N}")

@@ -17,6 +17,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -169,61 +170,53 @@ def usable_cpus() -> int:
 
 
 def w_workers(marks: int, n: int) -> int:
-    """Threads for build_W: one per usable CPU, MARKS_PER_WORKER marks
-    each, and no more n-byte masks than marks // n."""
-    return max(1, min(usable_cpus(), marks // MARKS_PER_WORKER, marks // n))
+    """Threads for build_W: one per usable CPU, each with at least
+    MARKS_PER_WORKER marks and at least n, one per byte of its mask."""
+    return max(1, min(usable_cpus(), marks // max(n, MARKS_PER_WORKER)))
 
 
 def first_round(n: int, L: int) -> int:
     """Primes build_W marks before it counts the vertices left unmarked:
     1.25 m ln m with m = ceil(n / L). L random marks per prime would then
-    leave about n m^-1.25 < L vertices unmarked, but the marks are not
-    random: at n = 10^6 the first round leaves 19 886 at k = 100 (L = 14 700,
-    model 5 029) and 17 231 at k = 1000 (L = 7 858, model 2 323). That
-    measured count, not the model, decides build_W's switch; at k = 1000 it
-    is >= 2L, so every prime is marked."""
+    leave about n m^-1.25 < L vertices unmarked; the marks are not random
+    and leave more, so build_W's switch goes by the count, not the model."""
     m = -(-n // L)
     return int(1.25 * m * math.log(m))
 
 
-def _mark_ratios(mask: np.ndarray, invs: np.ndarray, ks: np.ndarray,
-                 v: np.ndarray, q: np.ndarray, starts: deque) -> None:
-    """Set mask[k * inv mod n] for every k in ks and every inv in the blocks
-    invs[start:start + v.shape[0]] whose starts this call pops.
+def _products_mod(a: np.ndarray, b: np.ndarray, n: int, v: np.ndarray,
+                  q: np.ndarray) -> np.ndarray:
+    """a[:, None] * b mod n, written into the leading cells of the flat
+    int64 buffers v and q and returned as a view of v.
 
-    One 2-D product per block, reduced in the caller's buffers v and q.
-    Threads sharing starts each pop the next block until none is left
-    (deque pops are atomic), so a thread on a busy core takes fewer blocks.
+    Reduced in place as v - (v // n) * n: numpy floor-divides an int64
+    array by a scalar with a precomputed multiplier (libdivide), while its
+    % issues one hardware division per element. Exact while the products
+    stay below 2^63.
     """
-    n, rows = mask.size, v.shape[0]
+    shape, size = (a.size, b.size), a.size * b.size
+    t, tq = v[:size].reshape(shape), q[:size].reshape(shape)
+    np.multiply(a[:, None], b, out=t)
+    np.floor_divide(t, n, out=tq)
+    tq *= n
+    t -= tq
+    return t
+
+
+def _mark_ratios(mask: np.ndarray, v: np.ndarray, q: np.ndarray,
+                 ks: np.ndarray, blocks: deque) -> None:
+    """Set mask[k * inv mod n] for every k in ks and every inv in the
+    blocks of inverses this call pops from blocks.
+
+    Threads sharing blocks each pop the next one until none is left
+    (deque pops are atomic), so a thread on a busy core takes fewer.
+    """
     while True:
         try:
-            start = starts.popleft()
+            block = blocks.popleft()
         except IndexError:
             return
-        block = invs[start:start + rows]
-        vb, qb = v[:block.size], q[:block.size]
-        np.multiply(block[:, None], ks, out=vb)
-        np.floor_divide(vb, n, out=qb)
-        qb *= n
-        vb -= qb
-        mask[vb] = True
-
-
-def _mark_primes(pool, workers: list, primes, ks: np.ndarray) -> None:
-    """Mark k * inv(ell) mod n for every k in ks and ell in primes, on
-    every (mask, v, q) of workers, then OR their masks into the first."""
-    members, v, _ = workers[0]
-    n = members.size
-    invs = np.array([pow(ell, -1, n) for ell in primes], dtype=np.int64)
-    starts = deque(range(0, invs.size, v.shape[0]))
-    jobs = [(mask, invs, ks, v, q, starts) for mask, v, q in workers]
-    if pool is None:
-        _mark_ratios(*jobs[0])
-    else:
-        list(pool.map(_mark_ratios, *zip(*jobs)))
-    for mask, _, _ in workers[1:]:
-        members |= mask
+        mask[_products_mod(block, ks, mask.size, v, q)] = True
 
 
 def _test_unmarked(members: np.ndarray, primes: np.ndarray, L: int,
@@ -232,32 +225,24 @@ def _test_unmarked(members: np.ndarray, primes: np.ndarray, L: int,
 
     x is in W iff x * ell mod n lies in [1, L] for some prime ell of the
     window: multiply x = k * inv(ell) by the unit ell. So each unmarked
-    x != 0 (0 is never k * inv(ell)) is tested against the primes in
-    blocks of at most v.size cells, reduced in v and q as in _mark_ratios
-    (exact, as x * ell < 2L * n < 2^63), and dropped once a product lands
-    in [1, L]; the survivors and 0 are the complement of W. members is
-    inverted in place to find the candidates, so no n-byte temporary is
-    made. Returns the number of (candidate, prime) cells tested.
+    x != 0 (0 is never k * inv(ell)) is tested against blocks of primes,
+    at most v.size (candidate, prime) cells at a time (x * ell < 2L * n <
+    2^63), and dropped once a product lands in [1, L]; the survivors and
+    0 are the complement of W. More candidates than v.size get one fresh
+    pair of buffers and one prime per block. members is inverted in
+    place to find the candidates, so no n-byte temporary is made.
+    Returns the number of (candidate, prime) cells tested.
     """
     n, cells = members.size, v.size
-    v, q = v.reshape(-1), q.reshape(-1)
     alive = np.flatnonzero(np.logical_not(members, out=members))[1:]
+    if alive.size > cells:
+        v, q = np.empty_like(alive), np.empty_like(alive)
     checks, i = 0, 0
     while i < primes.size and alive.size:
-        block = primes[i:i + max(1, cells // alive.size), None]
+        block = primes[i:i + max(1, cells // alive.size)]
         i += block.size
-        hit = np.empty(alive.size, dtype=bool)
-        for c in range(0, alive.size, cells):
-            cand = alive[c:c + cells]
-            shape, size = (block.size, cand.size), block.size * cand.size
-            t, tq = v[:size].reshape(shape), q[:size].reshape(shape)
-            np.multiply(block, cand, out=t)
-            np.floor_divide(t, n, out=tq)
-            tq *= n
-            t -= tq
-            hit[c:c + cand.size] = (t <= L).any(axis=0)
         checks += block.size * alive.size
-        alive = alive[~hit]
+        alive = alive[~(_products_mod(block, alive, n, v, q) <= L).any(axis=0)]
     members[:] = True
     members[0] = members[alive] = False
     return checks
@@ -266,17 +251,14 @@ def _test_unmarked(members: np.ndarray, primes: np.ndarray, L: int,
 def build_W(n: int, L: int) -> WSet:
     """The set {k * inv(ell) mod n : (k, ell) in [1, L] x window(L, n)}.
 
-    Phase 1 marks: one modular inverse per prime, then 2-D products over
-    blocks of about BLOCK_CELLS cells, reduced in place by v - (v // n) * n:
-    numpy floor-divides an int64 array by a scalar with a precomputed
-    multiplier (libdivide), while its % issues one hardware division per
-    element. Exact integer arithmetic, as 0 <= v < L * n < 2^63.
-    w_workers(L * |window|, n) threads take the blocks from one queue, each
-    marking a private mask (a shared one would bounce cache lines between
-    cores); the masks are ORed after each round, so W does not depend on
-    the worker count or on which thread took which block. Every mask and
-    buffer is allocated here, in the calling thread. One worker runs
-    inline, with no thread.
+    Phase 1 marks: one modular inverse per prime, then _products_mod over
+    blocks of inverses times [1, L], about BLOCK_CELLS cells each, exact
+    as k * inv < L * n < 2^63. w_workers(L * |window|, n) workers take
+    the blocks from one queue, each marking a private mask (a shared one
+    would bounce cache lines between cores); the masks are ORed after
+    each round, so W does not depend on the worker count or on which
+    worker took which block. Every mask and buffer is allocated here, in
+    the calling thread. One worker runs on this thread.
 
     Phase 1 marks first_round(n, L) primes, then counts the unmarked
     vertices. If fewer than TEST_BELOW_L * L are left, phase 2 tests just
@@ -296,21 +278,30 @@ def build_W(n: int, L: int) -> WSet:
         return WSet(n=n, L=L, elements=VertexSet.full(n), window=window)
     ks = np.arange(1, L + 1, dtype=np.int64)
     rows = max(1, min(len(primes), BLOCK_CELLS // L))
-    workers = [(np.zeros(n, dtype=bool), np.empty((rows, L), dtype=np.int64),
-                np.empty((rows, L), dtype=np.int64))
+    workers = [(np.zeros(n, dtype=bool), np.empty(rows * L, dtype=np.int64),
+                np.empty(rows * L, dtype=np.int64))
                for _ in range(w_workers(L * len(primes), n))]
     members, v, q = workers[0]
-    marked = min(len(primes), first_round(n, L))
-    threads = contextlib.nullcontext()
+    run, threads = map, contextlib.nullcontext()
     if len(workers) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         threads = ThreadPoolExecutor(len(workers))
-    with threads as pool:
-        _mark_primes(pool, workers, primes[:marked], ks)
+        run = threads.map
+
+    def mark_primes(chunk) -> None:
+        invs = np.array([pow(ell, -1, n) for ell in chunk], dtype=np.int64)
+        blocks = deque(invs[s:s + rows] for s in range(0, invs.size, rows))
+        list(run(_mark_ratios, *zip(*workers), repeat(ks), repeat(blocks)))
+        for mask, _, _ in workers[1:]:
+            np.logical_or(members, mask, out=members)
+
+    marked = min(len(primes), first_round(n, L))
+    with threads:
+        mark_primes(primes[:marked])
         if (marked < len(primes)
                 and n - np.count_nonzero(members) >= TEST_BELOW_L * L):
-            _mark_primes(pool, workers, primes[marked:], ks)
+            mark_primes(primes[marked:])
             marked = len(primes)
     checks = _test_unmarked(members, np.array(primes[marked:], dtype=np.int64),
                             L, v, q) if marked < len(primes) else 0

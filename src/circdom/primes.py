@@ -1,8 +1,7 @@
 """Prime windows [L+1, 2L] and distinct-prime-divisor counts.
 
-The window is sieved segmented: base primes up to sqrt(2L) are found by
-a plain sieve, then marked off inside the window. Divisors of n are
-dropped from the window on the way out.
+The window is the primes above L of one sieve of Eratosthenes up to 2L.
+Divisors of n are dropped from the window on the way out.
 """
 
 from __future__ import annotations
@@ -43,16 +42,9 @@ def primes_in_window(L: int, n: int) -> PrimeWindow:
         raise ValueError("L must be >= 1")
     if n < 2:
         raise ValueError("n must be >= 2")
-    lo, hi = L + 1, 2 * L
-    flags = np.ones(hi - lo + 1, dtype=bool)
-    for p in _sieve_upto(math.isqrt(hi)):
-        p = int(p)
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        flags[start - lo :: p] = False
-    if lo <= 1:
-        flags[: 2 - lo] = False
-    window = [int(v) for v in np.flatnonzero(flags) + lo]
-    coprime = tuple(p for p in window if math.gcd(p, n) == 1)
+    primes = _sieve_upto(2 * L)
+    primes = primes[primes > L]
+    coprime = tuple(primes[np.gcd(primes, n) == 1].tolist())
     return PrimeWindow(L=L, n=n, primes=coprime)
 
 

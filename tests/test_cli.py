@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -252,8 +253,32 @@ def test_l_list_size_guard(check, capsys):
      "error: ValueError: L must be >= 1"),
     (("gamma", "--n", "5", "--random-chords", "9", "--seed", "1"),
      "error: ValueError: require 1 <= k <= n - 1"),
+    # a grid with no points is an error, not an empty success
+    (("audit", "--check", "card", "--n-list", "", "--l-list", "3"),
+     "error: ValueError: --n-list is empty"),
+    (("audit", "--check", "card", "--n-list", "101"),
+     "error: ValueError: --l-list is empty"),
+    (("audit", "--check", "expsum", "--n-list", "101"),
+     "error: ValueError: --l-list is empty"),
+    (("audit", "--check", "exceptional", "--n-list", "1009"),
+     "error: ValueError: --k-list is empty"),
+    (("audit", "--check", "nu", "--n-list", "10000"),
+     "error: ValueError: --k-list is empty"),
+    (("audit", "--check", "exceptional", "--n-list", "1009", "--k-list",
+      "10", "--trials", "0"), "error: ValueError: --trials=0 is below 1"),
+    (("audit", "--check", "nu", "--n-list", "10000", "--k-list", "2000",
+      "--trials", "-1"), "error: ValueError: --trials=-1 is below 1"),
+    (("bench", "--n-list", "", "--k-list", "25"),
+     "error: ValueError: --n-list is empty"),
+    (("bench", "--n-list", "1000", "--k-list", ""),
+     "error: ValueError: --k-list is empty"),
+    (("bench", "--n-list", "1000", "--k-list", "25", "--seeds", ""),
+     "error: ValueError: --seeds is empty"),
 ], ids=["construct-n", "audit-n", "gamma-n", "construct-r", "audit-L",
-        "gamma-k"])
+        "gamma-k", "audit-empty-n", "card-empty-L", "expsum-empty-L",
+        "exceptional-empty-k", "nu-empty-k", "exceptional-trials-0",
+        "nu-trials-negative", "bench-empty-n", "bench-empty-k",
+        "bench-empty-seeds"])
 def test_input_floor(args, message, capsys):
     # bad small inputs end in one error line and exit 1, not a traceback
     rc = main(list(args))
@@ -334,6 +359,32 @@ def test_bench_parallel_matches_serial(tmp_path):
     a = run_cli(*base, "--jobs", "1")
     b = run_cli(*base, "--jobs", "3")
     assert a.stdout == b.stdout
+
+
+def test_bench_jobs_capped_by_rows(monkeypatch, capsys):
+    # a fork pool starts every process at its first submit: ask for no
+    # more than there are rows (never tried with real processes)
+    asked = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(construct, "usable_cpus", lambda: 64)
+    rc = main(["bench", "--n-list", "500", "--k-list", "10", "--methods",
+               "greedy", "--seeds", "1,2", "--jobs", "64", "--no-timing"])
+    assert rc == 0 and asked == [2]
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2
 
 
 def test_gamma_subcommand(cycle_file):
