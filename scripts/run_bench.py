@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
-"""Time build_W and `construct --method paper` on source trees; write BENCH JSON.
+"""Time build_W, the paper method and the random baseline on source trees;
+write BENCH JSON.
 
 Each tree is a `src/` directory holding a `circdom` package, named on the
 command line as NAME=PATH. Every repeat starts one fresh process per tree,
 in alternating order so that the trees share the host's conditions. Each
 process runs every grid point once untimed, then makes PASSES round-robin
 passes over the grid, each timing `build_W(n, L)` (wall and process CPU,
-which counts every thread) and one in-process
-`circdom construct --n N --random-chords K --seed 1 --method paper`.
-The JSON holds the medians and quartiles over all repeats x PASSES
-samples (the quartiles give each tree's run-to-run spread), the set
-sizes (which must agree across trees), the worker count each tree used
-for build_W, its work counters (cells marked, candidate x prime cells
-tested), and the machine. Run from the repo root, e.g. against a
-checkout of a base commit in ../base:
+which counts every thread), one in-process
+`circdom construct --n N --random-chords K --seed 1 --method paper`,
+`random_dominating` with draw seed RANDOM_SEED on the same chords, and
+one `is_dominating` pass over the random set. The JSON holds the medians
+and quartiles over all repeats x PASSES samples (the quartiles give each
+tree's run-to-run spread), the set sizes and random draws (which must
+agree across trees), the worker count each tree used for build_W, its
+work counters (cells marked, candidate x prime cells tested), the chords
+the verification of the random set ORs before it switches to testing
+the vertices left (null where that pass never switches, or the tree has
+no testing phase), and the machine. Run from the repo root, e.g.
+against a checkout of a base commit in ../base:
 
     python3 scripts/run_bench.py --tree before=../base/src --tree after=src \\
         --out BENCH_build_w.json
@@ -35,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 GRID = [(n, k) for n in (10**5, 10**6) for k in (100, 1000)]
 CHORD_SEED = 1
+RANDOM_SEED = 1
 PASSES = 3  # timed passes over the grid per process
 
 
@@ -69,8 +75,11 @@ def steal_frac(before: list[int] | None, after: list[int] | None) -> float | Non
 def measure(src: str) -> list[dict]:
     """PASSES timed passes over the grid with the circdom package in src."""
     sys.path.insert(0, src)
-    from circdom import construct
+    from circdom import construct, graph
+    from circdom.baselines import random_chord_set, random_dominating
     from circdom.cli import main
+    from circdom.graph import CirculantSpec
+    from circdom.verify import is_dominating
 
     def run_construct(argv: list[str]) -> tuple[float, dict]:
         out = io.StringIO()
@@ -89,14 +98,22 @@ def measure(src: str) -> list[dict]:
         _, doc = run_construct(argv)  # warm-up
         L, primes = doc["parameters"]["L"], doc["parameters"]["num_primes"]
         W = construct.build_W(n, L)
+        spec = CirculantSpec(n, random_chord_set(n, k, CHORD_SEED))
+        rand = random_dominating(spec, RANDOM_SEED)
         rows.append({"n": n, "k": k, "L": L, "num_primes": primes,
                      "size": doc["size"], "argv": argv,
+                     "random_size": rand.size,
+                     "draws": rand.parameters["draws"],
+                     "ored_before_switch": ored_before_switch(
+                         graph, lambda: is_dominating(spec, rand.D), k),
                      "workers": w_workers(construct, L * primes, n),
                      # a tree without counters marks every prime
                      "marks": getattr(W, "marks", L * primes),
                      "checks": getattr(W, "checks", 0),
+                     "spec": spec, "D": rand.D,
                      "build_w_wall_ms": [], "build_w_cpu_ms": [],
-                     "construct_wall_ms": []})
+                     "construct_wall_ms": [], "random_wall_ms": [],
+                     "verify_wall_ms": []})
     for _ in range(PASSES):
         for row in rows:
             t0, c0 = time.perf_counter(), time.process_time()
@@ -107,7 +124,37 @@ def measure(src: str) -> list[dict]:
             row["construct_wall_ms"].append(wall * 1e3)
             if doc["size"] != row["size"]:
                 raise SystemExit(f"error: |D| changed between runs: {row['argv']}")
+            t0 = time.perf_counter()
+            random_dominating(row["spec"], RANDOM_SEED)
+            row["random_wall_ms"].append((time.perf_counter() - t0) * 1e3)
+            t0 = time.perf_counter()
+            is_dominating(row["spec"], row["D"])
+            row["verify_wall_ms"].append((time.perf_counter() - t0) * 1e3)
+    for row in rows:
+        del row["spec"], row["D"]
     return rows
+
+
+def ored_before_switch(graph, verify, k: int) -> int | None:
+    """Chords shift_cover ORs in verify() before it tests the vertices
+    left against the rest: k minus the chords handed to its testing
+    phase, graph._test_unmarked; None if that never runs."""
+    test_unmarked = getattr(graph, "_test_unmarked", None)
+    if test_unmarked is None:
+        verify()
+        return None
+    tested = []
+
+    def spy(covered, sources, chords):
+        tested.append(chords.size)
+        return test_unmarked(covered, sources, chords)
+
+    graph._test_unmarked = spy
+    try:
+        verify()
+    finally:
+        graph._test_unmarked = test_unmarked
+    return k - tested[0] if tested else None
 
 
 def w_workers(construct, marks: int, n: int) -> int:
@@ -135,15 +182,21 @@ def summarise(trees: dict[str, str], passes: dict[str, list]) -> list[dict]:
         point = {"n": n, "k": k, "L": first["L"],
                  "num_primes": first["num_primes"], "size": first["size"],
                  "size_over_n": first["size"] / n,
-                 "size_over_lb": first["size"] / lb}
+                 "size_over_lb": first["size"] / lb,
+                 "random_size": first["random_size"],
+                 "random_size_over_lb": first["random_size"] / lb,
+                 "draws": first["draws"]}
         for name in trees:
             rows = [p[i] for p in passes[name]]
-            if any(r["size"] != first["size"] for r in rows):
-                raise SystemExit(f"error: |D| differs across trees at n={n}, k={k}")
-            point[name] = {key: rows[0][key]
-                           for key in ("workers", "marks", "checks")}
+            for key in ("size", "random_size", "draws"):
+                if any(r[key] != first[key] for r in rows):
+                    raise SystemExit(
+                        f"error: {key} differs across trees at n={n}, k={k}")
+            point[name] = {key: rows[0][key] for key in (
+                "workers", "marks", "checks", "ored_before_switch")}
             for key in ("build_w_wall_ms", "build_w_cpu_ms",
-                        "construct_wall_ms"):
+                        "construct_wall_ms", "random_wall_ms",
+                        "verify_wall_ms"):
                 q1, median, q3 = statistics.quantiles(
                     [t for r in rows for t in r[key]], n=4)
                 point[name][f"{key}_median"] = round(median, 2)
@@ -179,8 +232,10 @@ def main(argv=None) -> int:
     from circdom.construct import usable_cpus
 
     doc = {
-        "what": "build_W and `construct --method paper` per (n, k), chord "
-                f"seed {CHORD_SEED}; medians and quartiles over "
+        "what": "build_W, `construct --method paper`, random_dominating "
+                f"(draw seed {RANDOM_SEED}) and one is_dominating pass over "
+                f"its set per (n, k), chord seed {CHORD_SEED}; medians and "
+                "quartiles over "
                 f"{args.repeats} processes "
                 f"per tree (trees alternating) x {PASSES} timed passes each",
         "machine": {"cpu_model": cpu_model(), "usable_cpus": usable_cpus(),

@@ -6,7 +6,10 @@ so a round costs O(n + |newly covered| * (k+1)) instead of a full
 recount. The randomized baseline samples vertices uniformly with
 replacement until coverage is complete, seeded through numpy's PCG64 for
 cross-platform determinism; draws come in chunks from the same stream
-and stop at the exact draw a one-at-a-time loop would stop at.
+and stop at the exact draw a one-at-a-time loop would stop at. It
+scatters whole chunks of draws while many vertices are uncovered, then
+tests the few left against each next draw, as build_W marks the bulk of
+W and tests the few vertices left.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import time
 import numpy as np
 
 from .construct import DominationReport, report
-from .graph import ChordSet, CirculantSpec, VertexSet
+from .graph import (ChordSet, CirculantSpec, VertexSet, shift_cover,
+                    shifted_lookup)
 # Not called here; circbench's test_rebound_names_are_restored looks it up.
 from .verify import is_dominating  # noqa: F401
 
@@ -62,37 +66,61 @@ def greedy_dominating(spec: CirculantSpec) -> DominationReport:
 def _random_picks(n: int, chords: np.ndarray, seed: int):
     """(membership of the drawn vertices, number of draws) until covered.
 
-    Chunked draws from rng.integers(0, n, size=B) are the same stream as
-    B scalar draws; the chunk that completes the coverage is replayed one
-    draw at a time, so the set and the draw count match a scalar loop.
+    Draws come from rng.integers(0, n, size=B) in chunks, the same stream
+    as B scalar draws, and the result is what a one-draw-at-a-time loop
+    returns: the set of draws up to the first one after which every
+    vertex is covered.
+
+    Phase 1 scatters whole chunks of about RANDOM_CHUNK_CELLS hits while
+    at least k + 1 vertices are uncovered, with no gather and no filter:
+    most late hits land on covered vertices. A draw covers at most k + 1
+    vertices, so below that phase 2 tests the u uncovered vertices
+    against each next draw instead, u cells per draw against k + 1
+    scattered: draw v covers x iff (x - v) mod n is in S u {0}. Each x is
+    dropped at its first hit, and the cover completes at the largest
+    first-hit index over the x left. A chunk that completes the cover in
+    phase 1 (at small n) is undone, by rebuilding the cover of the
+    earlier draws with shift_cover, and replayed through phase 2.
+    Phase 2 tests blocks of at most RANDOM_CHUNK_CELLS cells while fewer
+    vertices than that are uncovered, one draw per block otherwise.
     """
     offsets = np.concatenate(([0], chords))
-    batch = max(1, RANDOM_CHUNK_CELLS // offsets.size)
     rng = np.random.default_rng(seed)
     covered = np.zeros(n, dtype=bool)
     chosen = np.zeros(n, dtype=bool)
-    draws = 0
-    while True:
-        v = rng.integers(0, n, size=batch)
+    draws, uncovered = 0, n
+    replay = np.empty(0, dtype=np.int64)
+    while uncovered > chords.size:
+        v = rng.integers(0, n, size=max(1, RANDOM_CHUNK_CELLS // offsets.size))
         hits = v[:, None] + offsets
         np.subtract(hits, n, out=hits, where=hits >= n)
-        new = hits[~covered[hits]]
-        covered[new] = True
-        if covered.all():
+        covered[hits] = True
+        uncovered = n - np.count_nonzero(covered)
+        if uncovered == 0:  # undo this chunk; phase 2 replays it
+            covered = shift_cover(chosen.copy(), chosen, chords)
+            replay = v
             break
-        draws += batch
         chosen[v] = True
-    # This chunk completed the coverage: undo it and replay it draw by draw.
-    covered[new] = False
-    uncovered = n - np.count_nonzero(covered)
-    for u, row in zip(v.tolist(), hits):
-        row = row[~covered[row]]  # offsets are distinct mod n
-        covered[row] = True
-        uncovered -= row.size
-        draws += 1
-        chosen[u] = True
-        if uncovered == 0:
-            return chosen, draws
+        draws += v.size
+    alive = np.flatnonzero(np.logical_not(covered, out=covered))
+    table = covered  # phase 2 needs only alive: the mask becomes S u {0}
+    table[:] = False
+    table[offsets] = True
+    while True:
+        size = max(1, RANDOM_CHUNK_CELLS // alive.size)
+        if replay.size:
+            v, replay = replay[:size], replay[size:]
+        else:
+            v = rng.integers(0, n, size=size)
+        hit = shifted_lookup(table, alive, v)
+        missed = ~hit.any(axis=0)
+        if not missed.any():  # argmax: the first draw of v covering each x
+            last = int(hit.argmax(axis=0).max())
+            chosen[v[:last + 1]] = True
+            return chosen, draws + last + 1
+        chosen[v] = True
+        draws += v.size
+        alive = alive[missed]
 
 
 def random_dominating(spec: CirculantSpec, seed: int) -> DominationReport:

@@ -4,7 +4,8 @@ JSON for single reports, CSV for sweeps. All science parameters are
 explicit flags; the only environment knob is CIRCDOM_OUT_DIR, which
 prefixes relative --out paths. Each cmd_* returns (text, exit code: 0
 verified or passed, 1 not); main alone range-checks n and L, rejects a
-grid with no points, writes the text and maps errors: HypothesisNotMet
+grid with no points, an unknown bench method and an audit flag the
+check does not read, writes the text and maps errors: HypothesisNotMet
 exits 2 with "HypothesisNotMet: msg", any other CircdomError, OSError or
 ValueError exits 1 with "error: Name: msg".
 """
@@ -33,6 +34,18 @@ UNCOVERED_SAMPLE_CAP = 1000
 # is allocated (the smallest n is 2, the smallest circulant graph).
 MAX_N = 2**24
 
+METHODS = ("paper", "greedy", "random", "universal2", "almost-w")
+# The audit flags only some checks read, with their defaults, and the ones
+# each check reads; main rejects a flag given to a check that ignores it.
+AUDIT_DEFAULTS = {"l_list": [], "k_list": [], "trials": 1, "seed": 0,
+                  "c": 1.0, "C": 1.0, "c0": 1.0, "cap": AUDIT_CAP}
+AUDIT_READS = {
+    "card": ("l_list",),
+    "expsum": ("l_list", "cap"),
+    "exceptional": ("k_list", "trials", "seed"),
+    "nu": ("k_list", "trials", "seed", "c", "C", "c0"),
+}
+
 BENCH_COLUMNS = [
     "n", "k", "method", "seed", "size", "wall_ms", "verified",
     "L", "w_size", "u_size", "ratio_vs_envelope", "error",
@@ -55,6 +68,10 @@ def _emit(text: str, out_path) -> None:
     else:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(text, encoding="utf-8")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _describe(exc: Exception) -> str:
@@ -142,6 +159,10 @@ def cmd_construct(args) -> tuple[str, int]:
 
 def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
+
+
+def _name_list(text: str) -> list[str]:
+    return [t.strip() for t in text.split(",") if t.strip()]
 
 
 def _audit_card_lines(args):
@@ -259,7 +280,7 @@ def cmd_bench(args) -> tuple[str, int]:
         (n, k, method, seed, args.no_timing)
         for n in args.n_list
         for k in args.k_list
-        for method in args.methods.split(",")
+        for method in args.methods
         for seed in args.seeds
     ]
     # a fork pool starts all its processes at the first submit
@@ -308,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build and verify a dominating set")
     _add_chord_flags(p)
-    p.add_argument("--method", required=True,
-                   choices=["paper", "greedy", "random", "universal2", "almost-w"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--C", type=float, default=1.0)
@@ -320,25 +340,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write wall_ms as 0.0 for byte-reproducible output")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("audit", help="numerical audits of the supporting lemmas")
-    p.add_argument("--check", required=True,
-                   choices=["card", "expsum", "exceptional", "nu"])
+    # flags left out stay unset, so main can tell them from given ones
+    p = sub.add_parser("audit", help="numerical audits of the supporting lemmas",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--check", required=True, choices=list(AUDIT_READS))
     p.add_argument("--n-list", type=_int_list, required=True)
-    p.add_argument("--l-list", type=_int_list, default=[])
-    p.add_argument("--k-list", type=_int_list, default=[])
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--c0", type=float, default=1.0)
-    p.add_argument("--cap", type=int, default=AUDIT_CAP)
+    p.add_argument("--l-list", type=_int_list)
+    p.add_argument("--k-list", type=_int_list)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--c", type=float)
+    p.add_argument("--C", type=float)
+    p.add_argument("--c0", type=float)
+    p.add_argument("--cap", type=int)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("bench", help="CSV sweep over (n, k, method, seed)")
     p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--k-list", type=_int_list, required=True)
-    p.add_argument("--methods", type=str, default="paper")
+    p.add_argument("--methods", type=_name_list, default=["paper"])
     p.add_argument("--seeds", type=_int_list, default=[0])
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", type=str, default=None)
@@ -355,13 +376,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    swept = ["n_list", "k_list", "seeds"]  # an audit or bench grid's axes
+    swept = ["n_list", "k_list", "seeds", "methods"]  # a grid's axes
     if getattr(args, "check", None) in ("card", "expsum"):
         swept[1] = "l_list"
     try:
+        if args.command == "audit":
+            for name, default in AUDIT_DEFAULTS.items():
+                if not hasattr(args, name):
+                    setattr(args, name, default)
+                elif name not in AUDIT_READS[args.check]:
+                    raise ValueError(f"{_flag(name)} is not read by "
+                                     f"--check {args.check}")
         for name in swept:
             if not getattr(args, name, True):
-                raise ValueError(f"--{name.replace('_', '-')} is empty")
+                raise ValueError(f"{_flag(name)} is empty")
+        for method in getattr(args, "methods", []):
+            if method not in METHODS:
+                raise ValueError(f"--methods: unknown method {method!r}; "
+                                 f"choose from {', '.join(METHODS)}")
         if getattr(args, "trials", 1) < 1:
             raise ValueError(f"--trials={args.trials} is below 1")
         for n in args.n_list if hasattr(args, "n_list") else [args.n]:

@@ -16,6 +16,17 @@ import numpy as np
 
 from .errors import ChordFileError, InvalidChord
 
+# shift_cover counts the unmarked vertices every COUNT_EVERY chords (one
+# count costs about one ORed chord) and tests them against the remaining
+# chords, instead of ORing those in, once fewer than n / TEST_BELOW_SHARE
+# are left. A tested (vertex, chord) cell costs about as much as ORing 50
+# bytes (3.6 ns against 0.07 ns at n = 10^6 on a 2-vCPU Xeon), so below
+# n / 128 vertices testing a chord costs under half of ORing it even when
+# no tested vertex is ever hit. The tests run in blocks of TEST_CELLS cells.
+COUNT_EVERY = 16
+TEST_BELOW_SHARE = 128
+TEST_CELLS = 2**16
+
 
 @dataclass(frozen=True)
 class ChordSet:
@@ -131,23 +142,67 @@ def symmetrize(values, n: int) -> ChordSet:
     return ChordSet(n, tuple(sorted(out)))
 
 
+def shifted_lookup(table: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """table[(x - a) mod n] for every pair, n = table.size: row i for a[i],
+    column j for x[j].
+
+    x and a hold residues in [0, n), so x - a lies in (-n, n) and one
+    conditional add of n reduces it: integer-only and exact.
+    """
+    d = x - a[:, None]
+    np.add(d, table.size, out=d, where=d < 0)
+    return table[d]
+
+
+def _test_unmarked(covered: np.ndarray, sources: np.ndarray,
+                   chords: np.ndarray) -> None:
+    """Mark each unmarked x with sources[(x - s) mod n] set for some s in
+    chords: x = v + s for a source v.
+
+    Tests blocks of at most TEST_CELLS (candidate, chord) cells, and
+    drops each candidate once it is hit. Only above n = 2^23 can the
+    candidates (fewer than n / TEST_BELOW_SHARE) outnumber TEST_CELLS;
+    then a block holds one chord.
+    """
+    alive = np.flatnonzero(~covered)
+    i = 0
+    while i < chords.size and alive.size:
+        block = chords[i:i + max(1, TEST_CELLS // alive.size)]
+        i += block.size
+        hit = shifted_lookup(sources, alive, block).any(axis=0)
+        covered[alive[hit]] = True
+        alive = alive[~hit]
+
+
 def shift_cover(covered: np.ndarray, sources: np.ndarray, chords) -> np.ndarray:
     """Mark v + chord mod n for every v with sources[v] set; return covered.
 
     covered and sources are length-n boolean masks and every chord lies in
-    [1, n - 1], as in a ChordSet. Each chord s ORs the rotation of sources
-    by s into covered in place, as two slices, and the loop stops at the
-    first chord after which every vertex is marked. The masks must not
-    share memory: an aliased source would gain the marks of earlier chords
-    and carry them several hops.
+    [1, n - 1], as in a ChordSet. The masks must not share memory: an
+    aliased source would gain the marks of earlier chords and carry them
+    several hops.
+
+    Phase 1 ORs the rotation of sources by each chord s into covered in
+    place, as two slices, and stops at the first chord after which every
+    vertex is marked: dense sources saturate after a few chords. Every
+    COUNT_EVERY chords it counts the unmarked vertices; once fewer than
+    n / TEST_BELOW_SHARE are left, phase 2 (_test_unmarked) tests just
+    those against the remaining chords instead. Both phases mark x iff
+    x - s is a source for some chord s, so the result does not depend
+    on where the switch falls.
     """
     if np.may_share_memory(covered, sources):
         raise ValueError("covered and sources must not share memory")
     n = covered.size
-    for s in chords:
+    for i, s in enumerate(chords, 1):
         covered[s:] |= sources[:n - s]
         covered[:s] |= sources[n - s:]
-        if covered.all():  # dense sources saturate after a few chords
+        if covered.all():
+            break
+        if (i % COUNT_EVERY == 0 and i < len(chords)
+                and TEST_BELOW_SHARE * (n - np.count_nonzero(covered)) < n):
+            _test_unmarked(covered, sources,
+                           np.asarray(chords[i:], dtype=np.int64))
             break
     return covered
 

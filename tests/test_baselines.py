@@ -93,6 +93,42 @@ def test_random_draws_match_one_at_a_time(cells, monkeypatch):
         assert rep.parameters["draws"] == draws
 
 
+CHUNK_CELLS = baselines.RANDOM_CHUNK_CELLS
+NAIVE_RANDOM = {}  # (n, k) -> chord set, one-at-a-time (picks, draws)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 200, CHUNK_CELLS])
+@pytest.mark.parametrize("n, k", [(2000, 25), (10**5, 100)])
+def test_random_phases_match_one_at_a_time(n, k, cells, monkeypatch):
+    # with whole chunks, n = 2000's first chunk completes the cover, so it is
+    # undone and replayed; n = 10^5 reaches the testing phase with <= k left
+    monkeypatch.setattr(baselines, "RANDOM_CHUNK_CELLS", cells)
+    undone, tested = [], []
+    shift_cover, shifted_lookup = baselines.shift_cover, baselines.shifted_lookup
+
+    def undo_spy(*args):
+        undone.append(1)
+        return shift_cover(*args)
+
+    def test_spy(table, x, a):
+        tested.append(x.size)
+        return shifted_lookup(table, x, a)
+
+    monkeypatch.setattr(baselines, "shift_cover", undo_spy)
+    monkeypatch.setattr(baselines, "shifted_lookup", test_spy)
+    if (n, k) not in NAIVE_RANDOM:
+        S = random_chord_set(n, k, 1)
+        NAIVE_RANDOM[n, k] = S, naive_random_cover(n, S.chords, 2)
+    S, (picks, draws) = NAIVE_RANDOM[n, k]
+    chosen, got = baselines._random_picks(n, S.as_array(), 2)
+    assert np.flatnonzero(chosen).tolist() == picks
+    assert got == draws
+    if cells == CHUNK_CELLS and n == 2000:
+        assert len(undone) == 1 and tested[0] == n
+    elif cells == CHUNK_CELLS:
+        assert not undone and 0 < tested[0] <= k
+
+
 def test_random_dominating_verified_and_deterministic():
     spec = spec_of(3, [1, 2])
     rep = random_dominating(spec, seed=1)

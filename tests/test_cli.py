@@ -274,11 +274,34 @@ def test_l_list_size_guard(check, capsys):
      "error: ValueError: --k-list is empty"),
     (("bench", "--n-list", "1000", "--k-list", "25", "--seeds", ""),
      "error: ValueError: --seeds is empty"),
+    (("bench", "--n-list", "1000", "--k-list", "25", "--methods", ""),
+     "error: ValueError: --methods is empty"),
+    (("bench", "--n-list", "1000", "--k-list", "25", "--methods",
+      "greedy,gredy"), "error: ValueError: --methods: unknown method "
+     "'gredy'; choose from paper, greedy, random, universal2, almost-w"),
+    # a flag the chosen check does not read is an error, not ignored
+    (("audit", "--check", "card", "--n-list", "101", "--l-list", "3",
+      "--k-list", "5", "--trials", "7"),
+     "error: ValueError: --k-list is not read by --check card"),
+    (("audit", "--check", "card", "--n-list", "101", "--l-list", "3",
+      "--trials", "1"),
+     "error: ValueError: --trials is not read by --check card"),
+    (("audit", "--check", "expsum", "--n-list", "101", "--l-list", "3",
+      "--seed", "2"), "error: ValueError: --seed is not read by --check expsum"),
+    (("audit", "--check", "exceptional", "--n-list", "1009", "--k-list",
+      "10", "--c0", "0.5"),
+     "error: ValueError: --c0 is not read by --check exceptional"),
+    (("audit", "--check", "nu", "--n-list", "10000", "--k-list", "2000",
+      "--l-list", "4"), "error: ValueError: --l-list is not read by --check nu"),
+    (("audit", "--check", "nu", "--n-list", "10000", "--k-list", "2000",
+      "--cap", "64"), "error: ValueError: --cap is not read by --check nu"),
 ], ids=["construct-n", "audit-n", "gamma-n", "construct-r", "audit-L",
         "gamma-k", "audit-empty-n", "card-empty-L", "expsum-empty-L",
         "exceptional-empty-k", "nu-empty-k", "exceptional-trials-0",
         "nu-trials-negative", "bench-empty-n", "bench-empty-k",
-        "bench-empty-seeds"])
+        "bench-empty-seeds", "bench-empty-methods", "bench-unknown-method",
+        "card-reads-no-k-list", "card-reads-no-trials", "expsum-reads-no-seed",
+        "exceptional-reads-no-c0", "nu-reads-no-l-list", "nu-reads-no-cap"])
 def test_input_floor(args, message, capsys):
     # bad small inputs end in one error line and exit 1, not a traceback
     rc = main(list(args))

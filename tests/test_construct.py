@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circdom import construct
-from circdom.baselines import random_chord_set
+from circdom import construct, graph
+from circdom.baselines import random_chord_set, random_dominating
 from circdom.construct import (
     all_representation_counts,
     almost_budget,
@@ -381,6 +381,25 @@ def test_cover_at_scale_matches_index_scatter(kind):
         expected = naive_shift_cover(expected.copy(), np.flatnonzero(expected),
                                      S.chords)
         assert np.array_equal(coverage(spec, D, r).members, expected)
+
+
+def test_cover_tests_sparse_sets_only(monkeypatch):
+    # the paper's dense covers (exceptional_set, the verification) saturate
+    # before shift_cover's first count; the sparse random sets switch
+    tested, test_unmarked = [], graph._test_unmarked
+
+    def spy(covered, sources, chords):
+        tested.append(chords.size)
+        test_unmarked(covered, sources, chords)
+
+    monkeypatch.setattr(graph, "_test_unmarked", spy)
+    for n, k in ((10**6, 100), (10**6, 1000)):
+        spec = CirculantSpec(n, random_chord_set(n, k, 1))
+        rep = construct_dominating(spec)
+        assert rep.verified and tested == []
+    for n, k in ((10**6, 1000), (10**5, 100)):
+        rep = random_dominating(CirculantSpec(n, random_chord_set(n, k, 1)), 2)
+        assert rep.verified and len(tested) == 1 and 0 < tested.pop() < k
 
 
 def test_construct_dominating_always_dominates():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circdom import graph
 from circdom.errors import ChordFileError, InvalidChord
 from circdom.graph import (
     ChordSet,
@@ -14,7 +15,7 @@ from circdom.graph import (
     symmetrize,
 )
 
-from conftest import naive_coverage
+from conftest import naive_coverage, naive_shift_cover, random_subset
 
 
 def spec_of(n, chords):
@@ -95,6 +96,52 @@ def test_shift_cover_rejects_aliased_masks():
             shift_cover(mask, sources, (1, 2))
     assert shift_cover(mask.copy(), mask, (1, 2)).tolist() == [
         True, True, True, False, False, False, False, False]
+
+
+def cover_instances():
+    """(n, chords, sources): sparse sources, and sources with planted holes,
+    vertices x whose coverers x - (S u {0}) are all cleared."""
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n = int(rng.integers(2, 1500))
+        chords = random_subset(rng, n, int(rng.integers(1, min(n - 1, 60) + 1)))
+        sources = rng.random(n) < 2.0 / (len(chords) + 1)
+        yield n, chords, sources
+        holes = rng.random(n) < 4.0 / (len(chords) + 1)
+        for x in rng.integers(0, n, 3):
+            holes[(x - np.array((0, *chords))) % n] = False
+        yield n, chords, holes
+
+
+# (COUNT_EVERY, TEST_BELOW_SHARE, TEST_CELLS): switch after the first chord
+# in one-cell or whole blocks, or on a count below n / 4 or n / 2 in small
+# blocks (the shipped n / 128 needs larger n, see test_construct)
+@pytest.mark.parametrize("every, share, cells", [
+    (1, 1, 1), (1, 1, 2**16), (3, 4, 7), (graph.COUNT_EVERY, 2, 200)])
+def test_shift_cover_testing_phase_matches_naive(every, share, cells,
+                                                  monkeypatch):
+    monkeypatch.setattr(graph, "COUNT_EVERY", every)
+    monkeypatch.setattr(graph, "TEST_BELOW_SHARE", share)
+    monkeypatch.setattr(graph, "TEST_CELLS", cells)
+    tested, test_unmarked = [], graph._test_unmarked
+
+    def spy(covered, sources, chords):
+        tested.append(chords.size)
+        test_unmarked(covered, sources, chords)
+
+    monkeypatch.setattr(graph, "_test_unmarked", spy)
+    undominated = 0
+    for n, chords, sources in cover_instances():
+        got = shift_cover(sources.copy(), sources, chords)
+        want = naive_shift_cover(sources.copy(), np.flatnonzero(sources), chords)
+        assert np.array_equal(got, want), (n, chords)
+        undominated += not got.all()
+        if n <= 500:  # and coverage, whose second round covers the first's
+            spec, D = spec_of(n, chords), VertexSet(n, sources)
+            for r in (1, 2):
+                assert set(coverage(spec, D, r).indices().tolist()) == \
+                    naive_coverage(n, chords, np.flatnonzero(sources), r)
+    assert len(tested) >= 10 and undominated >= 20
 
 
 @given(small_instances)
