@@ -17,7 +17,9 @@ agree across trees), the worker count each tree used for build_W, its
 work counters (cells marked, candidate x prime cells tested), the chords
 the verification of the random set ORs before it switches to testing
 the vertices left (null where that pass never switches, or the tree has
-no testing phase), and the machine. Run from the repo root, e.g.
+no testing phase) and how many of them it ORs as packed words (null
+where the tree has no word phase or the pass never enters it), and the
+machine. Run from the repo root, e.g.
 against a checkout of a base commit in ../base:
 
     python3 scripts/run_bench.py --tree before=../base/src --tree after=src \\
@@ -104,7 +106,7 @@ def measure(src: str) -> list[dict]:
                      "size": doc["size"], "argv": argv,
                      "random_size": rand.size,
                      "draws": rand.parameters["draws"],
-                     "ored_before_switch": ored_before_switch(
+                     **cover_counters(
                          graph, lambda: is_dominating(spec, rand.D), k),
                      "workers": w_workers(construct, L * primes, n),
                      # a tree without counters marks every prime
@@ -135,30 +137,42 @@ def measure(src: str) -> list[dict]:
     return rows
 
 
-def ored_before_switch(graph, verify, k: int) -> int | None:
-    """Chords shift_cover ORs in verify() before it tests the vertices
-    left against the rest: k minus the chords handed to its testing
-    phase, graph._test_unmarked; None if that never runs."""
-    test_unmarked = getattr(graph, "_test_unmarked", None)
-    if test_unmarked is None:
-        verify()
-        return None
-    tested = []
+def cover_counters(graph, verify, k: int) -> dict:
+    """Chords shift_cover ORs in verify(): before it tests the vertices
+    left against the rest (k minus the chords handed to its testing
+    phase, graph._test_unmarked; None if that never runs), and of those
+    the ones ORed as packed words (graph._or_words; None if that never
+    runs). A tree without a phase gives None for it."""
+    tested, worded = [], []
+    kernels = {name: getattr(graph, name, None)
+               for name in ("_test_unmarked", "_or_words")}
 
-    def spy(covered, sources, chords):
+    def spy_test(covered, sources, chords):
         tested.append(chords.size)
-        return test_unmarked(covered, sources, chords)
+        return kernels["_test_unmarked"](covered, sources, chords)
 
-    graph._test_unmarked = spy
+    def spy_words(covered, sources, chords):
+        rest = kernels["_or_words"](covered, sources, chords)
+        worded.append(chords.size - rest.size)
+        return rest
+
+    spies = {"_test_unmarked": spy_test, "_or_words": spy_words}
+    for name, kernel in kernels.items():
+        if kernel is not None:
+            setattr(graph, name, spies[name])
     try:
         verify()
     finally:
-        graph._test_unmarked = test_unmarked
-    return k - tested[0] if tested else None
+        for name, kernel in kernels.items():
+            if kernel is not None:
+                setattr(graph, name, kernel)
+    return {"ored_before_switch": k - tested[0] if tested else None,
+            "ored_as_words": worded[0] if worded else None}
 
 
 def w_workers(construct, marks: int, n: int) -> int:
-    """build_W's worker count in a tree: one before it had workers, and
+    """build_W's worker count in a tree: one where it has no w_workers
+    (before its thread pool, and since the pool was removed), and
     w_workers(marks) before the cap by marks // n."""
     if not hasattr(construct, "w_workers"):
         return 1
@@ -193,7 +207,8 @@ def summarise(trees: dict[str, str], passes: dict[str, list]) -> list[dict]:
                     raise SystemExit(
                         f"error: {key} differs across trees at n={n}, k={k}")
             point[name] = {key: rows[0][key] for key in (
-                "workers", "marks", "checks", "ored_before_switch")}
+                "workers", "marks", "checks", "ored_before_switch",
+                "ored_as_words")}
             for key in ("build_w_wall_ms", "build_w_cpu_ms",
                         "construct_wall_ms", "random_wall_ms",
                         "verify_wall_ms"):
@@ -241,8 +256,9 @@ def main(argv=None) -> int:
         "machine": {"cpu_model": cpu_model(), "usable_cpus": usable_cpus(),
                     "python": platform.python_version(),
                     "numpy": numpy.__version__,
-                    # CPU time stolen by the hypervisor while timing: with
-                    # two workers, build_W gains wall time only on a free core
+                    # CPU time stolen by the hypervisor while timing: a
+                    # tree whose build_W runs two workers gains wall time
+                    # only on a free core
                     "cpu_steal_frac": steal_frac(ticks, cpu_ticks())},
         "trees": list(trees),
         "repeats": args.repeats,

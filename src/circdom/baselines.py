@@ -73,7 +73,11 @@ def _random_picks(n: int, chords: np.ndarray, seed: int):
 
     Phase 1 scatters whole chunks of about RANDOM_CHUNK_CELLS hits while
     at least k + 1 vertices are uncovered, with no gather and no filter:
-    most late hits land on covered vertices. A draw covers at most k + 1
+    most late hits land on covered vertices. It counts the uncovered
+    vertices only once the last count minus the hits scattered since, a
+    lower bound, is at most k: until then the chunk certainly leaves more
+    than k uncovered, so only a counted chunk can end phase 1 or
+    complete the cover. A draw covers at most k + 1
     vertices, so below that phase 2 tests the u uncovered vertices
     against each next draw instead, u cells per draw against k + 1
     scattered: draw v covers x iff (x - v) mod n is in S u {0}. Each x is
@@ -88,14 +92,16 @@ def _random_picks(n: int, chords: np.ndarray, seed: int):
     rng = np.random.default_rng(seed)
     covered = np.zeros(n, dtype=bool)
     chosen = np.zeros(n, dtype=bool)
-    draws, uncovered = 0, n
+    draws, uncovered = 0, n  # uncovered: a lower bound, exact when counted
     replay = np.empty(0, dtype=np.int64)
     while uncovered > chords.size:
         v = rng.integers(0, n, size=max(1, RANDOM_CHUNK_CELLS // offsets.size))
         hits = v[:, None] + offsets
         np.subtract(hits, n, out=hits, where=hits >= n)
         covered[hits] = True
-        uncovered = n - np.count_nonzero(covered)
+        uncovered -= hits.size
+        if uncovered <= chords.size:
+            uncovered = n - np.count_nonzero(covered)
         if uncovered == 0:  # undo this chunk; phase 2 replays it
             covered = shift_cover(chosen.copy(), chosen, chords)
             replay = v

@@ -11,13 +11,10 @@ loglog n stays positive.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -36,10 +33,7 @@ BISECT_ITERS = 200
 LAMBDA_RTOL = 1e-9
 # FFT representation counts must lie closer than this to an integer.
 COUNT_ROUND_TOL = 0.25
-# build_W gives each thread at least this many marks, in blocks of about
-# BLOCK_CELLS products: large enough that a thread holds numpy's GIL-free
-# loops for long stretches.
-MARKS_PER_WORKER = 2**20
+# build_W multiplies in blocks of about BLOCK_CELLS products.
 BLOCK_CELLS = 2**16
 # build_W tests the vertices left unmarked after its first round of primes,
 # instead of marking the rest, when fewer than TEST_BELOW_L * L are left.
@@ -169,12 +163,6 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def w_workers(marks: int, n: int) -> int:
-    """Threads for build_W: one per usable CPU, each with at least
-    MARKS_PER_WORKER marks and at least n, one per byte of its mask."""
-    return max(1, min(usable_cpus(), marks // max(n, MARKS_PER_WORKER)))
-
-
 def first_round(n: int, L: int) -> int:
     """Primes build_W marks before it counts the vertices left unmarked:
     1.25 m ln m with m = ceil(n / L). L random marks per prime would then
@@ -201,22 +189,6 @@ def _products_mod(a: np.ndarray, b: np.ndarray, n: int, v: np.ndarray,
     tq *= n
     t -= tq
     return t
-
-
-def _mark_ratios(mask: np.ndarray, v: np.ndarray, q: np.ndarray,
-                 ks: np.ndarray, blocks: deque) -> None:
-    """Set mask[k * inv mod n] for every k in ks and every inv in the
-    blocks of inverses this call pops from blocks.
-
-    Threads sharing blocks each pop the next one until none is left
-    (deque pops are atomic), so a thread on a busy core takes fewer.
-    """
-    while True:
-        try:
-            block = blocks.popleft()
-        except IndexError:
-            return
-        mask[_products_mod(block, ks, mask.size, v, q)] = True
 
 
 def _test_unmarked(members: np.ndarray, primes: np.ndarray, L: int,
@@ -253,16 +225,11 @@ def build_W(n: int, L: int) -> WSet:
 
     Phase 1 marks: one modular inverse per prime, then _products_mod over
     blocks of inverses times [1, L], about BLOCK_CELLS cells each, exact
-    as k * inv < L * n < 2^63. w_workers(L * |window|, n) workers take
-    the blocks from one queue, each marking a private mask (a shared one
-    would bounce cache lines between cores); the masks are ORed after
-    each round, so W does not depend on the worker count or on which
-    worker took which block. Every mask and buffer is allocated here, in
-    the calling thread. One worker runs on this thread.
+    as k * inv < L * n < 2^63, each block scattered into one mask.
 
     Phase 1 marks first_round(n, L) primes, then counts the unmarked
     vertices. If fewer than TEST_BELOW_L * L are left, phase 2 tests just
-    those against the remaining primes (_test_unmarked) on this thread;
+    those against the remaining primes (_test_unmarked);
     otherwise phase 1 marks the rest of the window. Under 4L^2 < n at
     most L^2 < n / 4 vertices are ever marked, so phase 2 never runs. For
     L >= n the multiples of any unit already sweep all of Z_n, so the
@@ -278,31 +245,20 @@ def build_W(n: int, L: int) -> WSet:
         return WSet(n=n, L=L, elements=VertexSet.full(n), window=window)
     ks = np.arange(1, L + 1, dtype=np.int64)
     rows = max(1, min(len(primes), BLOCK_CELLS // L))
-    workers = [(np.zeros(n, dtype=bool), np.empty(rows * L, dtype=np.int64),
-                np.empty(rows * L, dtype=np.int64))
-               for _ in range(w_workers(L * len(primes), n))]
-    members, v, q = workers[0]
-    run, threads = map, contextlib.nullcontext()
-    if len(workers) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        threads = ThreadPoolExecutor(len(workers))
-        run = threads.map
+    members = np.zeros(n, dtype=bool)
+    v, q = np.empty(rows * L, dtype=np.int64), np.empty(rows * L, dtype=np.int64)
 
     def mark_primes(chunk) -> None:
         invs = np.array([pow(ell, -1, n) for ell in chunk], dtype=np.int64)
-        blocks = deque(invs[s:s + rows] for s in range(0, invs.size, rows))
-        list(run(_mark_ratios, *zip(*workers), repeat(ks), repeat(blocks)))
-        for mask, _, _ in workers[1:]:
-            np.logical_or(members, mask, out=members)
+        for s in range(0, invs.size, rows):
+            members[_products_mod(invs[s:s + rows], ks, n, v, q)] = True
 
     marked = min(len(primes), first_round(n, L))
-    with threads:
-        mark_primes(primes[:marked])
-        if (marked < len(primes)
-                and n - np.count_nonzero(members) >= TEST_BELOW_L * L):
-            mark_primes(primes[marked:])
-            marked = len(primes)
+    mark_primes(primes[:marked])
+    if (marked < len(primes)
+            and n - np.count_nonzero(members) >= TEST_BELOW_L * L):
+        mark_primes(primes[marked:])
+        marked = len(primes)
     checks = _test_unmarked(members, np.array(primes[marked:], dtype=np.int64),
                             L, v, q) if marked < len(primes) else 0
     return WSet(n=n, L=L, elements=VertexSet(n, members), window=window,

@@ -16,16 +16,21 @@ import numpy as np
 
 from .errors import ChordFileError, InvalidChord
 
-# shift_cover counts the unmarked vertices every COUNT_EVERY chords (one
-# count costs about one ORed chord) and tests them against the remaining
-# chords, instead of ORing those in, once fewer than n / TEST_BELOW_SHARE
-# are left. A tested (vertex, chord) cell costs about as much as ORing 50
-# bytes (3.6 ns against 0.07 ns at n = 10^6 on a 2-vCPU Xeon), so below
-# n / 128 vertices testing a chord costs under half of ORing it even when
-# no tested vertex is ever hit. The tests run in blocks of TEST_CELLS cells.
+# shift_cover ORs the first COUNT_EVERY chords into the byte mask and
+# stops at the first one after which every vertex is marked: the paper's
+# dense sets saturate within 4. It then counts the unmarked vertices. While
+# at least n / TEST_BELOW_SHARE are left it ORs chords as packed 64-bit
+# words (_or_words), counting every COUNT_EVERY chords; below that it tests
+# just the unmarked vertices against the remaining chords (_test_unmarked),
+# in blocks of TEST_CELLS (vertex, chord) cells. At n = 10^6 on a 2-vCPU
+# Xeon a tested cell costs 3.6 ns, and ORing a chord costs 0.07 ns a vertex
+# as bytes and ~0.006 ns as words, so below about n / 600 unmarked vertices
+# testing a chord costs less than ORing its words even when no tested
+# vertex is hit. Shares from 256 to 1024 timed the same within ~5%.
 COUNT_EVERY = 16
-TEST_BELOW_SHARE = 128
+TEST_BELOW_SHARE = 512
 TEST_CELLS = 2**16
+WORD = np.dtype("<u8")  # bit x of a packed mask: bit x % 64 of word x // 64
 
 
 @dataclass(frozen=True)
@@ -174,6 +179,63 @@ def _test_unmarked(covered: np.ndarray, sources: np.ndarray,
         alive = alive[~hit]
 
 
+def _pack(mask: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Write mask's bits into the leading bits of words; return words."""
+    words.view(np.uint8)[:-(-mask.size // 8)] = np.packbits(mask,
+                                                            bitorder="little")
+    return words
+
+
+def _or_words(covered: np.ndarray, sources: np.ndarray,
+              chords: np.ndarray) -> np.ndarray:
+    """OR the rotation of sources by each chord into covered as packed
+    words, until every vertex is marked or fewer than n / TEST_BELOW_SHARE
+    are left; return the chords not ORed.
+
+    covered is packed once into ceil(n / 64) words with its padding bits
+    set, so a popcount counts the marked vertices. sources is packed once
+    as a doubled ring, 2n bits holding it twice, so its rotation by s is
+    the n-bit window that starts at bit n - s. The chords are taken in
+    groups of equal (n - s) mod 64, the largest first: a group shifts the
+    ring once, by that bit offset (two shifts and an OR), and each of its
+    chords is then one word-slice OR. covered is unpacked once at the end.
+    """
+    n = covered.size
+    words = -(-n // 64)
+    cover = _pack(covered, np.zeros(words, dtype=WORD))
+    if n % 64:
+        cover[-1] |= np.uint64(2**64 - 2 ** (n % 64))
+    ring = _pack(sources, np.zeros(2 * words + 1, dtype=WORD))
+    q, b = divmod(n, 64)  # the second copy starts at bit n
+    if b:  # the upper words first: they read the first copy unchanged
+        ring[q + 1:q + words + 1] |= ring[:words] >> np.uint64(64 - b)
+    ring[q:q + words] |= ring[:words] << np.uint64(b)
+    offsets = n - chords
+    bits = offsets % 64  # largest groups first: fewer shifts before a switch
+    order = np.lexsort((bits, -np.bincount(bits, minlength=64)[bits]))
+    shifted, carry = (np.empty(2 * words, dtype=WORD) for _ in range(2))
+    window, bit = ring, 0
+    done = order.size
+    starts = (offsets[order] // 64).tolist()
+    for i, (q, b) in enumerate(zip(starts, bits[order].tolist()), 1):
+        if b != bit:
+            window, bit = ring, b
+            if b:
+                np.right_shift(ring[:-1], np.uint64(b), out=shifted)
+                np.left_shift(ring[1:], np.uint64(64 - b), out=carry)
+                window = np.bitwise_or(shifted, carry, out=shifted)
+        np.bitwise_or(cover, window[q:q + words], out=cover)
+        if i % COUNT_EVERY == 0 and i < order.size:
+            left = 64 * words - int(np.bitwise_count(cover).sum())
+            if TEST_BELOW_SHARE * left < n:
+                done = order.size if left == 0 else i
+                break
+    del ring, shifted, carry, window  # before the n-byte unpacked copy
+    covered.view(np.uint8)[:] = np.unpackbits(cover.view(np.uint8), count=n,
+                                              bitorder="little")
+    return chords[order[done:]]
+
+
 def shift_cover(covered: np.ndarray, sources: np.ndarray, chords) -> np.ndarray:
     """Mark v + chord mod n for every v with sources[v] set; return covered.
 
@@ -182,28 +244,29 @@ def shift_cover(covered: np.ndarray, sources: np.ndarray, chords) -> np.ndarray:
     aliased source would gain the marks of earlier chords and carry them
     several hops.
 
-    Phase 1 ORs the rotation of sources by each chord s into covered in
-    place, as two slices, and stops at the first chord after which every
-    vertex is marked: dense sources saturate after a few chords. Every
-    COUNT_EVERY chords it counts the unmarked vertices; once fewer than
-    n / TEST_BELOW_SHARE are left, phase 2 (_test_unmarked) tests just
-    those against the remaining chords instead. Both phases mark x iff
-    x - s is a source for some chord s, so the result does not depend
-    on where the switch falls.
+    Three stages. The first COUNT_EVERY chords OR the rotation of sources
+    into covered in place, as two byte slices each, and stop at the first
+    chord after which every vertex is marked: dense sources saturate after
+    a few chords. Then the unmarked vertices are counted; while at least
+    n / TEST_BELOW_SHARE are left, _or_words ORs further chords as packed
+    64-bit words, 8 vertices a byte. Once fewer are left, _test_unmarked
+    tests just those against the remaining chords. Every stage marks x iff
+    x - s is a source for some chord s, and OR is order-free, so the result
+    does not depend on where the switches fall.
     """
     if np.may_share_memory(covered, sources):
         raise ValueError("covered and sources must not share memory")
     n = covered.size
-    for i, s in enumerate(chords, 1):
+    for s in chords[:COUNT_EVERY]:
         covered[s:] |= sources[:n - s]
         covered[:s] |= sources[n - s:]
         if covered.all():
-            break
-        if (i % COUNT_EVERY == 0 and i < len(chords)
-                and TEST_BELOW_SHARE * (n - np.count_nonzero(covered)) < n):
-            _test_unmarked(covered, sources,
-                           np.asarray(chords[i:], dtype=np.int64))
-            break
+            return covered
+    rest = np.asarray(chords[COUNT_EVERY:], dtype=np.int64)
+    if rest.size and TEST_BELOW_SHARE * (n - np.count_nonzero(covered)) >= n:
+        rest = _or_words(covered, sources, rest)
+    if rest.size:
+        _test_unmarked(covered, sources, rest)
     return covered
 
 

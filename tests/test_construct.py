@@ -186,85 +186,37 @@ def test_build_w_tested_primes_match_naive(n, frac):
     assert np.array_equal(tested.elements.members, W.elements.members)
 
 
-# (101, 3) has a one-prime window, so all but one worker find no block;
+# build_W keeps its state in the call: threads running it at once, more
+# than the cores, with one prime per block and the interpreter handed over
+# as often as it can be, each get W. (101, 3) has a one-prime window;
 # (17, 20) takes the L >= n branch and marks nothing
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize(
     "n,L", [(10**5, 97), (2**17, 3000), (99991, 2), (101, 3), (17, 20)]
 )
 def test_build_w_threaded_matches_hardware_modulo(monkeypatch, cpus, n, L):
-    threads = spy_on_threads(monkeypatch, cpus)
-    W = build_w_switching_often(n, L)
-    assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
-    if L >= n:
-        assert W.size == n and not threads
-        return
-    assert len(threads) == cpus
-    assert threading.get_ident() not in threads
-
-
-def test_build_w_threaded_marks_two_rounds(monkeypatch):
-    # threshold 0 marks the primes past the first round in a second round,
-    # on the same pool threads
-    monkeypatch.setattr(construct, "TEST_BELOW_L", 0)
-    threads = spy_on_threads(monkeypatch, 2)
-    n, L = 2**17, 3000
-    W = build_w_switching_often(n, L)
-    assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
-    assert W.marks == L * len(W.window) and W.checks == 0
-    assert len(threads) == 4 and len(set(threads)) == 2
-    assert threading.get_ident() not in threads
-
-
-def spy_on_threads(monkeypatch, cpus):
-    """Run build_W on cpus workers of one prime per block, started together;
-    return the list of thread idents that enter _mark_ratios."""
-    monkeypatch.setattr(construct, "w_workers", lambda marks, n: cpus)
     monkeypatch.setattr(construct, "BLOCK_CELLS", 1)
     start_together = threading.Barrier(cpus)
-    threads = []
-    kernel = construct._mark_ratios
+    results = [None] * cpus
 
-    def spy(*args):
-        threads.append(threading.get_ident())
+    def run(i):
         start_together.wait(timeout=10)
-        kernel(*args)
+        results[i] = build_W(n, L)
 
-    monkeypatch.setattr(construct, "_mark_ratios", spy)
-    return threads
-
-
-def build_w_switching_often(n, L):
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(cpus)]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # hand the interpreter over as often as it can
+    sys.setswitchinterval(1e-6)
     try:
-        return build_W(n, L)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_build_w_single_worker_below_threshold():
-    # spectral-audit's instance and every paper instance up to n = 10^5
-    assert construct.w_workers(16 * len(primes_in_window(16, 16381)), 16381) == 1
-    for n in (12_500, 25_000, 50_000, 100_000):
-        for k in (100, 1000):
-            L = solve_lambda(n, k).L
-            assert construct.w_workers(L * len(primes_in_window(L, n)), n) == 1
-    assert construct.w_workers(2 * construct.MARKS_PER_WORKER, 2**16) == min(
-        2, construct.usable_cpus())
-
-
-def test_build_w_workers_capped_by_masks(monkeypatch):
-    # each worker marks at least n cells, so the n-byte masks stay below
-    # the marks in bytes however many CPUs there are
-    monkeypatch.setattr(construct, "usable_cpus", lambda: 64)
-    assert construct.w_workers(20 * 2**24, 2**24) == 20
-    assert construct.w_workers(2**24 - 1, 2**24) == 1
-    assert construct.w_workers(200 * 2**20, 2**20) == 64
-    for k, cap in ((100, 20), (1000, 6)):  # the paper instances at n = 10^6
-        L = solve_lambda(10**6, k).L
-        marks = L * len(primes_in_window(L, 10**6))
-        assert construct.w_workers(marks, 10**6) == cap
+    assert not any(t.is_alive() for t in threads)
+    expected = hardware_modulo_w(n, L, build_W(n, L))
+    for W in results:
+        assert np.array_equal(W.elements.members, expected)
 
 
 def test_build_w_tests_unmarked_only_past_card_hypothesis(monkeypatch):
@@ -400,6 +352,27 @@ def test_cover_tests_sparse_sets_only(monkeypatch):
     for n, k in ((10**6, 1000), (10**5, 100)):
         rep = random_dominating(CirculantSpec(n, random_chord_set(n, k, 1)), 2)
         assert rep.verified and len(tested) == 1 and 0 < tested.pop() < k
+
+
+def test_cover_ors_words_for_sparse_sets_only(monkeypatch):
+    # the paper's dense covers saturate before shift_cover's word stage;
+    # each verification of the random set at n = 10^6, k = 1000 runs it once
+    calls, or_words = [], graph._or_words
+
+    def spy(covered, sources, chords):
+        calls.append(chords.size)
+        return or_words(covered, sources, chords)
+
+    monkeypatch.setattr(graph, "_or_words", spy)
+    n = 10**6
+    for k in (100, 1000):
+        rep = construct_dominating(CirculantSpec(n, random_chord_set(n, k, 1)))
+        assert rep.verified and calls == []
+    spec = CirculantSpec(n, random_chord_set(n, 1000, 1))
+    rep = random_dominating(spec, 2)
+    assert rep.verified and len(calls) == 1
+    assert is_dominating(spec, rep.D)[0] and len(calls) == 2
+    assert calls == [1000 - graph.COUNT_EVERY] * 2
 
 
 def test_construct_dominating_always_dominates():

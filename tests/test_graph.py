@@ -115,7 +115,7 @@ def cover_instances():
 
 # (COUNT_EVERY, TEST_BELOW_SHARE, TEST_CELLS): switch after the first chord
 # in one-cell or whole blocks, or on a count below n / 4 or n / 2 in small
-# blocks (the shipped n / 128 needs larger n, see test_construct)
+# blocks (the shipped n / 512 needs larger n, see test_construct)
 @pytest.mark.parametrize("every, share, cells", [
     (1, 1, 1), (1, 1, 2**16), (3, 4, 7), (graph.COUNT_EVERY, 2, 200)])
 def test_shift_cover_testing_phase_matches_naive(every, share, cells,
@@ -142,6 +142,64 @@ def test_shift_cover_testing_phase_matches_naive(every, share, cells,
                 assert set(coverage(spec, D, r).indices().tolist()) == \
                     naive_coverage(n, chords, np.flatnonzero(sources), r)
     assert len(tested) >= 10 and undominated >= 20
+
+
+def word_instances():
+    """(n, chords, sources, covered) for the packed-word stage: n below 64,
+    at and off multiples of 64, and 10^5; chords 1 and n - 1 and chords
+    with (n - s) = 0 mod 64; sources holding vertices 0 and n - 1; covered
+    empty or pre-seeded with marks the sources do not make."""
+    rng = np.random.default_rng(23)
+    sizes = [2, 3, 17, 63, 64, 65, 127, 128, 129, 1000, 4099, 4160, 10**5]
+    sizes += [int(x) for x in rng.integers(130, 6000, 12)]
+    for n in sizes:
+        for density in (0.003, 0.02, 0.1, 0.5):
+            k = int(rng.integers(1, min(n - 1, 300) + 1))
+            chords = {1, n - 1, *random_subset(rng, n, k)}
+            chords |= {n - 64 * j for j in range(1, 4) if 64 * j < n}
+            sources = rng.random(n) < density
+            sources[[0, n - 1]] = True
+            covered = np.zeros(n, dtype=bool)
+            if density < 0.1:
+                covered[rng.integers(0, n, max(1, n // 50))] = True
+            yield n, tuple(sorted(chords)), sources, covered
+
+
+def test_shift_cover_word_phase_matches_naive(monkeypatch):
+    # every way through the stages, by patching the count interval and the
+    # testing share: saturating within the byte chords, testing after them,
+    # ORing words to the last chord or to saturation, words then testing
+    stages, or_words, test_unmarked = [], graph._or_words, graph._test_unmarked
+
+    def spy_words(covered, sources, chords):
+        stages.append("words")
+        return or_words(covered, sources, chords)
+
+    def spy_test(covered, sources, chords):
+        stages.append("test")
+        test_unmarked(covered, sources, chords)
+
+    monkeypatch.setattr(graph, "_or_words", spy_words)
+    monkeypatch.setattr(graph, "_test_unmarked", spy_test)
+    paths = set()
+    for every, share in ((1, 2**40), (3, 4), (graph.COUNT_EVERY, 2),
+                         (graph.COUNT_EVERY, graph.TEST_BELOW_SHARE)):
+        monkeypatch.setattr(graph, "COUNT_EVERY", every)
+        monkeypatch.setattr(graph, "TEST_BELOW_SHARE", share)
+        for n, chords, sources, covered in word_instances():
+            stages.clear()
+            got = shift_cover(covered.copy(), sources, chords)
+            want = naive_shift_cover(covered.copy(), np.flatnonzero(sources),
+                                     chords)
+            assert np.array_equal(got, want), (n, every, share)
+            paths.add((*stages, "all" if got.all() else "some"))
+            if n <= 1000 and not covered.any():
+                spec, D = spec_of(n, chords), VertexSet(n, sources)
+                for r in (1, 2):
+                    assert set(coverage(spec, D, r).indices().tolist()) == \
+                        naive_coverage(n, chords, np.flatnonzero(sources), r)
+    assert {("all",), ("test", "some"), ("words", "some"), ("words", "all"),
+            ("words", "test", "some")} <= paths, paths
 
 
 @given(small_instances)
