@@ -13,14 +13,13 @@ which counts every thread), one in-process
 one `is_dominating` pass over the random set. The JSON holds the medians
 and quartiles over all repeats x PASSES samples (the quartiles give each
 tree's run-to-run spread), the set sizes and random draws (which must
-agree across trees), the worker count each tree used for build_W, its
-work counters (cells marked, candidate x prime cells tested), the chords
-the verification of the random set ORs before it switches to testing
-the vertices left (null where that pass never switches, or the tree has
-no testing phase) and how many of them it ORs as packed words (null
-where the tree has no word phase or the pass never enters it), and the
-machine. Run from the repo root, e.g.
-against a checkout of a base commit in ../base:
+agree across trees), each tree's build_W work counters (cells marked,
+candidate x prime cells tested), the chords the verification of the
+random set ORs before it switches to testing the vertices left (null
+where that pass never switches, or the tree has no testing phase) and
+how many of them it ORs as packed words (null where the tree has no
+word phase or the pass never enters it), and the machine. Run from the
+repo root, e.g. against a checkout of a base commit in ../base:
 
     python3 scripts/run_bench.py --tree before=../base/src --tree after=src \\
         --out BENCH_build_w.json
@@ -108,7 +107,6 @@ def measure(src: str) -> list[dict]:
                      "draws": rand.parameters["draws"],
                      **cover_counters(
                          graph, lambda: is_dominating(spec, rand.D), k),
-                     "workers": w_workers(construct, L * primes, n),
                      # a tree without counters marks every prime
                      "marks": getattr(W, "marks", L * primes),
                      "checks": getattr(W, "checks", 0),
@@ -140,23 +138,24 @@ def measure(src: str) -> list[dict]:
 def cover_counters(graph, verify, k: int) -> dict:
     """Chords shift_cover ORs in verify(): before it tests the vertices
     left against the rest (k minus the chords handed to its testing
-    phase, graph._test_unmarked; None if that never runs), and of those
-    the ones ORed as packed words (graph._or_words; None if that never
-    runs). A tree without a phase gives None for it."""
+    kernel, graph._sieve, or graph._test_unmarked in trees before it;
+    None if that never runs), and of those the ones ORed as packed words
+    (graph._or_words; None if that never runs). A tree without a phase
+    gives None for it."""
     tested, worded = [], []
-    kernels = {name: getattr(graph, name, None)
-               for name in ("_test_unmarked", "_or_words")}
+    test = "_sieve" if hasattr(graph, "_sieve") else "_test_unmarked"
+    kernels = {name: getattr(graph, name, None) for name in (test, "_or_words")}
 
-    def spy_test(covered, sources, chords):
-        tested.append(chords.size)
-        return kernels["_test_unmarked"](covered, sources, chords)
+    def spy_test(*args):  # _sieve(alive, chords, hit), else (.., .., chords)
+        tested.append(args[1 if test == "_sieve" else 2].size)
+        return kernels[test](*args)
 
     def spy_words(covered, sources, chords):
         rest = kernels["_or_words"](covered, sources, chords)
         worded.append(chords.size - rest.size)
         return rest
 
-    spies = {"_test_unmarked": spy_test, "_or_words": spy_words}
+    spies = {test: spy_test, "_or_words": spy_words}
     for name, kernel in kernels.items():
         if kernel is not None:
             setattr(graph, name, spies[name])
@@ -168,18 +167,6 @@ def cover_counters(graph, verify, k: int) -> dict:
                 setattr(graph, name, kernel)
     return {"ored_before_switch": k - tested[0] if tested else None,
             "ored_as_words": worded[0] if worded else None}
-
-
-def w_workers(construct, marks: int, n: int) -> int:
-    """build_W's worker count in a tree: one where it has no w_workers
-    (before its thread pool, and since the pool was removed), and
-    w_workers(marks) before the cap by marks // n."""
-    if not hasattr(construct, "w_workers"):
-        return 1
-    try:
-        return construct.w_workers(marks, n)
-    except TypeError:
-        return construct.w_workers(marks)
 
 
 def run_tree(src: str) -> list[dict]:
@@ -207,8 +194,7 @@ def summarise(trees: dict[str, str], passes: dict[str, list]) -> list[dict]:
                     raise SystemExit(
                         f"error: {key} differs across trees at n={n}, k={k}")
             point[name] = {key: rows[0][key] for key in (
-                "workers", "marks", "checks", "ored_before_switch",
-                "ored_as_words")}
+                "marks", "checks", "ored_before_switch", "ored_as_words")}
             for key in ("build_w_wall_ms", "build_w_cpu_ms",
                         "construct_wall_ms", "random_wall_ms",
                         "verify_wall_ms"):
@@ -256,9 +242,7 @@ def main(argv=None) -> int:
         "machine": {"cpu_model": cpu_model(), "usable_cpus": usable_cpus(),
                     "python": platform.python_version(),
                     "numpy": numpy.__version__,
-                    # CPU time stolen by the hypervisor while timing: a
-                    # tree whose build_W runs two workers gains wall time
-                    # only on a free core
+                    # CPU time stolen by the hypervisor while timing
                     "cpu_steal_frac": steal_frac(ticks, cpu_ticks())},
         "trees": list(trees),
         "repeats": args.repeats,

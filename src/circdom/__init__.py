@@ -19,16 +19,15 @@ from .construct import (
     solve_lambda,
     suggest_universal2_constants,
 )
-from .expsum import ExpSumAudit, centered_profile, exp_sum_W, expsum_audit
+from .expsum import ExpSumAudit, exp_sum_W, expsum_audit
 from .graph import (
     ChordSet,
     CirculantSpec,
     VertexSet,
     coverage,
     load_chord_file,
-    symmetrize,
 )
-from .primes import PrimeWindow, distinct_prime_divisors, primes_in_window
+from .primes import PrimeWindow, primes_in_window
 from .verify import exact_gamma, gamma_lower_bound, is_dominating
 
 __version__ = "0.1.0"
@@ -46,12 +45,10 @@ __all__ = [
     "almost_dominating_W",
     "all_representation_counts",
     "build_W",
-    "centered_profile",
     "centered_residue",
     "construct_dominating",
     "construct_universal_2dom",
     "coverage",
-    "distinct_prime_divisors",
     "e_n",
     "exact_gamma",
     "exceptional_set",
@@ -67,5 +64,4 @@ __all__ = [
     "random_dominating",
     "solve_lambda",
     "suggest_universal2_constants",
-    "symmetrize",
 ]

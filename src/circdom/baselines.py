@@ -8,8 +8,9 @@ replacement until coverage is complete, seeded through numpy's PCG64 for
 cross-platform determinism; draws come in chunks from the same stream
 and stop at the exact draw a one-at-a-time loop would stop at. It
 scatters whole chunks of draws while many vertices are uncovered, then
-tests the few left against each next draw, as build_W marks the bulk of
-W and tests the few vertices left.
+tests the few left against the next draws with graph._sieve, the kernel
+with which build_W and shift_cover also test the few vertices they
+leave unmarked.
 """
 
 from __future__ import annotations
@@ -18,15 +19,14 @@ import time
 
 import numpy as np
 
+from . import graph
 from .construct import DominationReport, report
-from .graph import (ChordSet, CirculantSpec, VertexSet, shift_cover,
+from .graph import (ChordSet, CirculantSpec, VertexSet, _sieve, shift_cover,
                     shifted_lookup)
 # Not called here; circbench's test_rebound_names_are_restored looks it up.
 from .verify import is_dominating  # noqa: F401
 
 RNG_NAME = "PCG64"
-# Index entries (draws * (k+1)) per chunk of random draws.
-RANDOM_CHUNK_CELLS = 2**16
 
 
 def _greedy_picks(n: int, chords: np.ndarray) -> list[int]:
@@ -71,22 +71,20 @@ def _random_picks(n: int, chords: np.ndarray, seed: int):
     returns: the set of draws up to the first one after which every
     vertex is covered.
 
-    Phase 1 scatters whole chunks of about RANDOM_CHUNK_CELLS hits while
-    at least k + 1 vertices are uncovered, with no gather and no filter:
+    Phase 1 scatters whole chunks of about graph.CELLS hits while at
+    least k + 1 vertices are uncovered, with no gather and no filter:
     most late hits land on covered vertices. It counts the uncovered
     vertices only once the last count minus the hits scattered since, a
     lower bound, is at most k: until then the chunk certainly leaves more
-    than k uncovered, so only a counted chunk can end phase 1 or
-    complete the cover. A draw covers at most k + 1
-    vertices, so below that phase 2 tests the u uncovered vertices
-    against each next draw instead, u cells per draw against k + 1
-    scattered: draw v covers x iff (x - v) mod n is in S u {0}. Each x is
-    dropped at its first hit, and the cover completes at the largest
-    first-hit index over the x left. A chunk that completes the cover in
-    phase 1 (at small n) is undone, by rebuilding the cover of the
-    earlier draws with shift_cover, and replayed through phase 2.
-    Phase 2 tests blocks of at most RANDOM_CHUNK_CELLS cells while fewer
-    vertices than that are uncovered, one draw per block otherwise.
+    than k uncovered, so only a counted chunk can end phase 1 or complete
+    the cover. A draw covers at most k + 1 vertices, so below that phase 2
+    tests the u uncovered vertices against the next draws with _sieve
+    instead, u cells per draw against k + 1 scattered: draw v covers x iff
+    (x - v) mod n is in S u {0}. The cover completes at the draw that
+    drops the last x. A chunk that completes the cover in phase 1 (at
+    small n) is undone, by rebuilding the cover of the earlier draws with
+    shift_cover, and its draws are the first that phase 2 tests; fresh
+    draws follow, graph.CELLS // u of them at a time.
     """
     offsets = np.concatenate(([0], chords))
     rng = np.random.default_rng(seed)
@@ -95,7 +93,7 @@ def _random_picks(n: int, chords: np.ndarray, seed: int):
     draws, uncovered = 0, n  # uncovered: a lower bound, exact when counted
     replay = np.empty(0, dtype=np.int64)
     while uncovered > chords.size:
-        v = rng.integers(0, n, size=max(1, RANDOM_CHUNK_CELLS // offsets.size))
+        v = rng.integers(0, n, size=max(1, graph.CELLS // offsets.size))
         hits = v[:, None] + offsets
         np.subtract(hits, n, out=hits, where=hits >= n)
         covered[hits] = True
@@ -112,21 +110,15 @@ def _random_picks(n: int, chords: np.ndarray, seed: int):
     table = covered  # phase 2 needs only alive: the mask becomes S u {0}
     table[:] = False
     table[offsets] = True
+    v = replay
     while True:
-        size = max(1, RANDOM_CHUNK_CELLS // alive.size)
-        if replay.size:
-            v, replay = replay[:size], replay[size:]
-        else:
-            v = rng.integers(0, n, size=size)
-        hit = shifted_lookup(table, alive, v)
-        missed = ~hit.any(axis=0)
-        if not missed.any():  # argmax: the first draw of v covering each x
-            last = int(hit.argmax(axis=0).max())
-            chosen[v[:last + 1]] = True
-            return chosen, draws + last + 1
-        chosen[v] = True
-        draws += v.size
-        alive = alive[missed]
+        alive, used, _ = _sieve(alive, v,
+                                lambda x, a: shifted_lookup(table, x, a))
+        chosen[v[:used]] = True
+        draws += used
+        if not alive.size:
+            return chosen, draws
+        v = rng.integers(0, n, size=max(1, graph.CELLS // alive.size))
 
 
 def random_dominating(spec: CirculantSpec, seed: int) -> DominationReport:

@@ -115,9 +115,30 @@ def _chords_from_args(args) -> ChordSet:
     )
 
 
+def _universal2_W(n: int, k: int, c: float, C: float, c0: float,
+                  fallback: bool):
+    """(W, the constants (c, C, c0) it was built with, the suggestion they
+    came from or None): construct_universal_2dom at (c, C, c0), or, with
+    fallback, if that raises HypothesisNotMet (c = C = c0 = 1 do at every
+    desk-scale n), at c_max, C_max and c0_max / 2 from
+    suggest_universal2_constants."""
+    try:
+        W = cons.construct_universal_2dom(n, k, c=c, C=C, c0=c0)
+        return W, (c, C, c0), None
+    except HypothesisNotMet:
+        if not fallback:
+            raise
+    sugg = cons.suggest_universal2_constants(n, k)
+    c, C, c0 = sugg.c_max, sugg.C_max, sugg.c0_max / 2
+    W = cons.construct_universal_2dom(n, k, c=c, C=C, c0=c0)
+    return W, (c, C, c0), sugg
+
+
 def _run_method(method: str, spec: CirculantSpec, seed: int | None,
                 c: float = 1.0, C: float = 1.0, c0: float = 1.0,
-                psi: float = 1.0) -> DominationReport:
+                psi: float = 1.0, fallback: bool = False) -> DominationReport:
+    """One method's report; universal2 takes the fallback constants of
+    _universal2_W if fallback is set."""
     n, k = spec.n, spec.k
     if method == "paper":
         return cons.construct_dominating(spec)
@@ -127,7 +148,7 @@ def _run_method(method: str, spec: CirculantSpec, seed: int | None,
         return random_dominating(spec, seed or 0)
     t0 = time.perf_counter()
     if method == "universal2":
-        W = cons.construct_universal_2dom(n, k, c=c, C=C, c0=c0)
+        W, (c, C, c0), _ = _universal2_W(n, k, c, C, c0, fallback)
         return cons.report("universal2", spec, W.elements, 2, t0, {
             "L": W.L, "num_primes": len(W.window), "w_size": W.size,
             "c": c, "C": C, "c0": c0,
@@ -218,16 +239,9 @@ def _audit_exceptional_lines(args):
 def _audit_nu_lines(args):
     for n in args.n_list:
         for k in args.k_list:
-            sugg = cons.suggest_universal2_constants(n, k)
-            c, C, c0 = args.c, args.C, args.c0
-            fallback = False
-            try:
-                W = cons.construct_universal_2dom(n, k, c=c, C=C, c0=c0)
-            except HypothesisNotMet:
-                # defaults fail at desk scale; rerun with the feasible constants
-                fallback = True
-                c, C, c0 = sugg.c_max, sugg.C_max, sugg.c0_max / 2
-                W = cons.construct_universal_2dom(n, k, c=c, C=C, c0=c0)
+            W, (c, C, c0), used = _universal2_W(n, k, args.c, args.C,
+                                                args.c0, fallback=True)
+            sugg = used or cons.suggest_universal2_constants(n, k)
             for trial in range(args.trials):
                 seed = args.seed + trial
                 S = random_chord_set(n, k, seed)
@@ -239,7 +253,7 @@ def _audit_nu_lines(args):
                     "check": "nu", "n": n, "k": k, "trial": trial,
                     "seed": seed, "L": W.L, "w_size": W.size,
                     "min_nu": min_nu, "two_dominates": dominated,
-                    "used_fallback_constants": fallback,
+                    "used_fallback_constants": used is not None,
                     "c": c, "C": C, "c0": c0,
                     "c_max": sugg.c_max, "C_max": sugg.C_max,
                     "c0_max": sugg.c0_max,
@@ -266,7 +280,7 @@ def _bench_row(task) -> dict:
     record = {"n": n, "k": k, "method": method, "seed": seed}
     try:
         spec = CirculantSpec(n, random_chord_set(n, k, seed))
-        doc = report_to_dict(_run_method(method, spec, seed),
+        doc = report_to_dict(_run_method(method, spec, seed, fallback=True),
                              no_timing=no_timing)
         record = {**doc["parameters"], **doc, **record, "ratio_vs_envelope":
                   doc["size"] / cons.dom_size_envelope(n, k)}

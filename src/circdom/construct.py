@@ -24,7 +24,8 @@ from .errors import (
     HypothesisNotMet,
     InexactCounts,
 )
-from .graph import ChordSet, CirculantSpec, VertexSet, shift_cover
+from . import graph
+from .graph import ChordSet, CirculantSpec, VertexSet, _sieve, shift_cover
 from .primes import PrimeWindow, primes_in_window
 from .verify import is_dominating
 
@@ -33,8 +34,6 @@ BISECT_ITERS = 200
 LAMBDA_RTOL = 1e-9
 # FFT representation counts must lie closer than this to an integer.
 COUNT_ROUND_TOL = 0.25
-# build_W multiplies in blocks of about BLOCK_CELLS products.
-BLOCK_CELLS = 2**16
 # build_W tests the vertices left unmarked after its first round of primes,
 # instead of marking the rest, when fewer than TEST_BELOW_L * L are left.
 TEST_BELOW_L = 2
@@ -172,10 +171,23 @@ def first_round(n: int, L: int) -> int:
     return int(1.25 * m * math.log(m))
 
 
+def _buffers(cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two flat int64 buffers of cells each, cut from one allocation with
+    the second starting half a 4 KiB page (mod 4 KiB) past the first.
+    Two separate large allocations start at one offset into a page, so
+    v[i] and q[i] would share their low 12 address bits, and the loads and
+    stores of _products_mod stall on 4K aliasing: that cost build_W ~3%
+    at n = 10^6, k = 100 on a 2-vCPU Xeon."""
+    start = -(-cells // 512) * 512 + 256
+    buf = np.empty(start + cells, dtype=np.int64)
+    return buf[:cells], buf[start:]
+
+
 def _products_mod(a: np.ndarray, b: np.ndarray, n: int, v: np.ndarray,
                   q: np.ndarray) -> np.ndarray:
     """a[:, None] * b mod n, written into the leading cells of the flat
-    int64 buffers v and q and returned as a view of v.
+    int64 buffers v and q, or of a fresh pair when it has more cells, and
+    returned as a view of the first.
 
     Reduced in place as v - (v // n) * n: numpy floor-divides an int64
     array by a scalar with a precomputed multiplier (libdivide), while its
@@ -183,6 +195,8 @@ def _products_mod(a: np.ndarray, b: np.ndarray, n: int, v: np.ndarray,
     stay below 2^63.
     """
     shape, size = (a.size, b.size), a.size * b.size
+    if size > v.size:
+        v, q = _buffers(size)
     t, tq = v[:size].reshape(shape), q[:size].reshape(shape)
     np.multiply(a[:, None], b, out=t)
     np.floor_divide(t, n, out=tq)
@@ -191,49 +205,24 @@ def _products_mod(a: np.ndarray, b: np.ndarray, n: int, v: np.ndarray,
     return t
 
 
-def _test_unmarked(members: np.ndarray, primes: np.ndarray, L: int,
-                   v: np.ndarray, q: np.ndarray) -> int:
-    """Turn members, W's mask over all but these primes, into W's mask.
-
-    x is in W iff x * ell mod n lies in [1, L] for some prime ell of the
-    window: multiply x = k * inv(ell) by the unit ell. So each unmarked
-    x != 0 (0 is never k * inv(ell)) is tested against blocks of primes,
-    at most v.size (candidate, prime) cells at a time (x * ell < 2L * n <
-    2^63), and dropped once a product lands in [1, L]; the survivors and
-    0 are the complement of W. More candidates than v.size get one fresh
-    pair of buffers and one prime per block. members is inverted in
-    place to find the candidates, so no n-byte temporary is made.
-    Returns the number of (candidate, prime) cells tested.
-    """
-    n, cells = members.size, v.size
-    alive = np.flatnonzero(np.logical_not(members, out=members))[1:]
-    if alive.size > cells:
-        v, q = np.empty_like(alive), np.empty_like(alive)
-    checks, i = 0, 0
-    while i < primes.size and alive.size:
-        block = primes[i:i + max(1, cells // alive.size)]
-        i += block.size
-        checks += block.size * alive.size
-        alive = alive[~(_products_mod(block, alive, n, v, q) <= L).any(axis=0)]
-    members[:] = True
-    members[0] = members[alive] = False
-    return checks
-
-
 def build_W(n: int, L: int) -> WSet:
     """The set {k * inv(ell) mod n : (k, ell) in [1, L] x window(L, n)}.
 
     Phase 1 marks: one modular inverse per prime, then _products_mod over
-    blocks of inverses times [1, L], about BLOCK_CELLS cells each, exact
+    blocks of inverses times [1, L], about graph.CELLS cells each, exact
     as k * inv < L * n < 2^63, each block scattered into one mask.
 
     Phase 1 marks first_round(n, L) primes, then counts the unmarked
-    vertices. If fewer than TEST_BELOW_L * L are left, phase 2 tests just
-    those against the remaining primes (_test_unmarked);
-    otherwise phase 1 marks the rest of the window. Under 4L^2 < n at
-    most L^2 < n / 4 vertices are ever marked, so phase 2 never runs. For
-    L >= n the multiples of any unit already sweep all of Z_n, so the
-    full set is returned directly.
+    vertices. If TEST_BELOW_L * L or more are left, it marks the rest of
+    the window. Otherwise phase 2 tests just those against the remaining
+    primes with _sieve: x is in W iff x * ell mod n lies in [1, L] for
+    some prime ell of the window (multiply x = k * inv(ell) by the unit
+    ell; x * ell < 2L * n < 2^63). 0 is never k * inv(ell), and never a
+    candidate, since its products 0 would count as hits. The candidates
+    come from inverting the mask in place, so no n-byte temporary is made.
+    Under 4L^2 < n at most L^2 < n / 4 vertices are ever marked, so
+    phase 2 never runs. For L >= n the multiples of any unit already
+    sweep all of Z_n, so the full set is returned directly.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -244,9 +233,10 @@ def build_W(n: int, L: int) -> WSet:
     if L >= n:
         return WSet(n=n, L=L, elements=VertexSet.full(n), window=window)
     ks = np.arange(1, L + 1, dtype=np.int64)
-    rows = max(1, min(len(primes), BLOCK_CELLS // L))
+    rows = max(1, min(len(primes), graph.CELLS // L))
     members = np.zeros(n, dtype=bool)
-    v, q = np.empty(rows * L, dtype=np.int64), np.empty(rows * L, dtype=np.int64)
+    # room for a phase-1 block (rows * L cells) and a CELLS phase-2 block
+    v, q = _buffers(max(graph.CELLS, L))
 
     def mark_primes(chunk) -> None:
         invs = np.array([pow(ell, -1, n) for ell in chunk], dtype=np.int64)
@@ -259,8 +249,14 @@ def build_W(n: int, L: int) -> WSet:
             and n - np.count_nonzero(members) >= TEST_BELOW_L * L):
         mark_primes(primes[marked:])
         marked = len(primes)
-    checks = _test_unmarked(members, np.array(primes[marked:], dtype=np.int64),
-                            L, v, q) if marked < len(primes) else 0
+    checks = 0
+    if marked < len(primes):
+        alive = np.flatnonzero(np.logical_not(members, out=members))[1:]
+        alive, _, checks = _sieve(
+            alive, np.array(primes[marked:], dtype=np.int64),
+            lambda x, ell: _products_mod(ell, x, n, v, q) <= L)
+        members[:] = True
+        members[0] = members[alive] = False
     return WSet(n=n, L=L, elements=VertexSet(n, members), window=window,
                 marks=L * marked, checks=checks)
 

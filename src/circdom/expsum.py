@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import centered_residue, mod_inv
 from .construct import WSet, _require_scale, build_W
 from .errors import AuditTooLarge
-from .primes import PrimeWindow
 
 AUDIT_CAP = 2**22
 # Float error allowed per element of W, in the argmax tie-break and the
@@ -100,22 +98,3 @@ def parseval_sum(n: int, W: WSet) -> float:
     mags = _magnitudes(W)
     return float(mags @ mags)
 
-
-def centered_profile(n: int, a: int, window: PrimeWindow) -> list[tuple[int, int]]:
-    """(ell, centered a/ell mod n) for every prime in the window.
-
-    These centered values drive the dyadic counts in the sum bound's
-    proof; histogram them by bands [e^j, e^{j+1}) for diagnostics.
-    """
-    return [
-        (ell, centered_residue(a * mod_inv(ell, n), n)) for ell in window.primes
-    ]
-
-
-def dyadic_histogram(profile: list[tuple[int, int]]) -> dict[int, int]:
-    """Counts of |centered value| per dyadic-in-e band floor(ln |rho|)."""
-    hist: dict[int, int] = {}
-    for _, rho in profile:
-        j = -1 if rho == 0 else int(math.floor(math.log(abs(rho))))
-        hist[j] = hist.get(j, 0) + 1
-    return hist

@@ -9,7 +9,7 @@ S by -S recovers the other one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +21,18 @@ from .errors import ChordFileError, InvalidChord
 # dense sets saturate within 4. It then counts the unmarked vertices. While
 # at least n / TEST_BELOW_SHARE are left it ORs chords as packed 64-bit
 # words (_or_words), counting every COUNT_EVERY chords; below that it tests
-# just the unmarked vertices against the remaining chords (_test_unmarked),
-# in blocks of TEST_CELLS (vertex, chord) cells. At n = 10^6 on a 2-vCPU
-# Xeon a tested cell costs 3.6 ns, and ORing a chord costs 0.07 ns a vertex
-# as bytes and ~0.006 ns as words, so below about n / 600 unmarked vertices
-# testing a chord costs less than ORing its words even when no tested
-# vertex is hit. Shares from 256 to 1024 timed the same within ~5%.
+# just the unmarked vertices against the remaining chords (_sieve). At
+# n = 10^6 on a 2-vCPU Xeon a tested cell costs 3.6 ns, and ORing a chord
+# costs 0.07 ns a vertex as bytes and ~0.006 ns as words, so below about
+# n / 600 unmarked vertices testing a chord costs less than ORing its words
+# even when no tested vertex is hit. Shares from 256 to 1024 timed the same
+# within ~5%.
 COUNT_EVERY = 16
 TEST_BELOW_SHARE = 512
-TEST_CELLS = 2**16
+# _sieve tests blocks of at most CELLS (item, candidate) cells; build_W
+# multiplies and the random baseline draws in blocks of about as many.
+# Other modules read it as graph.CELLS, so all see one value.
+CELLS = 2**16
 WORD = np.dtype("<u8")  # bit x of a packed mask: bit x % 64 of word x // 64
 
 
@@ -135,18 +138,6 @@ class VertexSet:
         return f"VertexSet(n={self.n}, size={self.size})"
 
 
-def symmetrize(values, n: int) -> ChordSet:
-    """Close a chord list under s -> n - s, deduplicate, and sort."""
-    out = set()
-    for t in values:
-        t = t % n
-        if t == 0:
-            raise InvalidChord("chord congruent to 0 mod n")
-        out.add(t)
-        out.add(n - t)
-    return ChordSet(n, tuple(sorted(out)))
-
-
 def shifted_lookup(table: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """table[(x - a) mod n] for every pair, n = table.size: row i for a[i],
     column j for x[j].
@@ -159,24 +150,28 @@ def shifted_lookup(table: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarra
     return table[d]
 
 
-def _test_unmarked(covered: np.ndarray, sources: np.ndarray,
-                   chords: np.ndarray) -> None:
-    """Mark each unmarked x with sources[(x - s) mod n] set for some s in
-    chords: x = v + s for a source v.
+def _sieve(alive: np.ndarray, items: np.ndarray,
+           hit) -> tuple[np.ndarray, int, int]:
+    """Drop each candidate of alive at its first hit among items; return
+    (the candidates left, the items used, the cells tested).
 
-    Tests blocks of at most TEST_CELLS (candidate, chord) cells, and
-    drops each candidate once it is hit. Only above n = 2^23 can the
-    candidates (fewer than n / TEST_BELOW_SHARE) outnumber TEST_CELLS;
-    then a block holds one chord.
+    hit(alive, block) is the (block.size, alive.size) boolean table of
+    which item hits which candidate. A block holds at most CELLS cells, or
+    one item while more than CELLS candidates are left. The items used run
+    through the item that drops the last candidate, or to the end if any
+    candidate is left; with no candidates, none is used.
     """
-    alive = np.flatnonzero(~covered)
-    i = 0
-    while i < chords.size and alive.size:
-        block = chords[i:i + max(1, TEST_CELLS // alive.size)]
+    i = tested = 0
+    while i < items.size and alive.size:
+        block = items[i:i + max(1, CELLS // alive.size)]
+        table = hit(alive, block)
+        tested += table.size
+        missed = ~table.any(axis=0)
+        if not missed.any():  # argmax: the first item hitting each candidate
+            return alive[missed], i + int(table.argmax(axis=0).max()) + 1, tested
         i += block.size
-        hit = shifted_lookup(sources, alive, block).any(axis=0)
-        covered[alive[hit]] = True
-        alive = alive[~hit]
+        alive = alive[missed]
+    return alive, i, tested
 
 
 def _pack(mask: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -249,10 +244,10 @@ def shift_cover(covered: np.ndarray, sources: np.ndarray, chords) -> np.ndarray:
     chord after which every vertex is marked: dense sources saturate after
     a few chords. Then the unmarked vertices are counted; while at least
     n / TEST_BELOW_SHARE are left, _or_words ORs further chords as packed
-    64-bit words, 8 vertices a byte. Once fewer are left, _test_unmarked
-    tests just those against the remaining chords. Every stage marks x iff
-    x - s is a source for some chord s, and OR is order-free, so the result
-    does not depend on where the switches fall.
+    64-bit words, 8 vertices a byte. Once fewer are left, _sieve tests
+    just those against the remaining chords, each x against sources[x - s].
+    Every stage marks x iff x - s is a source for some chord s, and OR is
+    order-free, so the result does not depend on where the switches fall.
     """
     if np.may_share_memory(covered, sources):
         raise ValueError("covered and sources must not share memory")
@@ -265,8 +260,11 @@ def shift_cover(covered: np.ndarray, sources: np.ndarray, chords) -> np.ndarray:
     rest = np.asarray(chords[COUNT_EVERY:], dtype=np.int64)
     if rest.size and TEST_BELOW_SHARE * (n - np.count_nonzero(covered)) >= n:
         rest = _or_words(covered, sources, rest)
-    if rest.size:
-        _test_unmarked(covered, sources, rest)
+    if rest.size:  # covered is inverted in place: no n-byte temporary
+        alive = np.flatnonzero(np.logical_not(covered, out=covered))
+        left = _sieve(alive, rest, lambda x, a: shifted_lookup(sources, x, a))[0]
+        covered[:] = True
+        covered[left] = False
     return covered
 
 

@@ -1,4 +1,4 @@
-"""Prime windows [L+1, 2L] and distinct-prime-divisor counts.
+"""Prime windows [L+1, 2L].
 
 The window is the primes above L of one sieve of Eratosthenes up to 2L.
 Divisors of n are dropped from the window on the way out.
@@ -47,20 +47,3 @@ def primes_in_window(L: int, n: int) -> PrimeWindow:
     coprime = tuple(primes[np.gcd(primes, n) == 1].tolist())
     return PrimeWindow(L=L, n=n, primes=coprime)
 
-
-def distinct_prime_divisors(n: int) -> int:
-    """omega(n): the number of distinct primes dividing n (trial division)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    count = 0
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            count += 1
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        count += 1
-    return count

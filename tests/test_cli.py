@@ -356,13 +356,31 @@ def test_bench_row_is_construct_record(method, capsys):
 @pytest.mark.parametrize("timing", [[], ["--no-timing"]],
                          ids=["timed", "no-timing"])
 def test_bench_error_row_cells_empty(timing, capsys):
-    rc = main(["bench", "--n-list", "1000", "--k-list", "25",
+    # at n = 16 even universal2's fallback constants fail: L = 1 leaves
+    # no prime in [2, 2] coprime to n
+    rc = main(["bench", "--n-list", "16", "--k-list", "3",
                "--methods", "universal2,greedy", *timing])
     failed, passed = csv.DictReader(io.StringIO(capsys.readouterr().out))
     assert rc == 0
-    assert failed["error"].startswith("HypothesisNotMet: k=25 below")
+    assert failed["error"].startswith("EmptyPrimeWindow: no primes in [2, 2]")
     assert all(failed[c] == "" for c in BENCH_COLUMNS[4:-1])  # wall_ms too
     assert passed["error"] == "" and passed["wall_ms"] != ""
+
+
+def test_bench_universal2_falls_back_as_audit_nu(capsys):
+    # c = C = c0 = 1 fail at n = 10^4, k = 2000: bench builds W at the
+    # constants audit --check nu falls back to; construct keeps exit 2
+    grid = ["--n-list", "10000", "--k-list", "2000"]
+    assert main(["bench", *grid, "--methods", "universal2", "--no-timing"]) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert main(["audit", "--check", "nu", *grid]) == 0
+    (line,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert line["used_fallback_constants"] and line["two_dominates"]
+    assert row["error"] == "" and row["verified"] == "True"
+    assert int(row["L"]) == line["L"]
+    assert int(row["size"]) == int(row["w_size"]) == line["w_size"]
+    assert main(["construct", "--n", "10000", "--random-chords", "2000",
+                 "--seed", "0", "--method", "universal2"]) == 2
 
 
 def test_import_loads_no_process_pool_or_fft():

@@ -195,7 +195,7 @@ def test_build_w_tested_primes_match_naive(n, frac):
     "n,L", [(10**5, 97), (2**17, 3000), (99991, 2), (101, 3), (17, 20)]
 )
 def test_build_w_threaded_matches_hardware_modulo(monkeypatch, cpus, n, L):
-    monkeypatch.setattr(construct, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(graph, "CELLS", 1)
     start_together = threading.Barrier(cpus)
     results = [None] * cpus
 
@@ -219,21 +219,31 @@ def test_build_w_threaded_matches_hardware_modulo(monkeypatch, cpus, n, L):
         assert np.array_equal(W.elements.members, expected)
 
 
+def test_products_buffers_half_a_page_apart():
+    # disjoint, of the size asked, and never at one offset into a page
+    for cells in (1, 7, 256, 511, 512, 2**16, 70_001):
+        v, q = construct._buffers(cells)
+        assert v.size == q.size == cells and not np.shares_memory(v, q)
+        assert (q.ctypes.data - v.ctypes.data) % 4096 == 2048
+
+
 def test_build_w_tests_unmarked_only_past_card_hypothesis(monkeypatch):
     # phase 2 runs at the paper instances with k = 100, and never when
     # 4L^2 < n: then at most L^2 < n / 4 vertices are marked
     calls = []
-    kernel = construct._test_unmarked
+    kernel = construct._sieve
 
-    def spy(members, primes, L, v, q):
-        calls.append((members.size, L))
-        return kernel(members, primes, L, v, q)
+    def spy(alive, primes, hit):
+        calls.append(primes.tolist())
+        return kernel(alive, primes, hit)
 
-    monkeypatch.setattr(construct, "_test_unmarked", spy)
+    monkeypatch.setattr(construct, "_sieve", spy)
     for n in (12_500, 25_000, 50_000, 100_000):
         L = solve_lambda(n, 100).L
         W = build_W(n, L)
-        assert calls[-1] == (n, L) and W.checks > 0
+        # the call tested this window's primes past the first round
+        assert calls[-1] == list(W.window.primes[construct.first_round(n, L):])
+        assert W.checks > 0
         assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
     calls.clear()
     nu = suggest_universal2_constants(10**4, 2000)
@@ -338,13 +348,13 @@ def test_cover_at_scale_matches_index_scatter(kind):
 def test_cover_tests_sparse_sets_only(monkeypatch):
     # the paper's dense covers (exceptional_set, the verification) saturate
     # before shift_cover's first count; the sparse random sets switch
-    tested, test_unmarked = [], graph._test_unmarked
+    tested, sieve = [], graph._sieve
 
-    def spy(covered, sources, chords):
+    def spy(alive, chords, hit):
         tested.append(chords.size)
-        test_unmarked(covered, sources, chords)
+        return sieve(alive, chords, hit)
 
-    monkeypatch.setattr(graph, "_test_unmarked", spy)
+    monkeypatch.setattr(graph, "_sieve", spy)
     for n, k in ((10**6, 100), (10**6, 1000)):
         spec = CirculantSpec(n, random_chord_set(n, k, 1))
         rep = construct_dominating(spec)

@@ -2,20 +2,16 @@ import math
 
 import pytest
 
-from circdom.arith import centered_residue
 from circdom.construct import MIN_N, build_W
 from circdom.errors import AuditTooLarge, DegenerateInstance
 from circdom.expsum import (
     AUDIT_CAP,
     FFT_TOL_PER_ELEMENT,
-    centered_profile,
-    dyadic_histogram,
     exp_sum_W,
     expsum_audit,
     expsum_bound,
     parseval_sum,
 )
-from circdom.primes import primes_in_window
 
 from conftest import naive_exp_sum
 
@@ -93,20 +89,3 @@ def test_parseval_identity():
         total = parseval_sum(n, W)
         assert total == pytest.approx(n * W.size, rel=1e-6)
 
-
-def test_centered_profile_101():
-    window = primes_in_window(3, 101)
-    prof = centered_profile(101, 1, window)
-    assert prof == [(5, -20)]  # inv(5) = 81, centered: 81 - 101
-
-
-def test_centered_profile_ranges_and_histogram():
-    n = 1009
-    window = primes_in_window(10, n)
-    prof = centered_profile(n, 17, window)
-    assert len(prof) == len(window)
-    for ell, rho in prof:
-        assert -n / 2 < rho <= n / 2
-        assert centered_residue(17 * pow(ell, -1, n), n) == rho
-    hist = dyadic_histogram(prof)
-    assert sum(hist.values()) == len(window)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circdom import graph
-from circdom.errors import ChordFileError, InvalidChord
+from circdom.errors import ChordFileError
 from circdom.graph import (
     ChordSet,
     CirculantSpec,
@@ -12,7 +12,6 @@ from circdom.graph import (
     coverage,
     load_chord_file,
     shift_cover,
-    symmetrize,
 )
 
 from conftest import naive_coverage, naive_shift_cover, random_subset
@@ -31,27 +30,6 @@ small_instances = st.integers(min_value=2, max_value=40).flatmap(
         st.integers(1, 3),
     )
 )
-
-
-def test_symmetrize_examples():
-    assert symmetrize([1], 9).chords == (1, 8)
-    assert symmetrize([5], 10).chords == (5,)  # self-paired fixed point
-    assert symmetrize([2, 3], 10).chords == (2, 3, 7, 8)
-
-
-def test_symmetrize_rejects_zero():
-    with pytest.raises(InvalidChord):
-        symmetrize([9], 9)
-
-
-@given(small_instances)
-@settings(max_examples=100)
-def test_symmetrize_is_symmetric(inst):
-    n, chords, _, _ = inst
-    cs = symmetrize(chords, n)
-    assert cs.symmetric
-    members = set(cs.chords)
-    assert all((n - s) % n in members for s in members)
 
 
 def test_chordset_symmetric_flag():
@@ -98,6 +76,63 @@ def test_shift_cover_rejects_aliased_masks():
         True, True, True, False, False, False, False, False]
 
 
+def sieve_instances():
+    """(hits, alive, items): hits[item, candidate] says which item hits
+    which candidate; alive and items are distinct indices into it. Empty
+    items, no candidates, hits too sparse to drop every candidate, and
+    more candidates than 2^16."""
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        m, size = int(rng.integers(0, 120)), int(rng.integers(0, 40))
+        hits = rng.random((size + 5, m + 5)) < rng.choice([0.02, 0.1, 0.5])
+        alive = np.sort(rng.choice(m + 5, size=m, replace=False))
+        yield hits, alive, rng.permutation(size + 5)[:size]
+    hits = rng.random((6, 70_000)) < 0.6
+    yield hits, np.arange(70_000), np.arange(6)
+    yield hits, np.arange(0), np.arange(6)
+    yield hits, np.arange(9), np.arange(0)
+
+
+def naive_first_hits(hits, alive, items):
+    """Per candidate, the position in items of the first item hitting it,
+    or None."""
+    return [next((j for j, ell in enumerate(items) if hits[ell, x]), None)
+            for x in alive]
+
+
+@pytest.mark.parametrize("cells", [1, 7, 2**16])
+def test_sieve_matches_first_hit_loop(cells, monkeypatch):
+    monkeypatch.setattr(graph, "CELLS", cells)
+    seen = set()
+    for hits, alive, items in sieve_instances():
+        blocks = []
+
+        def hit(x, block):
+            blocks.append((x.size, block.size))
+            return hits[block][:, x]
+
+        left, used, tested = graph._sieve(alive, items, hit)
+        first = naive_first_hits(hits, alive, items)
+        assert left.tolist() == [x for x, j in zip(alive, first) if j is None]
+        if left.size or not alive.size:
+            assert used == (items.size if alive.size else 0)
+        else:
+            assert used == 1 + max(first)
+        # a candidate is tested at least through its first hit, and in
+        # blocks of at most CELLS cells, or one item while more are left
+        lower = sum(items.size if j is None else j + 1 for j in first)
+        assert tested == sum(m * size for m, size in blocks) >= lower
+        assert all(size == 1 or m * size <= cells for m, size in blocks)
+        sizes = [size for _, size in blocks]  # the last holds item used - 1
+        assert sum(sizes[:-1]) < used <= sum(sizes) if blocks else used == 0
+        if cells == 1:
+            assert tested == lower
+        seen |= {"no items" if not items.size else "items",
+                 "more than CELLS" if alive.size > cells else "at most CELLS",
+                 "some left" if left.size else "none left"}
+    assert len(seen) == 6, seen
+
+
 def cover_instances():
     """(n, chords, sources): sparse sources, and sources with planted holes,
     vertices x whose coverers x - (S u {0}) are all cleared."""
@@ -113,7 +148,7 @@ def cover_instances():
         yield n, chords, holes
 
 
-# (COUNT_EVERY, TEST_BELOW_SHARE, TEST_CELLS): switch after the first chord
+# (COUNT_EVERY, TEST_BELOW_SHARE, CELLS): switch after the first chord
 # in one-cell or whole blocks, or on a count below n / 4 or n / 2 in small
 # blocks (the shipped n / 512 needs larger n, see test_construct)
 @pytest.mark.parametrize("every, share, cells", [
@@ -122,14 +157,14 @@ def test_shift_cover_testing_phase_matches_naive(every, share, cells,
                                                   monkeypatch):
     monkeypatch.setattr(graph, "COUNT_EVERY", every)
     monkeypatch.setattr(graph, "TEST_BELOW_SHARE", share)
-    monkeypatch.setattr(graph, "TEST_CELLS", cells)
-    tested, test_unmarked = [], graph._test_unmarked
+    monkeypatch.setattr(graph, "CELLS", cells)
+    tested, sieve = [], graph._sieve
 
-    def spy(covered, sources, chords):
+    def spy(alive, chords, hit):
         tested.append(chords.size)
-        test_unmarked(covered, sources, chords)
+        return sieve(alive, chords, hit)
 
-    monkeypatch.setattr(graph, "_test_unmarked", spy)
+    monkeypatch.setattr(graph, "_sieve", spy)
     undominated = 0
     for n, chords, sources in cover_instances():
         got = shift_cover(sources.copy(), sources, chords)
@@ -169,18 +204,18 @@ def test_shift_cover_word_phase_matches_naive(monkeypatch):
     # every way through the stages, by patching the count interval and the
     # testing share: saturating within the byte chords, testing after them,
     # ORing words to the last chord or to saturation, words then testing
-    stages, or_words, test_unmarked = [], graph._or_words, graph._test_unmarked
+    stages, or_words, sieve = [], graph._or_words, graph._sieve
 
     def spy_words(covered, sources, chords):
         stages.append("words")
         return or_words(covered, sources, chords)
 
-    def spy_test(covered, sources, chords):
+    def spy_test(alive, chords, hit):
         stages.append("test")
-        test_unmarked(covered, sources, chords)
+        return sieve(alive, chords, hit)
 
     monkeypatch.setattr(graph, "_or_words", spy_words)
-    monkeypatch.setattr(graph, "_test_unmarked", spy_test)
+    monkeypatch.setattr(graph, "_sieve", spy_test)
     paths = set()
     for every, share in ((1, 2**40), (3, 4), (graph.COUNT_EVERY, 2),
                          (graph.COUNT_EVERY, graph.TEST_BELOW_SHARE)):
@@ -223,7 +258,7 @@ def test_coverage_monotone_and_composes(inst):
 @settings(max_examples=80)
 def test_symmetric_coverage_direction_free(inst):
     n, chords, dset, r = inst
-    cs = symmetrize(chords, n)
+    cs = ChordSet(n, tuple(sorted({*chords, *(n - s for s in chords)})))
     spec = CirculantSpec(n, cs)
     neg = ChordSet(n, tuple(sorted((n - s) % n for s in cs.chords)))
     assert neg.chords == cs.chords  # symmetric: -S == S, membership-level

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circdom.primes import distinct_prime_divisors, primes_in_window
+from circdom.primes import primes_in_window
 
 
 def test_window_all_divide_n():
@@ -38,18 +38,6 @@ def test_window_matches_sympy(L, n):
 @pytest.mark.parametrize("n", [101, 2 * 3 * 5 * 7 * 11, 10**6])
 def test_window_pnt_sanity_band(L, n):
     count = len(primes_in_window(L, n))
-    omega = distinct_prime_divisors(n)
+    omega = len(sympy.primefactors(n))
     assert count >= 0.5 * L / math.log(2 * L) - omega
 
-
-def test_distinct_prime_divisors():
-    assert distinct_prime_divisors(101) == 1
-    assert distinct_prime_divisors(12) == 2
-    assert distinct_prime_divisors(210) == 4
-    assert distinct_prime_divisors(2**20) == 1
-
-
-@given(st.integers(min_value=2, max_value=10**6))
-@settings(max_examples=60)
-def test_omega_matches_sympy(n):
-    assert distinct_prime_divisors(n) == len(sympy.primefactors(n))
