@@ -16,10 +16,13 @@ tree's run-to-run spread), the set sizes and random draws (which must
 agree across trees), each tree's build_W work counters (cells marked,
 candidate x prime cells tested), the chords the verification of the
 random set ORs before it switches to testing the vertices left (null
-where that pass never switches, or the tree has no testing phase) and
-how many of them it ORs as packed words (null where the tree has no
-word phase or the pass never enters it), and the machine. Run from the
-repo root, e.g. against a checkout of a base commit in ../base:
+where that pass never switches, or the tree has no testing phase), how
+many of them it ORs as packed words (null where the tree has no word
+phase or the pass never enters it), the draws of the prefix that the
+random baseline covers in bulk and how many prefixes it drew again
+because they covered Z_n (null where the tree covers no prefix), and
+the machine. Run from the repo root, e.g. against a checkout of a base
+commit in ../base:
 
     python3 scripts/run_bench.py --tree before=../base/src --tree after=src \\
         --out BENCH_build_w.json
@@ -76,7 +79,7 @@ def steal_frac(before: list[int] | None, after: list[int] | None) -> float | Non
 def measure(src: str) -> list[dict]:
     """PASSES timed passes over the grid with the circdom package in src."""
     sys.path.insert(0, src)
-    from circdom import construct, graph
+    from circdom import baselines, construct, graph
     from circdom.baselines import random_chord_set, random_dominating
     from circdom.cli import main
     from circdom.graph import CirculantSpec
@@ -107,6 +110,7 @@ def measure(src: str) -> list[dict]:
                      "draws": rand.parameters["draws"],
                      **cover_counters(
                          graph, lambda: is_dominating(spec, rand.D), k),
+                     **prefix_counters(baselines, spec),
                      # a tree without counters marks every prime
                      "marks": getattr(W, "marks", L * primes),
                      "checks": getattr(W, "checks", 0),
@@ -169,6 +173,28 @@ def cover_counters(graph, verify, k: int) -> dict:
             "ored_as_words": worded[0] if worded else None}
 
 
+def prefix_counters(baselines, spec) -> dict:
+    """The draws of the prefix random_dominating keeps, and the prefixes
+    it drew before that one because they covered Z_n: one shift_cover
+    call each. A tree without baselines.prefix_draws gives None."""
+    if not hasattr(baselines, "prefix_draws"):
+        return {"prefix_draws": None, "prefix_redraws": None}
+    covers, cover = [], baselines.shift_cover
+
+    def spy(*args):
+        covers.append(1)
+        return cover(*args)
+
+    baselines.shift_cover = spy
+    try:
+        baselines.random_dominating(spec, RANDOM_SEED)
+    finally:
+        baselines.shift_cover = cover
+    left = baselines.PREFIX_LEFT * (spec.k + 1) * 2 ** (len(covers) - 1)
+    return {"prefix_draws": baselines.prefix_draws(spec.n, spec.k, left),
+            "prefix_redraws": len(covers) - 1}
+
+
 def run_tree(src: str) -> list[dict]:
     res = subprocess.run([sys.executable, __file__, "--measure", src],
                          capture_output=True, text=True, check=True)
@@ -194,7 +220,8 @@ def summarise(trees: dict[str, str], passes: dict[str, list]) -> list[dict]:
                     raise SystemExit(
                         f"error: {key} differs across trees at n={n}, k={k}")
             point[name] = {key: rows[0][key] for key in (
-                "marks", "checks", "ored_before_switch", "ored_as_words")}
+                "marks", "checks", "ored_before_switch", "ored_as_words",
+                "prefix_draws", "prefix_redraws")}
             for key in ("build_w_wall_ms", "build_w_cpu_ms",
                         "construct_wall_ms", "random_wall_ms",
                         "verify_wall_ms"):

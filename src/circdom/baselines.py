@@ -6,15 +6,16 @@ so a round costs O(n + |newly covered| * (k+1)) instead of a full
 recount. The randomized baseline samples vertices uniformly with
 replacement until coverage is complete, seeded through numpy's PCG64 for
 cross-platform determinism; draws come in chunks from the same stream
-and stop at the exact draw a one-at-a-time loop would stop at. It
-scatters whole chunks of draws while many vertices are uncovered, then
-tests the few left against the next draws with graph._sieve, the kernel
-with which build_W and shift_cover also test the few vertices they
-leave unmarked.
+and stop at the exact draw a one-at-a-time loop would stop at. It covers
+a prefix of the draws in one graph.shift_cover pass, then tests the few
+vertices left against the next draws with graph._sieve, the kernel with
+which build_W and shift_cover also test the few vertices they leave
+unmarked.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -27,6 +28,12 @@ from .graph import (ChordSet, CirculantSpec, VertexSet, _sieve, shift_cover,
 from .verify import is_dominating  # noqa: F401
 
 RNG_NAME = "PCG64"
+# The random baseline's prefix leaves about PREFIX_LEFT * (k + 1) vertices
+# uncovered in expectation. A smaller share draws more, at one scattered
+# cell a draw, and tests fewer, but more often covers Z_n and draws again:
+# at n = 10^6 on a 2-vCPU Xeon, shares 1, 1/2 and 1/4 took 30, 23 and 19 ms
+# at k = 1000, and 126, 185 and 279 ms at k = 1 (medians, draw seeds 1-8).
+PREFIX_LEFT = 0.25
 
 
 def _greedy_picks(n: int, chords: np.ndarray) -> list[int]:
@@ -63,62 +70,55 @@ def greedy_dominating(spec: CirculantSpec) -> DominationReport:
                   {"rounds": len(picks)})
 
 
+def prefix_draws(n: int, k: int, left: float) -> int:
+    """Draws after which about left vertices are expected to be uncovered:
+    a draw misses a given vertex with probability 1 - (k + 1) / n. 0 when
+    left >= n, or k + 1 >= n, where one draw may cover Z_n."""
+    if k + 1 >= n or left >= n:
+        return 0
+    return math.floor(math.log(n / left) / -math.log1p(-(k + 1) / n))
+
+
 def _random_picks(n: int, chords: np.ndarray, seed: int):
     """(membership of the drawn vertices, number of draws) until covered.
 
-    Draws come from rng.integers(0, n, size=B) in chunks, the same stream
-    as B scalar draws, and the result is what a one-draw-at-a-time loop
-    returns: the set of draws up to the first one after which every
-    vertex is covered.
+    The result is what a one-draw-at-a-time loop returns: the set of draws
+    up to the first one after which every vertex is covered. Draws come
+    from rng.integers(0, n, size=B) in chunks of at most graph.CELLS, the
+    same stream as B scalar draws.
 
-    Phase 1 scatters whole chunks of about graph.CELLS hits while at
-    least k + 1 vertices are uncovered, with no gather and no filter:
-    most late hits land on covered vertices. It counts the uncovered
-    vertices only once the last count minus the hits scattered since, a
-    lower bound, is at most k: until then the chunk certainly leaves more
-    than k uncovered, so only a counted chunk can end phase 1 or complete
-    the cover. A draw covers at most k + 1 vertices, so below that phase 2
-    tests the u uncovered vertices against the next draws with _sieve
-    instead, u cells per draw against k + 1 scattered: draw v covers x iff
-    (x - v) mod n is in S u {0}. The cover completes at the draw that
-    drops the last x. A chunk that completes the cover in phase 1 (at
-    small n) is undone, by rebuilding the cover of the earlier draws with
-    shift_cover, and its draws are the first that phase 2 tests; fresh
-    draws follow, graph.CELLS // u of them at a time.
+    Phase 1 marks the first prefix_draws draws and covers them in one
+    shift_cover pass. If they cover Z_n, the cover completed among them:
+    a fresh generator draws the shorter prefix that leaves twice as many
+    vertices expected, until one is left (the empty prefix leaves all).
+    Phase 2 tests the u vertices left against the next draws with _sieve,
+    u cells per draw: draw v covers x iff (x - v) mod n is in S u {0}.
+    The cover completes at the draw that drops the last x.
     """
     offsets = np.concatenate(([0], chords))
-    rng = np.random.default_rng(seed)
-    covered = np.zeros(n, dtype=bool)
-    chosen = np.zeros(n, dtype=bool)
-    draws, uncovered = 0, n  # uncovered: a lower bound, exact when counted
-    replay = np.empty(0, dtype=np.int64)
-    while uncovered > chords.size:
-        v = rng.integers(0, n, size=max(1, graph.CELLS // offsets.size))
-        hits = v[:, None] + offsets
-        np.subtract(hits, n, out=hits, where=hits >= n)
-        covered[hits] = True
-        uncovered -= hits.size
-        if uncovered <= chords.size:
-            uncovered = n - np.count_nonzero(covered)
-        if uncovered == 0:  # undo this chunk; phase 2 replays it
-            covered = shift_cover(chosen.copy(), chosen, chords)
-            replay = v
+    left = PREFIX_LEFT * offsets.size
+    while True:
+        draws = prefix_draws(n, chords.size, left)
+        rng = np.random.default_rng(seed)
+        chosen = np.zeros(n, dtype=bool)
+        for start in range(0, draws, graph.CELLS):
+            size = min(graph.CELLS, draws - start)
+            chosen[rng.integers(0, n, size=size)] = True
+        covered = shift_cover(chosen.copy(), chosen, chords)
+        if not covered.all():
             break
-        chosen[v] = True
-        draws += v.size
+        left *= 2
     alive = np.flatnonzero(np.logical_not(covered, out=covered))
     table = covered  # phase 2 needs only alive: the mask becomes S u {0}
     table[:] = False
     table[offsets] = True
-    v = replay
-    while True:
+    while alive.size:
+        v = rng.integers(0, n, size=max(1, graph.CELLS // alive.size))
         alive, used, _ = _sieve(alive, v,
                                 lambda x, a: shifted_lookup(table, x, a))
         chosen[v[:used]] = True
         draws += used
-        if not alive.size:
-            return chosen, draws
-        v = rng.integers(0, n, size=max(1, graph.CELLS // alive.size))
+    return chosen, draws
 
 
 def random_dominating(spec: CirculantSpec, seed: int) -> DominationReport:

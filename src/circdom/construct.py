@@ -37,6 +37,13 @@ COUNT_ROUND_TOL = 0.25
 # build_W tests the vertices left unmarked after its first round of primes,
 # instead of marking the rest, when fewer than TEST_BELOW_L * L are left.
 TEST_BELOW_L = 2
+# build_W's first round takes every ROUND_STRIDE-th prime of the window, so
+# that it spans the window: a vertex x whose products x * ell mod n move
+# slowly with ell misses a run of neighbouring primes together, and would
+# survive a round of the lowest primes into phase 2. W is the same in any
+# order; at n = 10^6, k = 100 stride 4 cut the phase-2 tests from 8.93 M
+# (lowest primes first) to 4.90 M.
+ROUND_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -212,12 +219,13 @@ def build_W(n: int, L: int) -> WSet:
     blocks of inverses times [1, L], about graph.CELLS cells each, exact
     as k * inv < L * n < 2^63, each block scattered into one mask.
 
-    Phase 1 marks first_round(n, L) primes, then counts the unmarked
-    vertices. If TEST_BELOW_L * L or more are left, it marks the rest of
-    the window. Otherwise phase 2 tests just those against the remaining
-    primes with _sieve: x is in W iff x * ell mod n lies in [1, L] for
-    some prime ell of the window (multiply x = k * inv(ell) by the unit
-    ell; x * ell < 2L * n < 2^63). 0 is never k * inv(ell), and never a
+    Phase 1 marks first_round(n, L) primes, taken across the window as
+    every ROUND_STRIDE-th prime of it, then counts the unmarked vertices.
+    If TEST_BELOW_L * L or more are left, it marks the rest of the window.
+    Otherwise phase 2 tests just those against the remaining primes with
+    _sieve: x is in W iff x * ell mod n lies in [1, L] for some prime ell
+    of the window (multiply x = k * inv(ell) by the unit ell;
+    x * ell < 2L * n < 2^63). 0 is never k * inv(ell), and never a
     candidate, since its products 0 would count as hits. The candidates
     come from inverting the mask in place, so no n-byte temporary is made.
     Under 4L^2 < n at most L^2 < n / 4 vertices are ever marked, so
@@ -227,11 +235,12 @@ def build_W(n: int, L: int) -> WSet:
     if L < 1:
         raise ValueError("L must be >= 1")
     window = primes_in_window(L, n)
-    primes = window.primes
-    if not primes:
+    if not window.primes:
         raise EmptyPrimeWindow(f"no primes in [{L + 1}, {2 * L}] coprime to {n}")
     if L >= n:
         return WSet(n=n, L=L, elements=VertexSet.full(n), window=window)
+    primes = [ell for r in range(ROUND_STRIDE)
+              for ell in window.primes[r::ROUND_STRIDE]]
     ks = np.arange(1, L + 1, dtype=np.int64)
     rows = max(1, min(len(primes), graph.CELLS // L))
     members = np.zeros(n, dtype=bool)

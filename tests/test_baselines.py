@@ -13,7 +13,7 @@ from circdom.baselines import (
 from circdom.graph import ChordSet, CirculantSpec
 from circdom.verify import exact_gamma
 
-from conftest import naive_greedy_picks, naive_random_cover
+from conftest import naive_greedy_picks, naive_random_cover, naive_shift_cover
 
 
 def spec_of(n, chords):
@@ -95,30 +95,63 @@ def test_random_draws_match_one_at_a_time(cells, monkeypatch):
 
 CHUNK_CELLS = graph.CELLS
 NAIVE_RANDOM = {}  # (n, k) -> chord set, one-at-a-time (picks, draws)
+NAIVE_DRAWS = {}  # (n, seed) -> the first scalar draws of the stream
+
+
+def naive_draws(n, seed, count):
+    """The first count draws of rng.integers(0, n), one call per draw."""
+    got = NAIVE_DRAWS.get((n, seed), [])
+    if len(got) < count:
+        rng = np.random.default_rng(seed)
+        got = NAIVE_DRAWS[n, seed] = [int(rng.integers(0, n))
+                                      for _ in range(count)]
+    return got[:count]
+
+
+def spy_phases(monkeypatch):
+    """Record each prefix that _random_picks covers (its drawn vertices)
+    and each block its phase 2 tests (candidates, draws)."""
+    covers, blocks = [], []
+    shift_cover, shifted_lookup = baselines.shift_cover, baselines.shifted_lookup
+
+    def cover_spy(covered, sources, chords):
+        covers.append(np.flatnonzero(sources).tolist())
+        return shift_cover(covered, sources, chords)
+
+    def test_spy(table, x, a):
+        blocks.append((x.size, a.size))
+        return shifted_lookup(table, x, a)
+
+    monkeypatch.setattr(baselines, "shift_cover", cover_spy)
+    monkeypatch.setattr(baselines, "shifted_lookup", test_spy)
+    return covers, blocks
+
+
+def check_phases(n, S, seed, covers, blocks, cells):
+    """Prefix j holds the first prefix_draws(n, k, 2^j * PREFIX_LEFT *
+    (k + 1)) draws of the stream; each prefix but the last covers Z_n, and
+    phase 2's first block tests the u vertices the last one leaves against
+    max(1, cells // u) draws."""
+    left = baselines.PREFIX_LEFT * (S.k + 1)
+    for j, drawn in enumerate(covers):
+        prefix = naive_draws(n, seed, baselines.prefix_draws(n, S.k, left))
+        assert drawn == sorted(set(prefix)), j
+        marked = np.zeros(n, dtype=bool)
+        marked[prefix] = True
+        naive_shift_cover(marked, np.array(prefix, dtype=np.int64), S.chords)
+        uncovered = n - np.count_nonzero(marked)
+        assert (uncovered == 0) == (j < len(covers) - 1), j
+        left *= 2
+    assert blocks[0] == (uncovered, max(1, cells // uncovered))
 
 
 @pytest.mark.parametrize("cells", [1, 7, 200, CHUNK_CELLS])
 @pytest.mark.parametrize("n, k", [(24, 2), (2000, 25), (10**5, 100)])
 def test_random_phases_match_one_at_a_time(n, k, cells, monkeypatch):
-    # with whole chunks, the first chunk at n = 24 and n = 2000 completes
-    # the cover, so it is undone and replayed; n = 10^5 reaches the testing
-    # phase with <= k left. n = 24, k = 2 (chord seed 1, draw seed 2, found
-    # by a seeded search) with one draw per chunk fails if the count bound
-    # drops slower than the hits: a draw then completes the cover uncounted
+    # n = 24 steps back twice (see test_random_prefix_covering_steps_back);
+    # n = 2000 and 10^5 cover their first prefix and test the few left
     monkeypatch.setattr(graph, "CELLS", cells)
-    undone, tested = [], []
-    shift_cover, shifted_lookup = baselines.shift_cover, baselines.shifted_lookup
-
-    def undo_spy(*args):
-        undone.append(1)
-        return shift_cover(*args)
-
-    def test_spy(table, x, a):
-        tested.append(x.size)
-        return shifted_lookup(table, x, a)
-
-    monkeypatch.setattr(baselines, "shift_cover", undo_spy)
-    monkeypatch.setattr(baselines, "shifted_lookup", test_spy)
+    covers, blocks = spy_phases(monkeypatch)
     if (n, k) not in NAIVE_RANDOM:
         S = random_chord_set(n, k, 1)
         NAIVE_RANDOM[n, k] = S, naive_random_cover(n, S.chords, 2)
@@ -126,10 +159,78 @@ def test_random_phases_match_one_at_a_time(n, k, cells, monkeypatch):
     chosen, got = baselines._random_picks(n, S.as_array(), 2)
     assert np.flatnonzero(chosen).tolist() == picks
     assert got == draws
-    if cells == CHUNK_CELLS and n <= 2000:
-        assert len(undone) == 1 and tested[0] == n
-    elif cells == CHUNK_CELLS:
-        assert not undone and 0 < tested[0] <= k
+    check_phases(n, S, 2, covers, blocks, cells)
+    assert len(covers) == (3 if n == 24 else 1)
+    if n > 24:
+        assert 0 < blocks[0][0] <= k
+
+
+def test_random_prefix_draws():
+    # about PREFIX_LEFT * (k + 1) vertices are expected to be left uncovered
+    for n, k in ((24, 2), (2000, 25), (10**5, 100), (10**6, 1000)):
+        left = baselines.PREFIX_LEFT * (k + 1)
+        T = baselines.prefix_draws(n, k, left)
+        miss = 1 - (k + 1) / n
+        assert n * miss**T >= left > n * miss ** (T + 1)
+    # nothing to draw once one draw may cover Z_n, or all n are to be left
+    assert baselines.prefix_draws(3, 2, 0.75) == 0
+    assert baselines.prefix_draws(100, 5, 100) == 0
+    assert baselines.prefix_draws(100, 5, 99.9) == 0
+    assert baselines.prefix_draws(100, 5, 94.1) == 0
+    assert baselines.prefix_draws(100, 5, 93.9) == 1
+
+
+def test_random_prefix_covering_steps_back(monkeypatch):
+    # chord seed 1, draw seed 2 at n = 24, k = 2: the first two prefixes
+    # (25 and 20 draws) cover Z_24, the third (15) leaves 2 vertices. An
+    # empty prefix leaves every vertex: at n = 4, k = 3 phase 2 tests all 4
+    for n, k, prefixes in ((24, 2, [25, 20, 15]), (4, 3, [0])):
+        S = random_chord_set(n, k, 1)
+        covers, blocks = spy_phases(monkeypatch)
+        chosen, got = baselines._random_picks(n, S.as_array(), 2)
+        picks, draws = naive_random_cover(n, S.chords, 2)
+        assert (np.flatnonzero(chosen).tolist(), got) == (picks, draws)
+        check_phases(n, S, 2, covers, blocks, graph.CELLS)
+        left = baselines.PREFIX_LEFT * (k + 1)
+        assert [baselines.prefix_draws(n, k, left * 2**j)
+                for j in range(len(covers))] == prefixes
+        monkeypatch.undo()
+
+
+def test_random_draw_calls_hold_at_most_cells(monkeypatch):
+    # k = 1 at n = 2^24 would draw a prefix of over 10^8 at once; each
+    # call draws at most graph.CELLS, and the prefix calls add up to it
+    assert baselines.prefix_draws(2**24, 1, 2 * baselines.PREFIX_LEFT) > 10**8
+    n, cells = 5000, 64
+    S = random_chord_set(n, 1, 1)
+    sizes, default_rng = [], np.random.default_rng
+
+    class SpyGenerator:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+            sizes.append([])
+
+        def integers(self, low, high, size):
+            sizes[-1].append(size)
+            return self.rng.integers(low, high, size=size)
+
+    monkeypatch.setattr(graph, "CELLS", cells)
+    monkeypatch.setattr(np.random, "default_rng", SpyGenerator)
+    covers, blocks = spy_phases(monkeypatch)
+    chosen, got = baselines._random_picks(n, S.as_array(), 3)
+    monkeypatch.undo()
+    assert (np.flatnonzero(chosen).tolist(), got) == naive_random_cover(
+        n, S.chords, 3)
+    left = baselines.PREFIX_LEFT * 2
+    for j, calls in enumerate(sizes):
+        T = baselines.prefix_draws(n, 1, left * 2**j)
+        assert T > 100 * cells
+        assert max(calls) <= cells
+        prefix_calls = -(-T // cells)
+        assert sum(calls[:prefix_calls]) == T
+        # the last generator also draws phase 2's blocks; the others none
+        assert (len(calls) > prefix_calls) == (j == len(sizes) - 1)
+    assert len(sizes) == len(covers) and blocks
 
 
 def test_random_dominating_verified_and_deterministic():

@@ -241,8 +241,13 @@ def test_build_w_tests_unmarked_only_past_card_hypothesis(monkeypatch):
     for n in (12_500, 25_000, 50_000, 100_000):
         L = solve_lambda(n, 100).L
         W = build_W(n, L)
-        # the call tested this window's primes past the first round
-        assert calls[-1] == list(W.window.primes[construct.first_round(n, L):])
+        # the call tested this window's primes past the first round, which
+        # takes every ROUND_STRIDE-th prime, from each of the first
+        # ROUND_STRIDE primes in turn
+        stride, primes = construct.ROUND_STRIDE, W.window.primes
+        order = sorted(range(len(primes)), key=lambda i: (i % stride, i))
+        assert calls[-1] == [primes[i] for i in
+                             order[construct.first_round(n, L):]]
         assert W.checks > 0
         assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
     calls.clear()
@@ -253,6 +258,34 @@ def test_build_w_tests_unmarked_only_past_card_hypothesis(monkeypatch):
     for n, L in ((16381, 16), (16384, 16)):
         assert build_W(n, L).checks == 0
     assert not calls
+
+
+@pytest.mark.parametrize("cells", [1, 7, graph.CELLS])
+@pytest.mark.parametrize("n", [12_500, 25_000])
+def test_build_w_checks_count_tested_cells(n, cells, monkeypatch):
+    # phase 2 tests the nonzero vertices the first round leaves unmarked
+    # against blocks of the remaining primes, each of at most CELLS cells
+    # or one prime, and drops a vertex at the block holding its first hit
+    monkeypatch.setattr(graph, "CELLS", cells)
+    L = solve_lambda(n, 100).L
+    W = build_W(n, L)
+    stride, primes = construct.ROUND_STRIDE, W.window.primes
+    order = [primes[i] for i in
+             sorted(range(len(primes)), key=lambda i: (i % stride, i))]
+    first = construct.first_round(n, L)
+    marked = {k * pow(ell, -1, n) % n
+              for ell in order[:first] for k in range(1, L + 1)}
+    alive = [x for x in range(1, n) if x not in marked]
+    rest, checks, i = order[first:], 0, 0
+    while i < len(rest) and alive:
+        block = rest[i:i + max(1, cells // len(alive))]
+        checks += len(block) * len(alive)
+        alive = [x for x in alive
+                 if not any(1 <= x * ell % n <= L for ell in block)]
+        i += len(block)
+    assert W.checks == checks > 0
+    assert W.marks == L * first
+    assert set(alive) == set(range(1, n)) - set(W.indices().tolist())
 
 
 @given(
@@ -347,7 +380,8 @@ def test_cover_at_scale_matches_index_scatter(kind):
 
 def test_cover_tests_sparse_sets_only(monkeypatch):
     # the paper's dense covers (exceptional_set, the verification) saturate
-    # before shift_cover's first count; the sparse random sets switch
+    # before shift_cover's first count; the sparse random covers switch:
+    # the cover of the random baseline's prefix, then its verification
     tested, sieve = [], graph._sieve
 
     def spy(alive, chords, hit):
@@ -361,12 +395,14 @@ def test_cover_tests_sparse_sets_only(monkeypatch):
         assert rep.verified and tested == []
     for n, k in ((10**6, 1000), (10**5, 100)):
         rep = random_dominating(CirculantSpec(n, random_chord_set(n, k, 1)), 2)
-        assert rep.verified and len(tested) == 1 and 0 < tested.pop() < k
+        assert rep.verified and len(tested) == 2
+        assert all(0 < tested.pop() < k for _ in range(2))
 
 
 def test_cover_ors_words_for_sparse_sets_only(monkeypatch):
     # the paper's dense covers saturate before shift_cover's word stage;
-    # each verification of the random set at n = 10^6, k = 1000 runs it once
+    # at n = 10^6, k = 1000 the cover of the random baseline's prefix runs
+    # it once, and so does each verification of the random set
     calls, or_words = [], graph._or_words
 
     def spy(covered, sources, chords):
@@ -380,9 +416,9 @@ def test_cover_ors_words_for_sparse_sets_only(monkeypatch):
         assert rep.verified and calls == []
     spec = CirculantSpec(n, random_chord_set(n, 1000, 1))
     rep = random_dominating(spec, 2)
-    assert rep.verified and len(calls) == 1
-    assert is_dominating(spec, rep.D)[0] and len(calls) == 2
-    assert calls == [1000 - graph.COUNT_EVERY] * 2
+    assert rep.verified and len(calls) == 2
+    assert is_dominating(spec, rep.D)[0] and len(calls) == 3
+    assert calls == [1000 - graph.COUNT_EVERY] * 3
 
 
 def test_construct_dominating_always_dominates():
