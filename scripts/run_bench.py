@@ -154,10 +154,11 @@ def cover_counters(graph, verify, k: int) -> dict:
         tested.append(args[1 if test == "_sieve" else 2].size)
         return kernels[test](*args)
 
-    def spy_words(covered, sources, chords):
-        rest = kernels["_or_words"](covered, sources, chords)
+    def spy_words(covered, sources, chords):  # (rest, unmarked) or rest
+        out = kernels["_or_words"](covered, sources, chords)
+        rest = out[0] if isinstance(out, tuple) else out
         worded.append(chords.size - rest.size)
-        return rest
+        return out
 
     spies = {test: spy_test, "_or_words": spy_words}
     for name, kernel in kernels.items():

@@ -93,7 +93,9 @@ def _random_picks(n: int, chords: np.ndarray, seed: int):
     vertices expected, until one is left (the empty prefix leaves all).
     Phase 2 tests the u vertices left against the next draws with _sieve,
     u cells per draw: draw v covers x iff (x - v) mod n is in S u {0}.
-    The cover completes at the draw that drops the last x.
+    The cover completes at the draw that drops the last x. A call draws
+    at most ceil(n / (k + 1)) draws, about as many as hit one given
+    vertex, and at most graph.CELLS // u.
     """
     offsets = np.concatenate(([0], chords))
     left = PREFIX_LEFT * offsets.size
@@ -112,8 +114,10 @@ def _random_picks(n: int, chords: np.ndarray, seed: int):
     table = covered  # phase 2 needs only alive: the mask becomes S u {0}
     table[:] = False
     table[offsets] = True
+    cap = -(-n // offsets.size)  # the mean draws to hit a given vertex
     while alive.size:
-        v = rng.integers(0, n, size=max(1, graph.CELLS // alive.size))
+        size = max(1, min(cap, graph.CELLS // alive.size))
+        v = rng.integers(0, n, size=size)
         alive, used, _ = _sieve(alive, v,
                                 lambda x, a: shifted_lookup(table, x, a))
         chosen[v[:used]] = True

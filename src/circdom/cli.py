@@ -34,6 +34,7 @@ UNCOVERED_SAMPLE_CAP = 1000
 # is allocated (the smallest n is 2, the smallest circulant graph).
 MAX_N = 2**24
 
+COMMANDS = ("construct", "audit", "bench", "gamma")
 METHODS = ("paper", "greedy", "random", "universal2", "almost-w")
 # The audit flags only some checks read, with their defaults, and the ones
 # each check reads; main rejects a flag given to a check that ignores it.
@@ -334,62 +335,75 @@ def _add_chord_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--symmetric", action="store_true")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The circdom parser; given a command, with only its subparser, which
+    parses that command's argv as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="circdom",
         description="Dominating sets in circulant graphs: construct, audit, bench.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # one subparser's usage line still names every command
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(COMMANDS) if command else None)
+    wanted = COMMANDS if command is None else (command,)
 
-    p = sub.add_parser("construct", help="build and verify a dominating set")
-    _add_chord_flags(p)
-    p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--c0", type=float, default=1.0)
-    p.add_argument("--psi", type=float, default=1.0)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--no-timing", action="store_true",
-                   help="write wall_ms as 0.0 for byte-reproducible output")
-    p.set_defaults(func=cmd_construct)
+    if "construct" in wanted:
+        p = sub.add_parser("construct", help="build and verify a dominating set")
+        _add_chord_flags(p)
+        p.add_argument("--method", required=True, choices=METHODS)
+        p.add_argument("--r", type=int, default=1)
+        p.add_argument("--c", type=float, default=1.0)
+        p.add_argument("--C", type=float, default=1.0)
+        p.add_argument("--c0", type=float, default=1.0)
+        p.add_argument("--psi", type=float, default=1.0)
+        p.add_argument("--out", type=str, default=None)
+        p.add_argument("--no-timing", action="store_true",
+                       help="write wall_ms as 0.0 for byte-reproducible output")
+        p.set_defaults(func=cmd_construct)
 
-    # flags left out stay unset, so main can tell them from given ones
-    p = sub.add_parser("audit", help="numerical audits of the supporting lemmas",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--check", required=True, choices=list(AUDIT_READS))
-    p.add_argument("--n-list", type=_int_list, required=True)
-    p.add_argument("--l-list", type=_int_list)
-    p.add_argument("--k-list", type=_int_list)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--C", type=float)
-    p.add_argument("--c0", type=float)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_audit)
+    if "audit" in wanted:
+        # flags left out stay unset, so main can tell them from given ones
+        p = sub.add_parser("audit",
+                           help="numerical audits of the supporting lemmas",
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--check", required=True, choices=list(AUDIT_READS))
+        p.add_argument("--n-list", type=_int_list, required=True)
+        p.add_argument("--l-list", type=_int_list)
+        p.add_argument("--k-list", type=_int_list)
+        p.add_argument("--trials", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--c", type=float)
+        p.add_argument("--C", type=float)
+        p.add_argument("--c0", type=float)
+        p.add_argument("--cap", type=int)
+        p.add_argument("--out", type=str, default=None)
+        p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("bench", help="CSV sweep over (n, k, method, seed)")
-    p.add_argument("--n-list", type=_int_list, required=True)
-    p.add_argument("--k-list", type=_int_list, required=True)
-    p.add_argument("--methods", type=_name_list, default=["paper"])
-    p.add_argument("--seeds", type=_int_list, default=[0])
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--no-timing", action="store_true")
-    p.set_defaults(func=cmd_bench)
+    if "bench" in wanted:
+        p = sub.add_parser("bench", help="CSV sweep over (n, k, method, seed)")
+        p.add_argument("--n-list", type=_int_list, required=True)
+        p.add_argument("--k-list", type=_int_list, required=True)
+        p.add_argument("--methods", type=_name_list, default=["paper"])
+        p.add_argument("--seeds", type=_int_list, default=[0])
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--out", type=str, default=None)
+        p.add_argument("--no-timing", action="store_true")
+        p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("gamma", help="exact domination number (n <= 24)")
-    _add_chord_flags(p)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_gamma)
+    if "gamma" in wanted:
+        p = sub.add_parser("gamma", help="exact domination number (n <= 24)")
+        _add_chord_flags(p)
+        p.add_argument("--out", type=str, default=None)
+        p.set_defaults(func=cmd_gamma)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     swept = ["n_list", "k_list", "seeds", "methods"]  # a grid's axes
     if getattr(args, "check", None) in ("card", "expsum"):
         swept[1] = "l_list"

@@ -16,17 +16,19 @@ import numpy as np
 
 from .errors import ChordFileError, InvalidChord
 
-# shift_cover ORs the first COUNT_EVERY chords into the byte mask and
-# stops at the first one after which every vertex is marked: the paper's
-# dense sets saturate within 4. It then counts the unmarked vertices. While
-# at least n / TEST_BELOW_SHARE are left it ORs chords as packed 64-bit
-# words (_or_words), counting every COUNT_EVERY chords; below that it tests
-# just the unmarked vertices against the remaining chords (_sieve). At
-# n = 10^6 on a 2-vCPU Xeon a tested cell costs 3.6 ns, and ORing a chord
-# costs 0.07 ns a vertex as bytes and ~0.006 ns as words, so below about
-# n / 600 unmarked vertices testing a chord costs less than ORing its words
-# even when no tested vertex is hit. Shares from 256 to 1024 timed the same
-# within ~5%.
+# shift_cover ORs up to COUNT_EVERY chords into the byte mask and stops
+# at the first one after which every vertex is marked: the paper's dense
+# sets saturate within 4. Sources of fewer than n / COUNT_EVERY vertices
+# cannot mark n vertices in that many chords and skip this stage. While
+# at least n / TEST_BELOW_SHARE vertices are unmarked it ORs chords
+# packed 8 vertices a byte (_or_words), counting every COUNT_EVERY
+# chords; below that it tests just the unmarked vertices against the
+# remaining chords (_sieve). At n = 10^6 on a 2-vCPU Xeon a tested cell
+# costs ~3 ns, and ORing a chord costs 0.07 ns a vertex as bytes and
+# ~0.0075 ns packed (one 7-8 us byte-slice OR), so below about n / 400
+# unmarked vertices testing a chord costs less than ORing it even when
+# no tested vertex is hit. Shares from 256 to 1024 timed the same within
+# ~5% with the 64-bit words this stage replaced.
 COUNT_EVERY = 16
 TEST_BELOW_SHARE = 512
 # _sieve tests blocks of at most CELLS (item, candidate) cells; build_W
@@ -34,6 +36,7 @@ TEST_BELOW_SHARE = 512
 # Other modules read it as graph.CELLS, so all see one value.
 CELLS = 2**16
 WORD = np.dtype("<u8")  # bit x of a packed mask: bit x % 64 of word x // 64
+FULL = np.uint64(2**64 - 1)  # a packed word with every bit set
 
 
 @dataclass(frozen=True)
@@ -142,12 +145,11 @@ def shifted_lookup(table: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarra
     """table[(x - a) mod n] for every pair, n = table.size: row i for a[i],
     column j for x[j].
 
-    x and a hold residues in [0, n), so x - a lies in (-n, n) and one
-    conditional add of n reduces it: integer-only and exact.
+    x and a hold residues in [0, n), so x - a lies in (-n, n), and take's
+    wrap mode, which adds or subtracts n until an index lies in [0, n),
+    reduces it exactly with integers only.
     """
-    d = x - a[:, None]
-    np.add(d, table.size, out=d, where=d < 0)
-    return table[d]
+    return table.take(x - a[:, None], mode="wrap")
 
 
 def _sieve(alive: np.ndarray, items: np.ndarray,
@@ -181,19 +183,31 @@ def _pack(mask: np.ndarray, words: np.ndarray) -> np.ndarray:
     return words
 
 
-def _or_words(covered: np.ndarray, sources: np.ndarray,
-              chords: np.ndarray) -> np.ndarray:
+def _unmarked(cover: np.ndarray) -> np.ndarray:
+    """The clear bits of packed words whose padding bits are set, in
+    order: unpacked only from the words that are not full."""
+    partial = np.flatnonzero(cover != FULL)
+    clear = np.flatnonzero(np.unpackbits(cover[partial].view(np.uint8),
+                                         bitorder="little") == 0)
+    return partial[clear >> 6] * 64 + (clear & 63)
+
+
+def _or_words(covered: np.ndarray, sources: np.ndarray, chords: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray | None]:
     """OR the rotation of sources by each chord into covered as packed
-    words, until every vertex is marked or fewer than n / TEST_BELOW_SHARE
-    are left; return the chords not ORed.
+    bits, until every vertex is marked or fewer than n / TEST_BELOW_SHARE
+    are left; return (the chords not ORed, the vertices left unmarked).
 
     covered is packed once into ceil(n / 64) words with its padding bits
     set, so a popcount counts the marked vertices. sources is packed once
     as a doubled ring, 2n bits holding it twice, so its rotation by s is
-    the n-bit window that starts at bit n - s. The chords are taken in
-    groups of equal (n - s) mod 64, the largest first: a group shifts the
-    ring once, by that bit offset (two shifts and an OR), and each of its
-    chords is then one word-slice OR. covered is unpacked once at the end.
+    the n-bit window that starts at bit n - s = 8q + b: the ring shifted
+    down by b bits, read from byte q. The chords are taken grouped by b,
+    so at most 8 shifted rings are built (two shifts and an OR of the
+    ring's words each), and each chord is one byte-slice OR. If it stops
+    below the share, covered stays as it was and the vertices left are
+    read from the words that are not full; otherwise covered gets the
+    result and the second value is None.
     """
     n = covered.size
     words = -(-n // 64)
@@ -205,30 +219,28 @@ def _or_words(covered: np.ndarray, sources: np.ndarray,
     if b:  # the upper words first: they read the first copy unchanged
         ring[q + 1:q + words + 1] |= ring[:words] >> np.uint64(64 - b)
     ring[q:q + words] |= ring[:words] << np.uint64(b)
-    offsets = n - chords
-    bits = offsets % 64  # largest groups first: fewer shifts before a switch
-    order = np.lexsort((bits, -np.bincount(bits, minlength=64)[bits]))
+    starts, bits = np.divmod(n - chords, 8)
+    order = np.argsort(bits, kind="stable")
     shifted, carry = (np.empty(2 * words, dtype=WORD) for _ in range(2))
-    window, bit = ring, 0
-    done = order.size
-    starts = (offsets[order] // 64).tolist()
-    for i, (q, b) in enumerate(zip(starts, bits[order].tolist()), 1):
-        if b != bit:
-            window, bit = ring, b
-            if b:
-                np.right_shift(ring[:-1], np.uint64(b), out=shifted)
-                np.left_shift(ring[1:], np.uint64(64 - b), out=carry)
-                window = np.bitwise_or(shifted, carry, out=shifted)
-        np.bitwise_or(cover, window[q:q + words], out=cover)
+    window, bit, out = ring.view(np.uint8), 0, cover.view(np.uint8)
+    for i, (q, b) in enumerate(zip(starts[order].tolist(),
+                                   bits[order].tolist()), 1):
+        if b != bit:  # bits ascend from 0, the unshifted ring
+            bit = b
+            np.right_shift(ring[:-1], np.uint64(b), out=shifted)
+            np.left_shift(ring[1:], np.uint64(64 - b), out=carry)
+            window = np.bitwise_or(shifted, carry, out=shifted).view(np.uint8)
+        np.bitwise_or(out, window[q:q + out.size], out=out)
         if i % COUNT_EVERY == 0 and i < order.size:
             left = 64 * words - int(np.bitwise_count(cover).sum())
+            if left == 0:  # nothing to unpack
+                covered[:] = True
+                return chords[:0], None
             if TEST_BELOW_SHARE * left < n:
-                done = order.size if left == 0 else i
-                break
+                return chords[order[i:]], _unmarked(cover)
     del ring, shifted, carry, window  # before the n-byte unpacked copy
-    covered.view(np.uint8)[:] = np.unpackbits(cover.view(np.uint8), count=n,
-                                              bitorder="little")
-    return chords[order[done:]]
+    covered.view(np.uint8)[:] = np.unpackbits(out, count=n, bitorder="little")
+    return chords[:0], None
 
 
 def shift_cover(covered: np.ndarray, sources: np.ndarray, chords) -> np.ndarray:
@@ -239,29 +251,40 @@ def shift_cover(covered: np.ndarray, sources: np.ndarray, chords) -> np.ndarray:
     aliased source would gain the marks of earlier chords and carry them
     several hops.
 
-    Three stages. The first COUNT_EVERY chords OR the rotation of sources
-    into covered in place, as two byte slices each, and stop at the first
-    chord after which every vertex is marked: dense sources saturate after
-    a few chords. Then the unmarked vertices are counted; while at least
-    n / TEST_BELOW_SHARE are left, _or_words ORs further chords as packed
-    64-bit words, 8 vertices a byte. Once fewer are left, _sieve tests
-    just those against the remaining chords, each x against sources[x - s].
-    Every stage marks x iff x - s is a source for some chord s, and OR is
-    order-free, so the result does not depend on where the switches fall.
+    Three stages. Sources of at least n / COUNT_EVERY vertices first OR
+    the rotation of up to COUNT_EVERY chords into covered in place, as two
+    byte slices each, and stop at the first chord after which every vertex
+    is marked: dense sources saturate after a few chords. Then the
+    unmarked vertices are counted; while at least n / TEST_BELOW_SHARE are
+    left, _or_words ORs further chords as packed bits, 8 vertices a byte.
+    Sparser sources, which cannot mark n vertices in COUNT_EVERY chords,
+    go to _or_words from the first chord. Once fewer are left, _sieve tests
+    just those against the remaining chords, each x against
+    sources[x - s]. Every stage marks x iff x - s is a source for some
+    chord s, and OR is order-free, so the result does not depend on where
+    the switches fall.
     """
     if np.may_share_memory(covered, sources):
         raise ValueError("covered and sources must not share memory")
     n = covered.size
-    for s in chords[:COUNT_EVERY]:
-        covered[s:] |= sources[:n - s]
-        covered[:s] |= sources[n - s:]
-        if covered.all():
-            return covered
-    rest = np.asarray(chords[COUNT_EVERY:], dtype=np.int64)
-    if rest.size and TEST_BELOW_SHARE * (n - np.count_nonzero(covered)) >= n:
-        rest = _or_words(covered, sources, rest)
-    if rest.size:  # covered is inverted in place: no n-byte temporary
-        alive = np.flatnonzero(np.logical_not(covered, out=covered))
+    alive = None
+    # a dense first eighth decides without counting the rest
+    if all(COUNT_EVERY * np.count_nonzero(sources[:m]) < n
+           for m in (n // 8, n)):
+        rest, alive = _or_words(covered, sources,
+                                np.asarray(chords, dtype=np.int64))
+    else:
+        for s in chords[:COUNT_EVERY]:
+            covered[s:] |= sources[:n - s]
+            covered[:s] |= sources[n - s:]
+            if covered.all():
+                return covered
+        rest = np.asarray(chords[COUNT_EVERY:], dtype=np.int64)
+        if rest.size and TEST_BELOW_SHARE * (n - np.count_nonzero(covered)) >= n:
+            rest, alive = _or_words(covered, sources, rest)
+    if rest.size:
+        if alive is None:  # covered is inverted in place: no n-byte temporary
+            alive = np.flatnonzero(np.logical_not(covered, out=covered))
         left = _sieve(alive, rest, lambda x, a: shifted_lookup(sources, x, a))[0]
         covered[:] = True
         covered[left] = False

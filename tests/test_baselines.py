@@ -131,7 +131,7 @@ def check_phases(n, S, seed, covers, blocks, cells):
     """Prefix j holds the first prefix_draws(n, k, 2^j * PREFIX_LEFT *
     (k + 1)) draws of the stream; each prefix but the last covers Z_n, and
     phase 2's first block tests the u vertices the last one leaves against
-    max(1, cells // u) draws."""
+    max(1, min(ceil(n / (k + 1)), cells // u)) draws."""
     left = baselines.PREFIX_LEFT * (S.k + 1)
     for j, drawn in enumerate(covers):
         prefix = naive_draws(n, seed, baselines.prefix_draws(n, S.k, left))
@@ -142,7 +142,8 @@ def check_phases(n, S, seed, covers, blocks, cells):
         uncovered = n - np.count_nonzero(marked)
         assert (uncovered == 0) == (j < len(covers) - 1), j
         left *= 2
-    assert blocks[0] == (uncovered, max(1, cells // uncovered))
+    cap = -(-n // (S.k + 1))
+    assert blocks[0] == (uncovered, max(1, min(cap, cells // uncovered)))
 
 
 @pytest.mark.parametrize("cells", [1, 7, 200, CHUNK_CELLS])

@@ -383,6 +383,33 @@ def test_bench_universal2_falls_back_as_audit_nu(capsys):
                  "--seed", "0", "--method", "universal2"]) == 2
 
 
+def parse_outcome(parse, argv, capsys):
+    """(stdout, stderr, exit code) of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["nope"], ["nope", "--n", "9"],
+    *([cmd, "--help"] for cmd in cli.COMMANDS),
+    ["construct", "--n", "x", "--method", "paper"],
+    ["construct", "--n", "9", "--method", "paper", "extra"],
+    ["audit", "--check", "bogus", "--n-list", "101"],
+    ["bench", "--n-list"],
+    ["gamma"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_main_parses_as_full_parser(argv, capsys):
+    # main builds only the named command's subparser; help, usage lines
+    # and errors read the same as the full parser's, byte for byte
+    want = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv,
+                         capsys)
+    assert parse_outcome(main, argv, capsys) == want
+    assert want[2] == (0 if "--help" in argv else 2)
+    assert want[0 if "--help" in argv else 1]
+
+
 def test_import_loads_no_process_pool_or_fft():
     # bench --jobs 1, construct and gamma need neither; they load on use
     code = ("import sys, circdom.cli; "

@@ -180,34 +180,48 @@ def test_shift_cover_testing_phase_matches_naive(every, share, cells,
 
 
 def word_instances():
-    """(n, chords, sources, covered) for the packed-word stage: n below 64,
-    at and off multiples of 64, and 10^5; chords 1 and n - 1 and chords
-    with (n - s) = 0 mod 64; sources holding vertices 0 and n - 1; covered
+    """(n, chords, sources, covered) for the packed stage: every n mod 8,
+    below 64 and above, at and off multiples of 64, and 10^5; chords 1
+    and n - 1, chords at each bit offset (n - s) mod 8 and at (n - s) = 0
+    mod 64; sources holding vertices 0 and n - 1, and sources of just
+    under and exactly n / COUNT_EVERY vertices (the two sides of the rule
+    that skips the byte stage), in the first eighth or spread; covered
     empty or pre-seeded with marks the sources do not make."""
     rng = np.random.default_rng(23)
-    sizes = [2, 3, 17, 63, 64, 65, 127, 128, 129, 1000, 4099, 4160, 10**5]
-    sizes += [int(x) for x in rng.integers(130, 6000, 12)]
+    sizes = [*range(2, 10), 17, 63, 64, 65, 127, 128, 129,
+             *range(1000, 1008), 4099, 4160, 10**5]
+    sizes += [int(x) for x in rng.integers(130, 6000, 8)]
     for n in sizes:
+        k = int(rng.integers(1, min(n - 1, 300) + 1))
+        chords = {1, n - 1, *random_subset(rng, n, k)}
+        chords |= {n - o for o in range(8, 16) if o < n}
+        chords |= {n - 64 * j for j in range(1, 4) if 64 * j < n}
+        chords = tuple(sorted(chords))
         for density in (0.003, 0.02, 0.1, 0.5):
-            k = int(rng.integers(1, min(n - 1, 300) + 1))
-            chords = {1, n - 1, *random_subset(rng, n, k)}
-            chords |= {n - 64 * j for j in range(1, 4) if 64 * j < n}
             sources = rng.random(n) < density
             sources[[0, n - 1]] = True
             covered = np.zeros(n, dtype=bool)
             if density < 0.1:
                 covered[rng.integers(0, n, max(1, n // 50))] = True
-            yield n, tuple(sorted(chords)), sources, covered
+            yield n, chords, sources, covered
+        edge = -(-n // graph.COUNT_EVERY)
+        for m in (edge - 1, edge):
+            for where in (np.arange(m), rng.choice(n, m, replace=False)):
+                sources = np.zeros(n, dtype=bool)
+                sources[where] = True
+                yield n, chords, sources, np.zeros(n, dtype=bool)
 
 
 def test_shift_cover_word_phase_matches_naive(monkeypatch):
     # every way through the stages, by patching the count interval and the
     # testing share: saturating within the byte chords, testing after them,
-    # ORing words to the last chord or to saturation, words then testing
-    stages, or_words, sieve = [], graph._or_words, graph._sieve
+    # ORing words to the last chord or to saturation, words then testing;
+    # sources under n / COUNT_EVERY skip the byte stage, the others run it
+    stages, handed, or_words, sieve = [], [], graph._or_words, graph._sieve
 
     def spy_words(covered, sources, chords):
         stages.append("words")
+        handed.append(chords.size)
         return or_words(covered, sources, chords)
 
     def spy_test(alive, chords, hit):
@@ -223,18 +237,63 @@ def test_shift_cover_word_phase_matches_naive(monkeypatch):
         monkeypatch.setattr(graph, "TEST_BELOW_SHARE", share)
         for n, chords, sources, covered in word_instances():
             stages.clear()
+            handed.clear()
             got = shift_cover(covered.copy(), sources, chords)
             want = naive_shift_cover(covered.copy(), np.flatnonzero(sources),
                                      chords)
             assert np.array_equal(got, want), (n, every, share)
-            paths.add((*stages, "all" if got.all() else "some"))
-            if n <= 1000 and not covered.any():
-                spec, D = spec_of(n, chords), VertexSet(n, sources)
-                for r in (1, 2):
+            sparse = every * np.count_nonzero(sources) < n
+            if sparse:
+                assert handed == [len(chords)], (n, every)
+            else:
+                assert handed in ([], [len(chords) - every]), (n, every)
+            paths.add(("sparse" if sparse else "dense", *stages,
+                       "all" if got.all() else "some"))
+            if covered.any():
+                continue
+            spec, D = spec_of(n, chords), VertexSet(n, sources)
+            want = sources
+            for r in (1, 2):  # the second round covers the first's cover
+                want = naive_shift_cover(want.copy(), np.flatnonzero(want),
+                                         chords)
+                assert np.array_equal(coverage(spec, D, r).members, want)
+                if n <= 1000:
                     assert set(coverage(spec, D, r).indices().tolist()) == \
                         naive_coverage(n, chords, np.flatnonzero(sources), r)
-    assert {("all",), ("test", "some"), ("words", "some"), ("words", "all"),
-            ("words", "test", "some")} <= paths, paths
+    assert {("dense", "all"), ("dense", "test", "some"),
+            ("dense", "words", "some"), ("dense", "words", "all"),
+            ("dense", "words", "test", "some"), ("sparse", "words", "all"),
+            ("sparse", "words", "some"),
+            ("sparse", "words", "test", "some")} <= paths, paths
+
+
+def test_unmarked_reads_clear_bits_of_partial_words():
+    # packed masks with their padding bits set, as _or_words packs covered:
+    # full words, words with one or many clear bits, a last partial word
+    # with its last vertex clear or set, and no vertex marked at all
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 7, 8, 63, 64, 65, 127, 128, 129, 1000, 4161):
+        for clear in (0, 1, 2, n // 50 + 1, n // 3 + 1, n):
+            mask = np.ones(n, dtype=bool)
+            mask[rng.choice(n, min(clear, n), replace=False)] = False
+            for last in (True, False):
+                mask[-1] = last
+                padded = np.ones(64 * -(-n // 64), dtype=bool)
+                padded[:n] = mask
+                cover = np.packbits(padded, bitorder="little").view(graph.WORD)
+                got = graph._unmarked(cover)
+                assert got.tolist() == np.flatnonzero(~mask).tolist(), n
+
+
+def test_shifted_lookup_matches_modulo():
+    # every pair (x, a) at small n, so x < a, x == a and x > a all occur
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 5, 64, 1000):
+        table = rng.random(n) < 0.5
+        for x, a in ((np.arange(n), np.arange(n)),
+                     (rng.integers(0, n, 50), rng.integers(0, n, 7))):
+            want = table[(x[None, :] - a[:, None]) % n]
+            assert np.array_equal(graph.shifted_lookup(table, x, a), want)
 
 
 @given(small_instances)
