@@ -16,19 +16,15 @@ import numpy as np
 
 from .errors import ChordFileError, InvalidChord
 
-# shift_cover ORs up to COUNT_EVERY chords into the byte mask and stops
-# at the first one after which every vertex is marked: the paper's dense
-# sets saturate within 4. Sources of fewer than n / COUNT_EVERY vertices
-# cannot mark n vertices in that many chords and skip this stage. While
-# at least n / TEST_BELOW_SHARE vertices are unmarked it ORs chords
-# packed 8 vertices a byte (_or_words), counting every COUNT_EVERY
-# chords; below that it tests just the unmarked vertices against the
-# remaining chords (_sieve). At n = 10^6 on a 2-vCPU Xeon a tested cell
-# costs ~3 ns, and ORing a chord costs 0.07 ns a vertex as bytes and
-# ~0.0075 ns packed (one 7-8 us byte-slice OR), so below about n / 400
-# unmarked vertices testing a chord costs less than ORing it even when
-# no tested vertex is hit. Shares from 256 to 1024 timed the same within
-# ~5% with the 64-bit words this stage replaced.
+# shift_cover ORs chords packed 8 vertices a byte (_or_words), counting
+# every COUNT_EVERY chords, while at least n / TEST_BELOW_SHARE vertices
+# are unmarked; below that it tests just the unmarked vertices against
+# the remaining chords (_sieve). At n = 10^6 on a 2-vCPU Xeon a tested
+# cell costs ~3 ns and ORing a packed chord ~0.0075 ns a vertex (one
+# 7-8 us byte-slice OR), so below about n / 400 unmarked vertices testing
+# a chord costs less than ORing it even when no tested vertex is hit.
+# Shares from 256 to 1024 timed the same within ~5% with the 64-bit
+# words this stage replaced.
 COUNT_EVERY = 16
 TEST_BELOW_SHARE = 512
 # _sieve tests blocks of at most CELLS (item, candidate) cells; build_W
@@ -199,7 +195,8 @@ def _or_words(covered: np.ndarray, sources: np.ndarray, chords: np.ndarray
     are left; return (the chords not ORed, the vertices left unmarked).
 
     covered is packed once into ceil(n / 64) words with its padding bits
-    set, so a popcount counts the marked vertices. sources is packed once
+    set, so a popcount counts the marked vertices and each word that is
+    not full holds at least one unmarked vertex. sources is packed once
     as a doubled ring, 2n bits holding it twice, so its rotation by s is
     the n-bit window that starts at bit n - s = 8q + b: the ring shifted
     down by b bits, read from byte q. The chords are taken grouped by b,
@@ -232,11 +229,14 @@ def _or_words(covered: np.ndarray, sources: np.ndarray, chords: np.ndarray
             window = np.bitwise_or(shifted, carry, out=shifted).view(np.uint8)
         np.bitwise_or(out, window[q:q + out.size], out=out)
         if i % COUNT_EVERY == 0 and i < order.size:
-            left = 64 * words - int(np.bitwise_count(cover).sum())
-            if left == 0:  # nothing to unpack
+            # the words that are not full bound the unmarked vertices from
+            # below: only a bound under the share needs the popcount
+            partial = int(np.count_nonzero(cover != FULL))
+            if partial == 0:  # nothing to unpack
                 covered[:] = True
                 return chords[:0], None
-            if TEST_BELOW_SHARE * left < n:
+            if TEST_BELOW_SHARE * partial < n and TEST_BELOW_SHARE * (
+                    64 * words - int(np.bitwise_count(cover).sum())) < n:
                 return chords[order[i:]], _unmarked(cover)
     del ring, shifted, carry, window  # before the n-byte unpacked copy
     covered.view(np.uint8)[:] = np.unpackbits(out, count=n, bitorder="little")
@@ -251,40 +251,19 @@ def shift_cover(covered: np.ndarray, sources: np.ndarray, chords) -> np.ndarray:
     aliased source would gain the marks of earlier chords and carry them
     several hops.
 
-    Three stages. Sources of at least n / COUNT_EVERY vertices first OR
-    the rotation of up to COUNT_EVERY chords into covered in place, as two
-    byte slices each, and stop at the first chord after which every vertex
-    is marked: dense sources saturate after a few chords. Then the
-    unmarked vertices are counted; while at least n / TEST_BELOW_SHARE are
-    left, _or_words ORs further chords as packed bits, 8 vertices a byte.
-    Sparser sources, which cannot mark n vertices in COUNT_EVERY chords,
-    go to _or_words from the first chord. Once fewer are left, _sieve tests
-    just those against the remaining chords, each x against
-    sources[x - s]. Every stage marks x iff x - s is a source for some
-    chord s, and OR is order-free, so the result does not depend on where
-    the switches fall.
+    Two stages. _or_words ORs the rotation of each chord into covered as
+    packed bits from the first chord, counting the unmarked vertices every
+    COUNT_EVERY chords, and stops once every vertex is marked: the paper's
+    dense sources saturate at the first count. Once fewer than
+    n / TEST_BELOW_SHARE are left, _sieve tests just those against the
+    remaining chords, each x against sources[x - s]. Both stages mark x iff
+    x - s is a source for some chord s, and OR is order-free, so the result
+    does not depend on where the switch falls.
     """
     if np.may_share_memory(covered, sources):
         raise ValueError("covered and sources must not share memory")
-    n = covered.size
-    alive = None
-    # a dense first eighth decides without counting the rest
-    if all(COUNT_EVERY * np.count_nonzero(sources[:m]) < n
-           for m in (n // 8, n)):
-        rest, alive = _or_words(covered, sources,
-                                np.asarray(chords, dtype=np.int64))
-    else:
-        for s in chords[:COUNT_EVERY]:
-            covered[s:] |= sources[:n - s]
-            covered[:s] |= sources[n - s:]
-            if covered.all():
-                return covered
-        rest = np.asarray(chords[COUNT_EVERY:], dtype=np.int64)
-        if rest.size and TEST_BELOW_SHARE * (n - np.count_nonzero(covered)) >= n:
-            rest, alive = _or_words(covered, sources, rest)
+    rest, alive = _or_words(covered, sources, np.asarray(chords, dtype=np.int64))
     if rest.size:
-        if alive is None:  # covered is inverted in place: no n-byte temporary
-            alive = np.flatnonzero(np.logical_not(covered, out=covered))
         left = _sieve(alive, rest, lambda x, a: shifted_lookup(sources, x, a))[0]
         covered[:] = True
         covered[left] = False

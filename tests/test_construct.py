@@ -380,7 +380,7 @@ def test_cover_at_scale_matches_index_scatter(kind):
 
 def test_cover_tests_sparse_sets_only(monkeypatch):
     # the paper's dense covers (exceptional_set, the verification) saturate
-    # before shift_cover's first count; the sparse random covers switch:
+    # at shift_cover's first count; the sparse random covers switch:
     # the cover of the random baseline's prefix, then its verification
     tested, sieve = [], graph._sieve
 
@@ -399,27 +399,44 @@ def test_cover_tests_sparse_sets_only(monkeypatch):
         assert all(0 < tested.pop() < k for _ in range(2))
 
 
-def test_cover_ors_words_for_sparse_sets_only(monkeypatch):
-    # the paper's dense covers saturate in shift_cover's byte stage; at
-    # n = 10^6, k = 1000 the random baseline's prefix and the random set
-    # hold under n / COUNT_EVERY vertices, so the cover of the prefix and
-    # each verification of the set hand every chord to the word stage
-    calls, or_words = [], graph._or_words
+def test_cover_ors_words_from_the_first_chord(monkeypatch):
+    # every cover hands all k chords to the word stage. The paper's dense
+    # sets at n = 10^6 (98.4-99.6% of Z_n) saturate there, so neither
+    # exceptional_set nor the verification calls _sieve; the random
+    # baseline's prefix and its set leave vertices that _sieve tests, and
+    # it gets just the chords and vertices the word stage returns
+    calls, tested, or_words, sieve = [], [], graph._or_words, graph._sieve
 
-    def spy(covered, sources, chords):
-        calls.append(chords.size)
-        return or_words(covered, sources, chords)
+    def spy_words(covered, sources, chords):
+        calls.append((chords.size, *or_words(covered, sources, chords)))
+        return calls[-1][1:]
 
-    monkeypatch.setattr(graph, "_or_words", spy)
+    def spy_test(alive, chords, hit):
+        assert chords is calls[-1][1] and alive is calls[-1][2]
+        tested.append(chords.size)
+        return sieve(alive, chords, hit)
+
+    monkeypatch.setattr(graph, "_or_words", spy_words)
+    monkeypatch.setattr(graph, "_sieve", spy_test)
     n = 10**6
     for k in (100, 1000):
-        rep = construct_dominating(CirculantSpec(n, random_chord_set(n, k, 1)))
-        assert rep.verified and calls == []
-    spec = CirculantSpec(n, random_chord_set(n, 1000, 1))
-    rep = random_dominating(spec, 2)
-    assert rep.verified and len(calls) == 2
-    assert is_dominating(spec, rep.D)[0] and len(calls) == 3
-    assert calls == [1000] * 3
+        spec = CirculantSpec(n, random_chord_set(n, k, 1))
+        rep = construct_dominating(spec)
+        assert rep.size > 0.98 * n and tested == []
+        # both covers saturate: W + S is Z_n (U is empty), and D dominates
+        assert rep.parameters["u_size"] == 0 and rep.verified
+        assert [(size, rest.size, alive) for size, rest, alive in calls] == \
+            [(k, 0, None)] * 2
+        calls.clear()
+    for k in (100, 1000):
+        spec = CirculantSpec(n, random_chord_set(n, k, 1))
+        rep = random_dominating(spec, 2)
+        assert rep.verified and len(calls) == 2
+        assert is_dominating(spec, rep.D)[0] and len(calls) == 3
+        assert [size for size, *_ in calls] == [k] * 3
+        assert tested == [rest.size for _, rest, _ in calls] and all(tested)
+        calls.clear()
+        tested.clear()
 
 
 def test_construct_dominating_always_dominates():

@@ -183,10 +183,10 @@ def word_instances():
     """(n, chords, sources, covered) for the packed stage: every n mod 8,
     below 64 and above, at and off multiples of 64, and 10^5; chords 1
     and n - 1, chords at each bit offset (n - s) mod 8 and at (n - s) = 0
-    mod 64; sources holding vertices 0 and n - 1, and sources of just
-    under and exactly n / COUNT_EVERY vertices (the two sides of the rule
-    that skips the byte stage), in the first eighth or spread; covered
-    empty or pre-seeded with marks the sources do not make."""
+    mod 64; sources holding vertices 0 and n - 1, from sparse to dense
+    sources that saturate within a few chords, and sources of just under
+    and exactly n / COUNT_EVERY vertices, in the first eighth or spread;
+    covered empty or pre-seeded with marks the sources do not make."""
     rng = np.random.default_rng(23)
     sizes = [*range(2, 10), 17, 63, 64, 65, 127, 128, 129,
              *range(1000, 1008), 4099, 4160, 10**5]
@@ -197,7 +197,7 @@ def word_instances():
         chords |= {n - o for o in range(8, 16) if o < n}
         chords |= {n - 64 * j for j in range(1, 4) if 64 * j < n}
         chords = tuple(sorted(chords))
-        for density in (0.003, 0.02, 0.1, 0.5):
+        for density in (0.003, 0.02, 0.1, 0.5, 0.9):
             sources = rng.random(n) < density
             sources[[0, n - 1]] = True
             covered = np.zeros(n, dtype=bool)
@@ -213,19 +213,20 @@ def word_instances():
 
 
 def test_shift_cover_word_phase_matches_naive(monkeypatch):
-    # every way through the stages, by patching the count interval and the
-    # testing share: saturating within the byte chords, testing after them,
-    # ORing words to the last chord or to saturation, words then testing;
-    # sources under n / COUNT_EVERY skip the byte stage, the others run it
-    stages, handed, or_words, sieve = [], [], graph._or_words, graph._sieve
+    # every cover hands all its chords to _or_words, and _sieve gets just
+    # the chords and vertices _or_words returns; patching the count
+    # interval and the testing share drives every way through: saturating
+    # at a count, ORing to the last chord, testing after a count
+    calls, stages, or_words, sieve = [], [], graph._or_words, graph._sieve
 
     def spy_words(covered, sources, chords):
         stages.append("words")
-        handed.append(chords.size)
-        return or_words(covered, sources, chords)
+        calls.append((chords.size, *or_words(covered, sources, chords)))
+        return calls[-1][1:]
 
     def spy_test(alive, chords, hit):
         stages.append("test")
+        assert chords is calls[-1][1] and alive is calls[-1][2]
         return sieve(alive, chords, hit)
 
     monkeypatch.setattr(graph, "_or_words", spy_words)
@@ -237,18 +238,17 @@ def test_shift_cover_word_phase_matches_naive(monkeypatch):
         monkeypatch.setattr(graph, "TEST_BELOW_SHARE", share)
         for n, chords, sources, covered in word_instances():
             stages.clear()
-            handed.clear()
+            calls.clear()
             got = shift_cover(covered.copy(), sources, chords)
             want = naive_shift_cover(covered.copy(), np.flatnonzero(sources),
                                      chords)
             assert np.array_equal(got, want), (n, every, share)
-            sparse = every * np.count_nonzero(sources) < n
-            if sparse:
-                assert handed == [len(chords)], (n, every)
-            else:
-                assert handed in ([], [len(chords) - every]), (n, every)
-            paths.add(("sparse" if sparse else "dense", *stages,
-                       "all" if got.all() else "some"))
+            [(size, rest, alive)] = calls
+            assert size == len(chords), (n, every)
+            if alive is not None:  # it stops only below the share
+                assert share * alive.size < n, (n, every, share)
+            assert stages in (["words"], ["words", "test"]), (n, every)
+            paths.add((*stages, "all" if got.all() else "some"))
             if covered.any():
                 continue
             spec, D = spec_of(n, chords), VertexSet(n, sources)
@@ -260,11 +260,8 @@ def test_shift_cover_word_phase_matches_naive(monkeypatch):
                 if n <= 1000:
                     assert set(coverage(spec, D, r).indices().tolist()) == \
                         naive_coverage(n, chords, np.flatnonzero(sources), r)
-    assert {("dense", "all"), ("dense", "test", "some"),
-            ("dense", "words", "some"), ("dense", "words", "all"),
-            ("dense", "words", "test", "some"), ("sparse", "words", "all"),
-            ("sparse", "words", "some"),
-            ("sparse", "words", "test", "some")} <= paths, paths
+    assert {("words", "all"), ("words", "some"),
+            ("words", "test", "some")} <= paths, paths
 
 
 def test_unmarked_reads_clear_bits_of_partial_words():
