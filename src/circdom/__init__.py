@@ -4,7 +4,6 @@ Constructions based on modular-ratio sets, exact verification oracles,
 greedy/random baselines, exponential-sum audits, and a CLI harness.
 """
 
-from .arith import centered_residue, e_n, mod_inv
 from .baselines import greedy_dominating, random_chord_set, random_dominating
 from .construct import (
     DominationReport,
@@ -45,11 +44,9 @@ __all__ = [
     "almost_dominating_W",
     "all_representation_counts",
     "build_W",
-    "centered_residue",
     "construct_dominating",
     "construct_universal_2dom",
     "coverage",
-    "e_n",
     "exact_gamma",
     "exceptional_set",
     "exp_sum_W",
@@ -58,7 +55,6 @@ __all__ = [
     "greedy_dominating",
     "is_dominating",
     "load_chord_file",
-    "mod_inv",
     "primes_in_window",
     "random_chord_set",
     "random_dominating",

@@ -5,10 +5,6 @@ class CircdomError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotInvertible(CircdomError):
-    """Raised when a residue has no inverse modulo n."""
-
-
 class InvalidChord(CircdomError):
     """Raised for chord values outside [1, n-1]."""
 

@@ -1,11 +1,11 @@
 """Exponential sums over the modular-ratio set and their bound audits.
 
-S(a) = sum_{w in W} e_n(a w) for all a in Z_n at once is one DFT of the
-indicator 1_W, O(n log n). Every float shortcut is checked: the argmax
-is re-summed term by term by exp_sum_W (the one sin/cos pair per term
-comes from the exact modular product), and the Parseval sum is compared
-with n * |W|. Requests above the cap are rejected before anything is
-allocated, not silently downsampled.
+S(a) = sum_{w in W} e_n(a w), with e_n(x) = exp(2 pi i x / n), for all a
+in Z_n at once is one DFT of the indicator 1_W, O(n log n). Every float
+shortcut is checked: the argmax is re-summed term by term by exp_sum_W
+(the one sin/cos pair per term comes from the exact modular product), and
+the Parseval sum is compared with n * |W|. Requests above the cap are
+rejected before anything is allocated, not silently downsampled.
 """
 
 from __future__ import annotations
