@@ -16,13 +16,13 @@ tree's run-to-run spread), the set sizes and random draws (which must
 agree across trees), each tree's build_W work counters (cells marked,
 candidate x prime cells tested), the chords the verification of the
 random set ORs before it switches to testing the vertices left (null
-where that pass never switches, or the tree has no testing phase), how
-many of them it ORs as packed words (null where the tree has no word
-phase or the pass never enters it), the draws of the prefix that the
-random baseline covers in bulk and how many prefixes it drew again
-because they covered Z_n (null where the tree covers no prefix), and
-the machine. Run from the repo root, e.g. against a checkout of a base
-commit in ../base:
+where that pass never switches), how many of them it ORs as packed words
+(null where the pass never enters that stage), the draws of the prefix
+that the random baseline covers in bulk and how many prefixes it drew
+again because they covered Z_n, and the machine. Every tree needs
+`graph._sieve`, `graph._or_words` returning (chords left, vertices
+left), `baselines.prefix_draws` and `WSet.marks`/`checks`. Run from the
+repo root, e.g. against a checkout of a base commit in ../base:
 
     python3 scripts/run_bench.py --tree before=../base/src --tree after=src \\
         --out BENCH_build_w.json
@@ -111,9 +111,7 @@ def measure(src: str) -> list[dict]:
                      **cover_counters(
                          graph, lambda: is_dominating(spec, rand.D), k),
                      **prefix_counters(baselines, spec),
-                     # a tree without counters marks every prime
-                     "marks": getattr(W, "marks", L * primes),
-                     "checks": getattr(W, "checks", 0),
+                     "marks": W.marks, "checks": W.checks,
                      "spec": spec, "D": rand.D,
                      "build_w_wall_ms": [], "build_w_cpu_ms": [],
                      "construct_wall_ms": [], "random_wall_ms": [],
@@ -141,35 +139,26 @@ def measure(src: str) -> list[dict]:
 
 def cover_counters(graph, verify, k: int) -> dict:
     """Chords shift_cover ORs in verify(): before it tests the vertices
-    left against the rest (k minus the chords handed to its testing
-    kernel, graph._sieve, or graph._test_unmarked in trees before it;
-    None if that never runs), and of those the ones ORed as packed words
-    (graph._or_words; None if that never runs). A tree without a phase
-    gives None for it."""
+    left against the rest (k minus the chords handed to graph._sieve; None
+    if that never runs), and of those the ones ORed as packed words
+    (graph._or_words; None if that never runs)."""
     tested, worded = [], []
-    test = "_sieve" if hasattr(graph, "_sieve") else "_test_unmarked"
-    kernels = {name: getattr(graph, name, None) for name in (test, "_or_words")}
+    sieve, or_words = graph._sieve, graph._or_words
 
-    def spy_test(*args):  # _sieve(alive, chords, hit), else (.., .., chords)
-        tested.append(args[1 if test == "_sieve" else 2].size)
-        return kernels[test](*args)
+    def spy_sieve(alive, chords, hit):
+        tested.append(chords.size)
+        return sieve(alive, chords, hit)
 
-    def spy_words(covered, sources, chords):  # (rest, unmarked) or rest
-        out = kernels["_or_words"](covered, sources, chords)
-        rest = out[0] if isinstance(out, tuple) else out
+    def spy_words(covered, sources, chords):
+        rest, alive = or_words(covered, sources, chords)
         worded.append(chords.size - rest.size)
-        return out
+        return rest, alive
 
-    spies = {test: spy_test, "_or_words": spy_words}
-    for name, kernel in kernels.items():
-        if kernel is not None:
-            setattr(graph, name, spies[name])
+    graph._sieve, graph._or_words = spy_sieve, spy_words
     try:
         verify()
     finally:
-        for name, kernel in kernels.items():
-            if kernel is not None:
-                setattr(graph, name, kernel)
+        graph._sieve, graph._or_words = sieve, or_words
     return {"ored_before_switch": k - tested[0] if tested else None,
             "ored_as_words": worded[0] if worded else None}
 
@@ -177,9 +166,7 @@ def cover_counters(graph, verify, k: int) -> dict:
 def prefix_counters(baselines, spec) -> dict:
     """The draws of the prefix random_dominating keeps, and the prefixes
     it drew before that one because they covered Z_n: one shift_cover
-    call each. A tree without baselines.prefix_draws gives None."""
-    if not hasattr(baselines, "prefix_draws"):
-        return {"prefix_draws": None, "prefix_redraws": None}
+    call each."""
     covers, cover = [], baselines.shift_cover
 
     def spy(*args):
