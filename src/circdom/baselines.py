@@ -7,10 +7,10 @@ recount. The randomized baseline samples vertices uniformly with
 replacement until coverage is complete, seeded through numpy's PCG64 for
 cross-platform determinism; draws come in chunks from the same stream
 and stop at the exact draw a one-at-a-time loop would stop at. It covers
-a prefix of the draws in one graph.shift_cover pass, then tests the few
-vertices left against the next draws with graph._sieve, the kernel with
-which build_W and shift_cover also test the few vertices they leave
-unmarked.
+a prefix of the draws in one graph.shift_cover pass, which ORs the chords
+packed from the first one, then tests the few vertices left against the
+next draws with graph._sieve, the kernel with which build_W and
+shift_cover also test the few vertices they leave unmarked.
 """
 
 from __future__ import annotations

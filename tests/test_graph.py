@@ -185,7 +185,7 @@ def word_instances():
     and n - 1, chords at each bit offset (n - s) mod 8 and at (n - s) = 0
     mod 64; sources holding vertices 0 and n - 1, from sparse to dense
     sources that saturate within a few chords, and sources of just under
-    and exactly n / COUNT_EVERY vertices, in the first eighth or spread;
+    and exactly n / COUNT_EVERY vertices, at the start or spread;
     covered empty or pre-seeded with marks the sources do not make."""
     rng = np.random.default_rng(23)
     sizes = [*range(2, 10), 17, 63, 64, 65, 127, 128, 129,
@@ -243,7 +243,7 @@ def test_shift_cover_word_phase_matches_naive(monkeypatch):
             want = naive_shift_cover(covered.copy(), np.flatnonzero(sources),
                                      chords)
             assert np.array_equal(got, want), (n, every, share)
-            [(size, rest, alive)] = calls
+            [(size, _, alive)] = calls
             assert size == len(chords), (n, every)
             if alive is not None:  # it stops only below the share
                 assert share * alive.size < n, (n, every, share)
