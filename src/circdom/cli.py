@@ -3,11 +3,11 @@
 JSON for single reports, CSV for sweeps. All science parameters are
 explicit flags; the only environment knob is CIRCDOM_OUT_DIR, which
 prefixes relative --out paths. Each cmd_* returns (text, exit code: 0
-verified or passed, 1 not); main alone range-checks n and L, rejects a
-grid with no points, an unknown bench method and an audit flag the
-check does not read, writes the text and maps errors: HypothesisNotMet
-exits 2 with "HypothesisNotMet: msg", any other CircdomError, OSError or
-ValueError exits 1 with "error: Name: msg".
+verified or passed, 1 not); main alone range-checks n, L, r, --trials
+and --jobs, rejects a grid with no points, an unknown bench method and
+an audit flag the check does not read, writes the text and maps errors:
+HypothesisNotMet exits 2 with "HypothesisNotMet: msg", any other
+CircdomError, OSError or ValueError exits 1 with "error: Name: msg".
 """
 
 from __future__ import annotations
@@ -422,8 +422,12 @@ def main(argv: list[str] | None = None) -> int:
             if method not in METHODS:
                 raise ValueError(f"--methods: unknown method {method!r}; "
                                  f"choose from {', '.join(METHODS)}")
-        if getattr(args, "trials", 1) < 1:
-            raise ValueError(f"--trials={args.trials} is below 1")
+        for name in ("trials", "jobs"):
+            value = getattr(args, name, 1)
+            if value < 1:
+                raise ValueError(f"{_flag(name)}={value} is below 1")
+        if getattr(args, "r", 1) < 1:
+            raise ValueError("r must be >= 1")
         for n in args.n_list if hasattr(args, "n_list") else [args.n]:
             if n > MAX_N:
                 raise TooLarge(f"n={n} exceeds MAX_N={MAX_N}")

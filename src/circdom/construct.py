@@ -276,8 +276,7 @@ def exceptional_set(n: int, S: ChordSet, W: WSet) -> VertexSet:
     Rotates the membership mask of W by each chord into one bit array and
     returns the complement; O(n * chords until saturation).
     """
-    return VertexSet(n, ~shift_cover(np.zeros(n, dtype=bool),
-                                     W.elements.members, S.chords))
+    return VertexSet(n, ~shift_cover(W.elements.members, S.chords))
 
 
 def exceptional_bound(n: int, s_size: int, num_primes: int) -> float:

@@ -4,7 +4,8 @@ Coverage direction: a vertex u covers u + S (and itself). The edge rule
 i -> j iff i - j in S would make dominated vertices of the form D - S;
 the constructive proofs cover W + S instead, and we follow the
 constructions. For symmetric S the two conventions coincide; replacing
-S by -S recovers the other one.
+S by -S recovers the other one. shift_cover marks sources + chords in a
+new mask: the exceptional set's open cover passes S, closed covers S u {0}.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ import numpy as np
 
 from .errors import ChordFileError, InvalidChord
 
-# shift_cover ORs chords packed 8 vertices a byte (_or_words), counting
-# every COUNT_EVERY chords, while at least n / TEST_BELOW_SHARE vertices
-# are unmarked; below that it tests just the unmarked vertices against
-# the remaining chords (_sieve). At n = 10^6 on a 2-vCPU Xeon a tested
-# cell costs ~3 ns and ORing a packed chord ~0.0075 ns a vertex (one
-# 7-8 us byte-slice OR), so below about n / 400 unmarked vertices testing
-# a chord costs less than ORing it even when no tested vertex is hit.
-# Shares from 256 to 1024 timed the same within ~5% with the 64-bit
-# words this stage replaced.
+# shift_cover ORs the sources' rotations, packed 8 vertices a byte, into
+# one packed cover (_or_words), counting every COUNT_EVERY chords, while
+# at least n / TEST_BELOW_SHARE vertices are unmarked; below that it tests
+# just the unmarked vertices against the remaining chords (_sieve). At
+# n = 10^6 on a 2-vCPU Xeon a tested cell costs ~3 ns and ORing a packed
+# chord ~0.0075 ns a vertex (one 7-8 us byte-slice OR), so below about
+# n / 400 unmarked vertices testing a chord costs less than ORing it even
+# when no tested vertex is hit. Shares from 256 to 1024 timed the same
+# within ~5% with the 64-bit words this stage replaced.
 COUNT_EVERY = 16
 TEST_BELOW_SHARE = 512
 # _sieve tests blocks of at most CELLS (item, candidate) cells; build_W
@@ -172,13 +173,6 @@ def _sieve(alive: np.ndarray, items: np.ndarray,
     return alive, i, tested
 
 
-def _pack(mask: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Write mask's bits into the leading bits of words; return words."""
-    words.view(np.uint8)[:-(-mask.size // 8)] = np.packbits(mask,
-                                                            bitorder="little")
-    return words
-
-
 def _unmarked(cover: np.ndarray) -> np.ndarray:
     """The clear bits of packed words whose padding bits are set, in
     order: unpacked only from the words that are not full."""
@@ -188,30 +182,29 @@ def _unmarked(cover: np.ndarray) -> np.ndarray:
     return partial[clear >> 6] * 64 + (clear & 63)
 
 
-def _or_words(covered: np.ndarray, sources: np.ndarray, chords: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray | None]:
-    """OR the rotation of sources by each chord into covered as packed
-    bits, until every vertex is marked or fewer than n / TEST_BELOW_SHARE
-    are left; return (the chords not ORed, the vertices left unmarked).
+def _or_words(sources: np.ndarray, chords: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """OR the rotation of sources by each chord into an empty packed cover,
+    until every vertex is marked or fewer than n / TEST_BELOW_SHARE are
+    left; return (the chords not ORed, the packed cover).
 
-    covered is packed once into ceil(n / 64) words with its padding bits
-    set, so a popcount counts the marked vertices and each word that is
-    not full holds at least one unmarked vertex. sources is packed once
-    as a doubled ring, 2n bits holding it twice, so its rotation by s is
-    the n-bit window that starts at bit n - s = 8q + b: the ring shifted
-    down by b bits, read from byte q. The chords are taken grouped by b,
-    so at most 8 shifted rings are built (two shifts and an OR of the
-    ring's words each), and each chord is one byte-slice OR. If it stops
-    below the share, covered stays as it was and the vertices left are
-    read from the words that are not full; otherwise covered gets the
-    result and the second value is None.
+    The cover holds ceil(n / 64) words with its padding bits set, so a
+    popcount counts the marked vertices and each word that is not full
+    holds at least one unmarked vertex. sources is packed once as a
+    doubled ring, 2n bits holding it twice, so its rotation by s is the
+    n-bit window that starts at bit n - s = 8q + b: the ring shifted down
+    by b bits, read from byte q (chord 0 reads the second copy). The
+    chords are taken grouped by b, so at most 8 shifted rings are built
+    (two shifts and an OR of the ring's words each), and each chord is one
+    byte-slice OR.
     """
-    n = covered.size
+    n = sources.size
     words = -(-n // 64)
-    cover = _pack(covered, np.zeros(words, dtype=WORD))
+    cover = np.zeros(words, dtype=WORD)
     if n % 64:
-        cover[-1] |= np.uint64(2**64 - 2 ** (n % 64))
-    ring = _pack(sources, np.zeros(2 * words + 1, dtype=WORD))
+        cover[-1] = np.uint64(2**64 - 2 ** (n % 64))
+    ring = np.zeros(2 * words + 1, dtype=WORD)
+    ring.view(np.uint8)[:-(-n // 8)] = np.packbits(sources, bitorder="little")
     q, b = divmod(n, 64)  # the second copy starts at bit n
     if b:  # the upper words first: they read the first copy unchanged
         ring[q + 1:q + words + 1] |= ring[:words] >> np.uint64(64 - b)
@@ -232,27 +225,22 @@ def _or_words(covered: np.ndarray, sources: np.ndarray, chords: np.ndarray
             # the words that are not full bound the unmarked vertices from
             # below: only a bound under the share needs the popcount
             partial = int(np.count_nonzero(cover != FULL))
-            if partial == 0:  # nothing to unpack
-                covered[:] = True
-                return chords[:0], None
+            if partial == 0:
+                return chords[:0], cover
             if TEST_BELOW_SHARE * partial < n and TEST_BELOW_SHARE * (
                     64 * words - int(np.bitwise_count(cover).sum())) < n:
-                return chords[order[i:]], _unmarked(cover)
-    del ring, shifted, carry, window  # before the n-byte unpacked copy
-    covered.view(np.uint8)[:] = np.unpackbits(out, count=n, bitorder="little")
-    return chords[:0], None
+                return chords[order[i:]], cover
+    return chords[:0], cover
 
 
-def shift_cover(covered: np.ndarray, sources: np.ndarray, chords) -> np.ndarray:
-    """Mark v + chord mod n for every v with sources[v] set; return covered.
+def shift_cover(sources: np.ndarray, chords) -> np.ndarray:
+    """A new length-n mask marking v + chord mod n for every v with
+    sources[v] set, sources a length-n boolean mask and every chord in
+    [0, n - 1]: chord 0 marks the sources themselves, so a closed cover
+    passes S u {0}.
 
-    covered and sources are length-n boolean masks and every chord lies in
-    [1, n - 1], as in a ChordSet. The masks must not share memory: an
-    aliased source would gain the marks of earlier chords and carry them
-    several hops.
-
-    Two stages. _or_words ORs the rotation of each chord into covered as
-    packed bits from the first chord, counting the unmarked vertices every
+    Two stages. _or_words ORs the rotation of each chord into a packed
+    cover from the first chord, counting the unmarked vertices every
     COUNT_EVERY chords, and stops once every vertex is marked: the paper's
     dense sources saturate at the first count. Once fewer than
     n / TEST_BELOW_SHARE are left, _sieve tests just those against the
@@ -260,13 +248,15 @@ def shift_cover(covered: np.ndarray, sources: np.ndarray, chords) -> np.ndarray:
     x - s is a source for some chord s, and OR is order-free, so the result
     does not depend on where the switch falls.
     """
-    if np.may_share_memory(covered, sources):
-        raise ValueError("covered and sources must not share memory")
-    rest, alive = _or_words(covered, sources, np.asarray(chords, dtype=np.int64))
+    n = sources.size
+    rest, cover = _or_words(sources, np.asarray(chords, dtype=np.int64))
+    if not rest.size and (cover != FULL).any():  # ORed every chord
+        return np.unpackbits(cover.view(np.uint8), count=n,
+                             bitorder="little").view(bool)
+    covered = np.ones(n, dtype=bool)
     if rest.size:
-        left = _sieve(alive, rest, lambda x, a: shifted_lookup(sources, x, a))[0]
-        covered[:] = True
-        covered[left] = False
+        covered[_sieve(_unmarked(cover), rest,
+                       lambda x, a: shifted_lookup(sources, x, a))[0]] = False
     return covered
 
 
@@ -274,14 +264,12 @@ def coverage(spec: CirculantSpec, D: VertexSet, r: int) -> VertexSet:
     """Vertices reachable from D by at most r steps along +S, D included."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    covered, source = D.members.copy(), D.members
-    for step in range(1, r + 1):
-        shift_cover(covered, source, spec.chords.chords)
-        if step == r or covered.all() or np.array_equal(covered, source):
+    closed, source = (0, *spec.chords.chords), D.members
+    covered = shift_cover(source, closed)
+    for _ in range(r - 1):
+        if covered.all() or np.array_equal(covered, source):
             break
-        if source is D.members:  # later rounds read one reused scratch copy
-            source = np.empty_like(covered)
-        np.copyto(source, covered)
+        source, covered = covered, shift_cover(covered, closed)
     return VertexSet(spec.n, covered)
 
 

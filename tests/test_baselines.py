@@ -114,9 +114,10 @@ def spy_phases(monkeypatch):
     covers, blocks = [], []
     shift_cover, shifted_lookup = baselines.shift_cover, baselines.shifted_lookup
 
-    def cover_spy(covered, sources, chords):
+    def cover_spy(sources, chords):
         covers.append(np.flatnonzero(sources).tolist())
-        return shift_cover(covered, sources, chords)
+        assert chords[0] == 0  # a closed cover, by S u {0}
+        return shift_cover(sources, chords)
 
     def test_spy(table, x, a):
         blocks.append((x.size, a.size))
@@ -128,11 +129,11 @@ def spy_phases(monkeypatch):
 
 
 def check_phases(n, S, seed, covers, blocks, cells):
-    """Prefix j holds the first prefix_draws(n, k, 2^j * PREFIX_LEFT *
-    (k + 1)) draws of the stream; each prefix but the last covers Z_n, and
-    phase 2's first block tests the u vertices the last one leaves against
-    max(1, min(ceil(n / (k + 1)), cells // u)) draws."""
-    left = baselines.PREFIX_LEFT * (S.k + 1)
+    """Prefix j holds the first prefix_draws(n, k, 2^j * max(PREFIX_LEFT *
+    (k + 1), 2)) draws of the stream; each prefix but the last covers Z_n,
+    and phase 2's first block tests the u vertices the last one leaves
+    against max(1, min(ceil(n / (k + 1)), cells // u)) draws."""
+    left = max(baselines.PREFIX_LEFT * (S.k + 1), 2)
     for j, drawn in enumerate(covers):
         prefix = naive_draws(n, seed, baselines.prefix_draws(n, S.k, left))
         assert drawn == sorted(set(prefix)), j
@@ -147,10 +148,12 @@ def check_phases(n, S, seed, covers, blocks, cells):
 
 
 @pytest.mark.parametrize("cells", [1, 7, 200, CHUNK_CELLS])
-@pytest.mark.parametrize("n, k", [(24, 2), (2000, 25), (10**5, 100)])
+@pytest.mark.parametrize("n, k", [(24, 2), (73, 3), (2000, 1), (2000, 25),
+                                  (10**5, 100)])
 def test_random_phases_match_one_at_a_time(n, k, cells, monkeypatch):
-    # n = 24 steps back twice (see test_random_prefix_covering_steps_back);
-    # n = 2000 and 10^5 cover their first prefix and test the few left
+    # n = 73 steps back twice (see test_random_prefix_covering_steps_back);
+    # the others cover their first prefix and test the few left (at k < 7
+    # the prefix leaves its floor of 2 vertices expected)
     monkeypatch.setattr(graph, "CELLS", cells)
     covers, blocks = spy_phases(monkeypatch)
     if (n, k) not in NAIVE_RANDOM:
@@ -161,8 +164,8 @@ def test_random_phases_match_one_at_a_time(n, k, cells, monkeypatch):
     assert np.flatnonzero(chosen).tolist() == picks
     assert got == draws
     check_phases(n, S, 2, covers, blocks, cells)
-    assert len(covers) == (3 if n == 24 else 1)
-    if n > 24:
+    assert len(covers) == (3 if n == 73 else 1)
+    if n != 73:
         assert 0 < blocks[0][0] <= k
 
 
@@ -182,17 +185,20 @@ def test_random_prefix_draws():
 
 
 def test_random_prefix_covering_steps_back(monkeypatch):
-    # chord seed 1, draw seed 2 at n = 24, k = 2: the first two prefixes
-    # (25 and 20 draws) cover Z_24, the third (15) leaves 2 vertices. An
-    # empty prefix leaves every vertex: at n = 4, k = 3 phase 2 tests all 4
-    for n, k, prefixes in ((24, 2, [25, 20, 15]), (4, 3, [0])):
+    # chord seed 1, draw seed 2 at n = 73, k = 3, where the floor of 2
+    # binds: the first two prefixes (63 and 51 draws) cover Z_73, the third
+    # (39) leaves 4 vertices; at n = 39, k = 1 the first (56) covers Z_39
+    # and the second (43) does not. An empty prefix leaves every vertex:
+    # at n = 4, k = 3 phase 2 tests all 4
+    for n, k, prefixes in ((73, 3, [63, 51, 39]), (39, 1, [56, 43]),
+                           (4, 3, [0])):
         S = random_chord_set(n, k, 1)
         covers, blocks = spy_phases(monkeypatch)
         chosen, got = baselines._random_picks(n, S.as_array(), 2)
         picks, draws = naive_random_cover(n, S.chords, 2)
         assert (np.flatnonzero(chosen).tolist(), got) == (picks, draws)
         check_phases(n, S, 2, covers, blocks, graph.CELLS)
-        left = baselines.PREFIX_LEFT * (k + 1)
+        left = max(baselines.PREFIX_LEFT * (k + 1), 2)
         assert [baselines.prefix_draws(n, k, left * 2**j)
                 for j in range(len(covers))] == prefixes
         monkeypatch.undo()
@@ -201,7 +207,7 @@ def test_random_prefix_covering_steps_back(monkeypatch):
 def test_random_draw_calls_hold_at_most_cells(monkeypatch):
     # k = 1 at n = 2^24 would draw a prefix of over 10^8 at once; each
     # call draws at most graph.CELLS, and the prefix calls add up to it
-    assert baselines.prefix_draws(2**24, 1, 2 * baselines.PREFIX_LEFT) > 10**8
+    assert baselines.prefix_draws(2**24, 1, 2) > 10**8
     n, cells = 5000, 64
     S = random_chord_set(n, 1, 1)
     sizes, default_rng = [], np.random.default_rng
@@ -222,7 +228,7 @@ def test_random_draw_calls_hold_at_most_cells(monkeypatch):
     monkeypatch.undo()
     assert (np.flatnonzero(chosen).tolist(), got) == naive_random_cover(
         n, S.chords, 3)
-    left = baselines.PREFIX_LEFT * 2
+    left = 2  # PREFIX_LEFT * (k + 1) is under the floor at k = 1
     for j, calls in enumerate(sizes):
         T = baselines.prefix_draws(n, 1, left * 2**j)
         assert T > 100 * cells

@@ -279,6 +279,10 @@ def test_l_list_size_guard(check, capsys):
     (("bench", "--n-list", "1000", "--k-list", "25", "--methods",
       "greedy,gredy"), "error: ValueError: --methods: unknown method "
      "'gredy'; choose from paper, greedy, random, universal2, almost-w"),
+    (("bench", "--n-list", "1000", "--k-list", "25", "--jobs", "0"),
+     "error: ValueError: --jobs=0 is below 1"),
+    (("bench", "--n-list", "1000", "--k-list", "25", "--jobs", "-3"),
+     "error: ValueError: --jobs=-3 is below 1"),
     # a flag the chosen check does not read is an error, not ignored
     (("audit", "--check", "card", "--n-list", "101", "--l-list", "3",
       "--k-list", "5", "--trials", "7"),
@@ -300,15 +304,20 @@ def test_l_list_size_guard(check, capsys):
         "exceptional-empty-k", "nu-empty-k", "exceptional-trials-0",
         "nu-trials-negative", "bench-empty-n", "bench-empty-k",
         "bench-empty-seeds", "bench-empty-methods", "bench-unknown-method",
+        "bench-jobs-0", "bench-jobs-negative",
         "card-reads-no-k-list", "card-reads-no-trials", "expsum-reads-no-seed",
         "exceptional-reads-no-c0", "nu-reads-no-l-list", "nu-reads-no-cap"])
-def test_input_floor(args, message, capsys):
-    # bad small inputs end in one error line and exit 1, not a traceback
+def test_input_floor(args, message, capsys, monkeypatch):
+    # bad small inputs end in one error line and exit 1, not a traceback,
+    # before any method runs: --r 0 does not wait for a full construction
+    ran = []
+    monkeypatch.setattr(cli, "_run_method", lambda *a, **kw: ran.append(a))
     rc = main(list(args))
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert captured.err.strip() == message
+    assert ran == []
 
 
 def test_audit_expsum_below_scale_floor(capsys):

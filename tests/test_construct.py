@@ -400,19 +400,22 @@ def test_cover_tests_sparse_sets_only(monkeypatch):
 
 
 def test_cover_ors_words_from_the_first_chord(monkeypatch):
-    # every cover hands all k chords to the word stage. The paper's dense
-    # sets at n = 10^6 (98.4-99.6% of Z_n) saturate there, so neither
-    # exceptional_set nor the verification calls _sieve; the random
-    # baseline's prefix and its set leave vertices that _sieve tests, and
-    # it gets just the chords and vertices the word stage returns
+    # every cover hands all its chords to the word stage: the k of S to
+    # exceptional_set's open cover, and the k + 1 of S u {0} to a closed
+    # cover. The paper's dense sets at n = 10^6 (98.4-99.6% of Z_n)
+    # saturate there, so neither exceptional_set nor the verification
+    # calls _sieve; the random baseline's prefix and its set leave vertices
+    # that _sieve tests, and it gets just the chords the word stage returns
+    # and the vertices its packed cover leaves clear
     calls, tested, or_words, sieve = [], [], graph._or_words, graph._sieve
 
-    def spy_words(covered, sources, chords):
-        calls.append((chords.size, *or_words(covered, sources, chords)))
+    def spy_words(sources, chords):
+        calls.append((chords.size, *or_words(sources, chords)))
         return calls[-1][1:]
 
     def spy_test(alive, chords, hit):
-        assert chords is calls[-1][1] and alive is calls[-1][2]
+        assert chords is calls[-1][1]
+        assert np.array_equal(alive, graph._unmarked(calls[-1][2]))
         tested.append(chords.size)
         return sieve(alive, chords, hit)
 
@@ -425,15 +428,16 @@ def test_cover_ors_words_from_the_first_chord(monkeypatch):
         assert rep.size > 0.98 * n and tested == []
         # both covers saturate: W + S is Z_n (U is empty), and D dominates
         assert rep.parameters["u_size"] == 0 and rep.verified
-        assert [(size, rest.size, alive) for size, rest, alive in calls] == \
-            [(k, 0, None)] * 2
+        assert [(size, rest.size, bool((cover == graph.FULL).all()))
+                for size, rest, cover in calls] == [(k, 0, True),
+                                                    (k + 1, 0, True)]
         calls.clear()
     for k in (100, 1000):
         spec = CirculantSpec(n, random_chord_set(n, k, 1))
         rep = random_dominating(spec, 2)
         assert rep.verified and len(calls) == 2
         assert is_dominating(spec, rep.D)[0] and len(calls) == 3
-        assert [size for size, *_ in calls] == [k] * 3
+        assert [size for size, *_ in calls] == [k + 1] * 3
         assert tested == [rest.size for _, rest, _ in calls] and all(tested)
         calls.clear()
         tested.clear()

@@ -64,18 +64,6 @@ def test_coverage_matches_naive(inst):
     assert got == naive_coverage(n, sorted(chords), sorted(dset), r)
 
 
-def test_shift_cover_rejects_aliased_masks():
-    # in place, covered |= rotate(covered) would chain chords 1 and 2 into
-    # a 3-hop step and mark vertex 3 from 0
-    mask = np.zeros(8, dtype=bool)
-    mask[0] = True
-    for sources in (mask, mask[:]):
-        with pytest.raises(ValueError, match="share memory"):
-            shift_cover(mask, sources, (1, 2))
-    assert shift_cover(mask.copy(), mask, (1, 2)).tolist() == [
-        True, True, True, False, False, False, False, False]
-
-
 def sieve_instances():
     """(hits, alive, items): hits[item, candidate] says which item hits
     which candidate; alive and items are distinct indices into it. Empty
@@ -135,17 +123,32 @@ def test_sieve_matches_first_hit_loop(cells, monkeypatch):
 
 def cover_instances():
     """(n, chords, sources): sparse sources, and sources with planted holes,
-    vertices x whose coverers x - (S u {0}) are all cleared."""
+    vertices x whose coverers x - (S u {0}) are all cleared, each under an
+    open cover (chords S) and a closed one (S u {0}, chord 0 last), at
+    random n and at n = 0, 1 and 7 mod 64."""
     rng = np.random.default_rng(17)
-    for _ in range(30):
-        n = int(rng.integers(2, 1500))
+    for n in [*rng.integers(2, 1500, 30).tolist(), 640, 641, 647]:
         chords = random_subset(rng, n, int(rng.integers(1, min(n - 1, 60) + 1)))
         sources = rng.random(n) < 2.0 / (len(chords) + 1)
-        yield n, chords, sources
         holes = rng.random(n) < 4.0 / (len(chords) + 1)
         for x in rng.integers(0, n, 3):
             holes[(x - np.array((0, *chords))) % n] = False
-        yield n, chords, holes
+        for cover in (chords, (*chords, 0)):
+            yield n, cover, sources
+            yield n, cover, holes
+
+
+def check_cover(sources, chords):
+    """shift_cover(sources, chords) against the index scatter; it leaves
+    sources as it was and returns a mask of its own."""
+    before = sources.copy()
+    got = shift_cover(sources, chords)
+    want = naive_shift_cover(np.zeros(sources.size, dtype=bool),
+                             np.flatnonzero(sources), chords)
+    assert np.array_equal(got, want), (sources.size, chords)
+    assert np.array_equal(sources, before)
+    assert not np.shares_memory(got, sources)
+    return got
 
 
 # (COUNT_EVERY, TEST_BELOW_SHARE, CELLS): switch after the first chord
@@ -161,35 +164,39 @@ def test_shift_cover_testing_phase_matches_naive(every, share, cells,
     tested, sieve = [], graph._sieve
 
     def spy(alive, chords, hit):
-        tested.append(chords.size)
+        tested.append((chords.size, 0 in chords))
         return sieve(alive, chords, hit)
 
     monkeypatch.setattr(graph, "_sieve", spy)
-    undominated = 0
+    undominated, zero_tested = 0, set()
     for n, chords, sources in cover_instances():
-        got = shift_cover(sources.copy(), sources, chords)
-        want = naive_shift_cover(sources.copy(), np.flatnonzero(sources), chords)
-        assert np.array_equal(got, want), (n, chords)
-        undominated += not got.all()
-        if n <= 500:  # and coverage, whose second round covers the first's
-            spec, D = spec_of(n, chords), VertexSet(n, sources)
-            for r in (1, 2):
+        tested.clear()
+        got = check_cover(sources, chords)
+        undominated += chords[-1] == 0 and not got.all()
+        if any(zero for _, zero in tested):
+            zero_tested.add(n)
+        if n <= 500 and chords[-1] == 0:  # and coverage, by S u {0}
+            spec, D = spec_of(n, chords[:-1]), VertexSet(n, sources)
+            for r in (1, 2):  # the second round covers the first's cover
                 assert set(coverage(spec, D, r).indices().tolist()) == \
-                    naive_coverage(n, chords, np.flatnonzero(sources), r)
-    assert len(tested) >= 10 and undominated >= 20
+                    naive_coverage(n, chords[:-1], np.flatnonzero(sources), r)
+    assert undominated >= 20
+    if every == 1:  # chord 0, last, is tested at n = 0, 1 and 7 mod 64
+        assert {640, 641, 647} <= zero_tested, zero_tested
 
 
 def word_instances():
-    """(n, chords, sources, covered) for the packed stage: every n mod 8,
-    below 64 and above, at and off multiples of 64, and 10^5; chords 1
-    and n - 1, chords at each bit offset (n - s) mod 8 and at (n - s) = 0
-    mod 64; sources holding vertices 0 and n - 1, from sparse to dense
-    sources that saturate within a few chords, and sources of just under
-    and exactly n / COUNT_EVERY vertices, at the start or spread;
-    covered empty or pre-seeded with marks the sources do not make."""
+    """(n, chords, sources) for the packed stage: every n mod 8, below 64
+    and above, at and off multiples of 64 (n = 0, 1 and 7 mod 64), and
+    10^5; chords 1 and n - 1, chords at each bit offset (n - s) mod 8 and
+    at (n - s) = 0 mod 64; sources holding vertices 0 and n - 1, from
+    sparse to dense sources that saturate within a few chords, and sources
+    of just under and exactly n / COUNT_EVERY vertices, at the start or
+    spread; each under an open cover (chords S) and a closed one
+    (S u {0}, chord 0 last)."""
     rng = np.random.default_rng(23)
-    sizes = [*range(2, 10), 17, 63, 64, 65, 127, 128, 129,
-             *range(1000, 1008), 4099, 4160, 10**5]
+    sizes = [*range(2, 10), 17, 63, 64, 65, 71, 127, 128, 129,
+             *range(1000, 1008), 4099, 4103, 4160, 10**5]
     sizes += [int(x) for x in rng.integers(130, 6000, 8)]
     for n in sizes:
         k = int(rng.integers(1, min(n - 1, 300) + 1))
@@ -197,71 +204,83 @@ def word_instances():
         chords |= {n - o for o in range(8, 16) if o < n}
         chords |= {n - 64 * j for j in range(1, 4) if 64 * j < n}
         chords = tuple(sorted(chords))
+        masks = []
         for density in (0.003, 0.02, 0.1, 0.5, 0.9):
-            sources = rng.random(n) < density
-            sources[[0, n - 1]] = True
-            covered = np.zeros(n, dtype=bool)
-            if density < 0.1:
-                covered[rng.integers(0, n, max(1, n // 50))] = True
-            yield n, chords, sources, covered
+            masks.append(rng.random(n) < density)
+            masks[-1][[0, n - 1]] = True
         edge = -(-n // graph.COUNT_EVERY)
         for m in (edge - 1, edge):
             for where in (np.arange(m), rng.choice(n, m, replace=False)):
-                sources = np.zeros(n, dtype=bool)
-                sources[where] = True
-                yield n, chords, sources, np.zeros(n, dtype=bool)
+                masks.append(np.zeros(n, dtype=bool))
+                masks[-1][where] = True
+        for sources in masks:
+            yield n, chords, sources
+            yield n, (*chords, 0), sources
 
 
 def test_shift_cover_word_phase_matches_naive(monkeypatch):
     # every cover hands all its chords to _or_words, and _sieve gets just
-    # the chords and vertices _or_words returns; patching the count
-    # interval and the testing share drives every way through: saturating
-    # at a count, ORing to the last chord, testing after a count
+    # the chords it returns and the vertices its packed cover leaves clear;
+    # patching the count interval and the testing share drives every way
+    # through: saturating at a count, ORing to the last chord, testing
+    # after a count, with chord 0 ORed or tested
     calls, stages, or_words, sieve = [], [], graph._or_words, graph._sieve
 
-    def spy_words(covered, sources, chords):
+    def unpack(cover):
+        return np.unpackbits(cover.view(np.uint8), bitorder="little")
+
+    def spy_words(sources, chords):
         stages.append("words")
-        calls.append((chords.size, *or_words(covered, sources, chords)))
+        calls.append((chords.size, *or_words(sources, chords)))
         return calls[-1][1:]
 
     def spy_test(alive, chords, hit):
         stages.append("test")
-        assert chords is calls[-1][1] and alive is calls[-1][2]
+        assert chords is calls[-1][1]
+        assert alive.tolist() == np.flatnonzero(unpack(calls[-1][2]) == 0
+                                                ).tolist()
         return sieve(alive, chords, hit)
 
     monkeypatch.setattr(graph, "_or_words", spy_words)
     monkeypatch.setattr(graph, "_sieve", spy_test)
-    paths = set()
+    paths, zero = set(), set()
     for every, share in ((1, 2**40), (3, 4), (graph.COUNT_EVERY, 2),
                          (graph.COUNT_EVERY, graph.TEST_BELOW_SHARE)):
         monkeypatch.setattr(graph, "COUNT_EVERY", every)
         monkeypatch.setattr(graph, "TEST_BELOW_SHARE", share)
-        for n, chords, sources, covered in word_instances():
+        for n, chords, sources in word_instances():
             stages.clear()
             calls.clear()
-            got = shift_cover(covered.copy(), sources, chords)
-            want = naive_shift_cover(covered.copy(), np.flatnonzero(sources),
-                                     chords)
-            assert np.array_equal(got, want), (n, every, share)
-            [(size, _, alive)] = calls
+            got = check_cover(sources, chords)
+            [(size, rest, cover)] = calls
             assert size == len(chords), (n, every)
-            if alive is not None:  # it stops only below the share
-                assert share * alive.size < n, (n, every, share)
+            bits = unpack(cover)  # padding bits set, marks within got
+            assert bits[n:].all() and not (bits[:n] > got).any(), n
+            if rest.size:  # it stops only below the share
+                assert share * (n - np.count_nonzero(bits[:n])) < n
+            else:
+                assert np.array_equal(bits[:n], got), (n, every, share)
             assert stages in (["words"], ["words", "test"]), (n, every)
             paths.add((*stages, "all" if got.all() else "some"))
-            if covered.any():
+            if chords[-1] != 0:
                 continue
-            spec, D = spec_of(n, chords), VertexSet(n, sources)
-            want = sources
-            for r in (1, 2):  # the second round covers the first's cover
-                want = naive_shift_cover(want.copy(), np.flatnonzero(want),
-                                         chords)
-                assert np.array_equal(coverage(spec, D, r).members, want)
-                if n <= 1000:
+            if n % 64 in (0, 1, 7):
+                zero.add((n % 64, "test" if 0 in rest else "words"))
+            spec, D = spec_of(n, chords[:-1]), VertexSet(n, sources)
+            want = got  # coverage's first round; the second covers it
+            assert np.array_equal(coverage(spec, D, 1).members, want)
+            want = naive_shift_cover(want.copy(), np.flatnonzero(want),
+                                     chords)
+            assert np.array_equal(coverage(spec, D, 2).members, want)
+            if n <= 1000:
+                for r in (1, 2):
                     assert set(coverage(spec, D, r).indices().tolist()) == \
-                        naive_coverage(n, chords, np.flatnonzero(sources), r)
+                        naive_coverage(n, chords[:-1],
+                                       np.flatnonzero(sources), r)
     assert {("words", "all"), ("words", "some"),
             ("words", "test", "some")} <= paths, paths
+    assert zero == {(m, stage) for m in (0, 1, 7)
+                    for stage in ("words", "test")}, zero
 
 
 def test_unmarked_reads_clear_bits_of_partial_words():
