@@ -20,9 +20,10 @@ where that pass never switches), how many of them it ORs as packed words
 (null where the pass never enters that stage), the draws of the prefix
 that the random baseline covers in bulk and how many prefixes it drew
 again because they covered Z_n, and the machine. Every tree needs
-`graph._sieve`, `graph._or_words` returning (chords left, vertices
-left), `baselines.prefix_draws` and `WSet.marks`/`checks`. Run from the
-repo root, e.g. against a checkout of a base commit in ../base:
+`graph._sieve`, `graph._or_words` taking the chords as its last argument
+and returning the chords it did not OR first, `baselines.prefix_draws`
+and `WSet.marks`/`checks`. Run from the repo root, e.g. against a
+checkout of a base commit in ../base:
 
     python3 scripts/run_bench.py --tree before=../base/src --tree after=src \\
         --out BENCH_build_w.json
@@ -109,7 +110,7 @@ def measure(src: str) -> list[dict]:
                      "random_size": rand.size,
                      "draws": rand.parameters["draws"],
                      **cover_counters(
-                         graph, lambda: is_dominating(spec, rand.D), k),
+                         graph, lambda: is_dominating(spec, rand.D)),
                      **prefix_counters(baselines, spec),
                      "marks": W.marks, "checks": W.checks,
                      "spec": spec, "D": rand.D,
@@ -137,29 +138,32 @@ def measure(src: str) -> list[dict]:
     return rows
 
 
-def cover_counters(graph, verify, k: int) -> dict:
+def cover_counters(graph, verify) -> dict:
     """Chords shift_cover ORs in verify(): before it tests the vertices
-    left against the rest (k minus the chords handed to graph._sieve; None
-    if that never runs), and of those the ones ORed as packed words
-    (graph._or_words; None if that never runs)."""
-    tested, worded = [], []
+    left against the rest (the chords handed to graph._or_words minus
+    those handed on to graph._sieve; None if that never runs), and of
+    those the ones ORed as packed words (None if _or_words never runs).
+    The chords handed over are k in a tree whose closed covers seed the
+    sources, and k + 1 in one that passes S u {0}."""
+    tested, handed, worded = [], [], []
     sieve, or_words = graph._sieve, graph._or_words
 
     def spy_sieve(alive, chords, hit):
         tested.append(chords.size)
         return sieve(alive, chords, hit)
 
-    def spy_words(covered, sources, chords):
-        rest, alive = or_words(covered, sources, chords)
-        worded.append(chords.size - rest.size)
-        return rest, alive
+    def spy_words(*args):  # (covered, sources, chords) or (sources, chords)
+        result = or_words(*args)
+        handed.append(args[-1].size)
+        worded.append(args[-1].size - result[0].size)
+        return result
 
     graph._sieve, graph._or_words = spy_sieve, spy_words
     try:
         verify()
     finally:
         graph._sieve, graph._or_words = sieve, or_words
-    return {"ored_before_switch": k - tested[0] if tested else None,
+    return {"ored_before_switch": handed[0] - tested[0] if tested else None,
             "ored_as_words": worded[0] if worded else None}
 
 
@@ -178,6 +182,7 @@ def prefix_counters(baselines, spec) -> dict:
         baselines.random_dominating(spec, RANDOM_SEED)
     finally:
         baselines.shift_cover = cover
+    # no floor of 2: it binds only for k < 7, below every k of GRID
     left = baselines.PREFIX_LEFT * (spec.k + 1) * 2 ** (len(covers) - 1)
     return {"prefix_draws": baselines.prefix_draws(spec.n, spec.k, left),
             "prefix_redraws": len(covers) - 1}
