@@ -182,8 +182,7 @@ def prefix_counters(baselines, spec) -> dict:
         baselines.random_dominating(spec, RANDOM_SEED)
     finally:
         baselines.shift_cover = cover
-    # no floor of 2: it binds only for k < 7, below every k of GRID
-    left = baselines.PREFIX_LEFT * (spec.k + 1) * 2 ** (len(covers) - 1)
+    left = max(baselines.PREFIX_LEFT * (spec.k + 1), 2) * 2 ** (len(covers) - 1)
     return {"prefix_draws": baselines.prefix_draws(spec.n, spec.k, left),
             "prefix_redraws": len(covers) - 1}
 

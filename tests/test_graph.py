@@ -168,10 +168,11 @@ def test_shift_cover_testing_phase_matches_naive(every, share, cells,
         return sieve(alive, chords, hit)
 
     monkeypatch.setattr(graph, "_sieve", spy)
-    undominated, zero_tested = 0, set()
+    sieved, undominated, zero_tested = 0, 0, set()
     for n, chords, sources in cover_instances():
         tested.clear()
         got = check_cover(sources, chords)
+        sieved += bool(tested)
         undominated += chords[-1] == 0 and not got.all()
         if any(zero for _, zero in tested):
             zero_tested.add(n)
@@ -180,7 +181,7 @@ def test_shift_cover_testing_phase_matches_naive(every, share, cells,
             for r in (1, 2):  # the second round covers the first's cover
                 assert set(coverage(spec, D, r).indices().tolist()) == \
                     naive_coverage(n, chords[:-1], np.flatnonzero(sources), r)
-    assert undominated >= 20
+    assert sieved >= 10 and undominated >= 20
     if every == 1:  # chord 0, last, is tested at n = 0, 1 and 7 mod 64
         assert {640, 641, 647} <= zero_tested, zero_tested
 
