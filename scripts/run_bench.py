@@ -16,14 +16,11 @@ tree's run-to-run spread), the set sizes and random draws (which must
 agree across trees), each tree's build_W work counters (cells marked,
 candidate x prime cells tested), the chords the verification of the
 random set ORs before it switches to testing the vertices left (null
-where that pass never switches), how many of them it ORs as packed words
-(null where the pass never enters that stage), the draws of the prefix
-that the random baseline covers in bulk and how many prefixes it drew
-again because they covered Z_n, and the machine. Every tree needs
-`graph._sieve`, `graph._or_words` taking the chords as its last argument
-and returning the chords it did not OR first, `baselines.prefix_draws`
-and `WSet.marks`/`checks`. Run from the repo root, e.g. against a
-checkout of a base commit in ../base:
+where that pass never switches), the draws of the prefix that the random
+baseline covers in bulk and how many prefixes it drew again because they
+covered Z_n, and the machine. Every tree needs `graph._sieve`,
+`baselines.prefix_draws` and `WSet.marks`/`checks`. Run from the repo
+root, e.g. against a checkout of a base commit in ../base:
 
     python3 scripts/run_bench.py --tree before=../base/src --tree after=src \\
         --out BENCH_build_w.json
@@ -110,7 +107,7 @@ def measure(src: str) -> list[dict]:
                      "random_size": rand.size,
                      "draws": rand.parameters["draws"],
                      **cover_counters(
-                         graph, lambda: is_dominating(spec, rand.D)),
+                         graph, k, lambda: is_dominating(spec, rand.D)),
                      **prefix_counters(baselines, spec),
                      "marks": W.marks, "checks": W.checks,
                      "spec": spec, "D": rand.D,
@@ -138,33 +135,22 @@ def measure(src: str) -> list[dict]:
     return rows
 
 
-def cover_counters(graph, verify) -> dict:
-    """Chords shift_cover ORs in verify(): before it tests the vertices
-    left against the rest (the chords handed to graph._or_words minus
-    those handed on to graph._sieve; None if that never runs), and of
-    those the ones ORed as packed words (None if _or_words never runs).
-    The chords handed over are k in a tree whose closed covers seed the
-    sources, and k + 1 in one that passes S u {0}."""
-    tested, handed, worded = [], [], []
-    sieve, or_words = graph._sieve, graph._or_words
+def cover_counters(graph, k, verify) -> dict:
+    """Chords shift_cover ORs in verify(), a closed cover by the k chords
+    and 0, before it tests the vertices left against the rest: k + 1
+    minus the chords handed to graph._sieve (None if that never runs)."""
+    tested, sieve = [], graph._sieve
 
-    def spy_sieve(alive, chords, hit):
+    def spy(alive, chords, hit):
         tested.append(chords.size)
         return sieve(alive, chords, hit)
 
-    def spy_words(*args):  # (covered, sources, chords) or (sources, chords)
-        result = or_words(*args)
-        handed.append(args[-1].size)
-        worded.append(args[-1].size - result[0].size)
-        return result
-
-    graph._sieve, graph._or_words = spy_sieve, spy_words
+    graph._sieve = spy
     try:
         verify()
     finally:
-        graph._sieve, graph._or_words = sieve, or_words
-    return {"ored_before_switch": handed[0] - tested[0] if tested else None,
-            "ored_as_words": worded[0] if worded else None}
+        graph._sieve = sieve
+    return {"ored_before_switch": k + 1 - tested[0] if tested else None}
 
 
 def prefix_counters(baselines, spec) -> dict:
@@ -212,8 +198,8 @@ def summarise(trees: dict[str, str], passes: dict[str, list]) -> list[dict]:
                     raise SystemExit(
                         f"error: {key} differs across trees at n={n}, k={k}")
             point[name] = {key: rows[0][key] for key in (
-                "marks", "checks", "ored_before_switch", "ored_as_words",
-                "prefix_draws", "prefix_redraws")}
+                "marks", "checks", "ored_before_switch", "prefix_draws",
+                "prefix_redraws")}
             for key in ("build_w_wall_ms", "build_w_cpu_ms",
                         "construct_wall_ms", "random_wall_ms",
                         "verify_wall_ms"):
@@ -249,7 +235,7 @@ def main(argv=None) -> int:
     import numpy
 
     sys.path.insert(0, str(ROOT / "src"))
-    from circdom.construct import usable_cpus
+    from circdom.cli import usable_cpus
 
     doc = {
         "what": "build_W, `construct --method paper`, random_dominating "

@@ -4,8 +4,9 @@ JSON for single reports, CSV for sweeps. All science parameters are
 explicit flags; the only environment knob is CIRCDOM_OUT_DIR, which
 prefixes relative --out paths. Each cmd_* returns (text, exit code: 0
 verified or passed, 1 not); main alone range-checks n, L, r, --trials
-and --jobs, rejects a grid with no points, an unknown bench method and
-an audit flag the check does not read, writes the text and maps errors:
+and --jobs, rejects a grid with no points, an unknown bench method, an
+audit or construct flag the check or method does not read and
+--symmetric without --random-chords, writes the text and maps errors:
 HypothesisNotMet exits 2 with "HypothesisNotMet: msg", any other
 CircdomError, OSError or ValueError exits 1 with "error: Name: msg".
 """
@@ -36,16 +37,21 @@ MAX_N = 2**24
 
 COMMANDS = ("construct", "audit", "bench", "gamma")
 METHODS = ("paper", "greedy", "random", "universal2", "almost-w")
-# The audit flags only some checks read, with their defaults, and the ones
-# each check reads; main rejects a flag given to a check that ignores it.
-AUDIT_DEFAULTS = {"l_list": [], "k_list": [], "trials": 1, "seed": 0,
-                  "c": 1.0, "C": 1.0, "c0": 1.0, "cap": AUDIT_CAP}
+# The audit and construct flags only some checks or methods read, with
+# their defaults, and the ones each check or method reads; main rejects a
+# flag given to a check or method that ignores it.
+DEFAULTS = {
+    "audit": {"l_list": [], "k_list": [], "trials": 1, "seed": 0,
+              "c": 1.0, "C": 1.0, "c0": 1.0, "cap": AUDIT_CAP},
+    "construct": {"psi": 1.0, "c": 1.0, "C": 1.0, "c0": 1.0},
+}
 AUDIT_READS = {
     "card": ("l_list",),
     "expsum": ("l_list", "cap"),
     "exceptional": ("k_list", "trials", "seed"),
     "nu": ("k_list", "trials", "seed", "c", "C", "c0"),
 }
+METHOD_READS = {"universal2": ("c", "C", "c0"), "almost-w": ("psi",)}
 
 BENCH_COLUMNS = [
     "n", "k", "method", "seed", "size", "wall_ms", "verified",
@@ -61,6 +67,14 @@ def _resolve_out(path: str | None):
     if base and not p.is_absolute():
         p = Path(base) / p
     return p
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _emit(text: str, out_path) -> None:
@@ -299,7 +313,7 @@ def cmd_bench(args) -> tuple[str, int]:
         for seed in args.seeds
     ]
     # a fork pool starts all its processes at the first submit
-    jobs = min(args.jobs, len(tasks), cons.usable_cpus())
+    jobs = min(args.jobs, len(tasks), usable_cpus())
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -353,10 +367,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         _add_chord_flags(p)
         p.add_argument("--method", required=True, choices=METHODS)
         p.add_argument("--r", type=int, default=1)
-        p.add_argument("--c", type=float, default=1.0)
-        p.add_argument("--C", type=float, default=1.0)
-        p.add_argument("--c0", type=float, default=1.0)
-        p.add_argument("--psi", type=float, default=1.0)
+        # flags left out stay unset, so main can tell them from given ones
+        p.add_argument("--c", type=float, default=argparse.SUPPRESS)
+        p.add_argument("--C", type=float, default=argparse.SUPPRESS)
+        p.add_argument("--c0", type=float, default=argparse.SUPPRESS)
+        p.add_argument("--psi", type=float, default=argparse.SUPPRESS)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--no-timing", action="store_true",
                        help="write wall_ms as 0.0 for byte-reproducible output")
@@ -409,12 +424,17 @@ def main(argv: list[str] | None = None) -> int:
         swept[1] = "l_list"
     try:
         if args.command == "audit":
-            for name, default in AUDIT_DEFAULTS.items():
-                if not hasattr(args, name):
-                    setattr(args, name, default)
-                elif name not in AUDIT_READS[args.check]:
-                    raise ValueError(f"{_flag(name)} is not read by "
-                                     f"--check {args.check}")
+            chooser, reads = f"--check {args.check}", AUDIT_READS[args.check]
+        else:
+            method = getattr(args, "method", None)
+            chooser, reads = f"--method {method}", METHOD_READS.get(method, ())
+        for name, default in DEFAULTS.get(args.command, {}).items():
+            if not hasattr(args, name):
+                setattr(args, name, default)
+            elif name not in reads:
+                raise ValueError(f"{_flag(name)} is not read by {chooser}")
+        if getattr(args, "symmetric", False) and args.random_chords is None:
+            raise ValueError("--symmetric is not read without --random-chords")
         for name in swept:
             if not getattr(args, name, True):
                 raise ValueError(f"{_flag(name)} is empty")

@@ -12,7 +12,6 @@ loglog n stays positive.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -161,14 +160,6 @@ def solve_lambda(n: int, k: int) -> LambdaSolution:
     return LambdaSolution(lam=lam, L=math.ceil(lam), residual=residual)
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def first_round(n: int, L: int) -> int:
     """Primes build_W marks before it counts the vertices left unmarked:
     1.25 m ln m with m = ceil(n / L). L random marks per prime would then
@@ -178,37 +169,26 @@ def first_round(n: int, L: int) -> int:
     return int(1.25 * m * math.log(m))
 
 
-def _buffers(cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two flat int64 buffers of cells each, cut from one allocation with
-    the second starting half a 4 KiB page (mod 4 KiB) past the first.
-    Two separate large allocations start at one offset into a page, so
-    v[i] and q[i] would share their low 12 address bits, and the loads and
-    stores of _products_mod stall on 4K aliasing: that cost build_W ~3%
-    at n = 10^6, k = 100 on a 2-vCPU Xeon."""
-    start = -(-cells // 512) * 512 + 256
-    buf = np.empty(start + cells, dtype=np.int64)
-    return buf[:cells], buf[start:]
+def _products_mod(a: np.ndarray, b: np.ndarray, n: int,
+                  work: np.ndarray) -> np.ndarray:
+    """a[:, None] * b mod n, computed in the leading cells of the two rows
+    of work, a (2, cells) int64 array, and returned as a view of the first.
 
-
-def _products_mod(a: np.ndarray, b: np.ndarray, n: int, v: np.ndarray,
-                  q: np.ndarray) -> np.ndarray:
-    """a[:, None] * b mod n, written into the leading cells of the flat
-    int64 buffers v and q, or of a fresh pair when it has more cells, and
-    returned as a view of the first.
-
-    Reduced in place as v - (v // n) * n: numpy floor-divides an int64
+    Reduced in place as t - (t // n) * n: numpy floor-divides an int64
     array by a scalar with a precomputed multiplier (libdivide), while its
     % issues one hardware division per element. Exact while the products
-    stay below 2^63.
+    stay below 2^63. build_W passes one work array to every block: with
+    the product and quotient fresh per block, the allocator returned their
+    pages between blocks and faulted them in again, and a first build_W at
+    n = 10^6, k = 100 took ~168 ms instead of ~73 ms (a fresh quotient
+    alone cost ~5%).
     """
     shape, size = (a.size, b.size), a.size * b.size
-    if size > v.size:
-        v, q = _buffers(size)
-    t, tq = v[:size].reshape(shape), q[:size].reshape(shape)
+    t, q = work[0, :size].reshape(shape), work[1, :size].reshape(shape)
     np.multiply(a[:, None], b, out=t)
-    np.floor_divide(t, n, out=tq)
-    tq *= n
-    t -= tq
+    np.floor_divide(t, n, out=q)
+    q *= n
+    t -= q
     return t
 
 
@@ -244,13 +224,15 @@ def build_W(n: int, L: int) -> WSet:
     ks = np.arange(1, L + 1, dtype=np.int64)
     rows = max(1, min(len(primes), graph.CELLS // L))
     members = np.zeros(n, dtype=bool)
-    # room for a phase-1 block (rows * L cells) and a CELLS phase-2 block
-    v, q = _buffers(max(graph.CELLS, L))
+    # a block holds at most max(CELLS, L) cells in phase 1, and in phase 2
+    # max(CELLS, u) for the u < min(n, TEST_BELOW_L * L) vertices tested
+    work = np.empty((2, max(graph.CELLS, min(n, TEST_BELOW_L * L))),
+                    dtype=np.int64)
 
     def mark_primes(chunk) -> None:
         invs = np.array([pow(ell, -1, n) for ell in chunk], dtype=np.int64)
         for s in range(0, invs.size, rows):
-            members[_products_mod(invs[s:s + rows], ks, n, v, q)] = True
+            members[_products_mod(invs[s:s + rows], ks, n, work)] = True
 
     marked = min(len(primes), first_round(n, L))
     mark_primes(primes[:marked])
@@ -263,7 +245,7 @@ def build_W(n: int, L: int) -> WSet:
         alive = np.flatnonzero(np.logical_not(members, out=members))[1:]
         alive, _, checks = _sieve(
             alive, np.array(primes[marked:], dtype=np.int64),
-            lambda x, ell: _products_mod(ell, x, n, v, q) <= L)
+            lambda x, ell: _products_mod(ell, x, n, work) <= L)
         members[:] = True
         members[0] = members[alive] = False
     return WSet(n=n, L=L, elements=VertexSet(n, members), window=window,
@@ -448,11 +430,13 @@ def almost_budget(n: int, k: int, psi: float) -> float:
 
 
 def almost_dominating_W(n: int, k: int, psi: float = 1.0) -> WSet:
-    """Largest-L modular-ratio set whose predicted size fits the budget.
+    """A modular-ratio set whose predicted size fits the budget.
 
     Predicted size is L * |window(L)|; the actual set is never larger, so
     |W| <= budget holds on return. L is found by doubling then bisection,
-    with a final decrement pass to absorb the window count's jitter.
+    both of which keep predicted(L) <= budget (it holds at L = 1, since
+    predicted(1) <= 1 <= budget). The window count is not monotone in L,
+    so L fits the budget but need not be the largest L that does.
     """
     _require_scale(n)
     budget = almost_budget(n, k, psi)
@@ -472,7 +456,4 @@ def almost_dominating_W(n: int, k: int, psi: float = 1.0) -> WSet:
             lo = mid
         else:
             hi = mid
-    L = lo
-    while L > 1 and predicted(L) > budget:
-        L -= 1
-    return build_W(n, L)
+    return build_W(n, lo)

@@ -211,16 +211,13 @@ def _or_words(sources: np.ndarray, chords: np.ndarray
     ring[q:q + words] |= ring[:words] << np.uint64(b)
     starts, bits = np.divmod(n - chords, 8)
     order = np.argsort(bits, kind="stable")
-    shifted, carry = (np.empty(2 * words, dtype=WORD) for _ in range(2))
     window, bit, out = ring.view(np.uint8), 0, cover.view(np.uint8)
     for i, (q, b) in enumerate(zip(starts[order].tolist(),
                                    bits[order].tolist()), 1):
         if b != bit:  # bits ascend from 0, the unshifted ring
             bit = b
-            np.right_shift(ring[:-1], np.uint64(b), out=shifted)
-            np.left_shift(ring[1:], np.uint64(64 - b), out=carry)
-            window = np.bitwise_or(shifted, carry, out=shifted).view(np.uint8)
-        np.bitwise_or(out, window[q:q + out.size], out=out)
+            window = ((ring[:-1] >> b) | (ring[1:] << (64 - b))).view(np.uint8)
+        out |= window[q:q + out.size]
         if i % COUNT_EVERY == 0 and i < order.size:
             # the words that are not full bound the unmarked vertices from
             # below: only a bound under the share needs the popcount

@@ -299,6 +299,25 @@ def test_l_list_size_guard(check, capsys):
       "--l-list", "4"), "error: ValueError: --l-list is not read by --check nu"),
     (("audit", "--check", "nu", "--n-list", "10000", "--k-list", "2000",
       "--cap", "64"), "error: ValueError: --cap is not read by --check nu"),
+    # so is a construct flag the chosen method does not read, and
+    # --symmetric with a chord file, whose set {1, 5} is not symmetric
+    (("construct", "--n", "100", "--random-chords", "5", "--seed", "1",
+      "--method", "paper", "--psi", "7", "--c", "0.1"),
+     "error: ValueError: --psi is not read by --method paper"),
+    (("construct", "--n", "100", "--random-chords", "5", "--seed", "1",
+      "--method", "almost-w", "--C", "2"),
+     "error: ValueError: --C is not read by --method almost-w"),
+    (("construct", "--n", "100", "--random-chords", "5", "--seed", "1",
+      "--method", "universal2", "--psi", "1"),
+     "error: ValueError: --psi is not read by --method universal2"),
+    (("construct", "--n", "100", "--random-chords", "5", "--seed", "1",
+      "--method", "random", "--c0", "0.5"),
+     "error: ValueError: --c0 is not read by --method random"),
+    (("construct", "--n", "20", "--chords-file", "chords.txt",
+      "--symmetric", "--method", "greedy"),
+     "error: ValueError: --symmetric is not read without --random-chords"),
+    (("gamma", "--n", "20", "--chords-file", "chords.txt", "--symmetric"),
+     "error: ValueError: --symmetric is not read without --random-chords"),
 ], ids=["construct-n", "audit-n", "gamma-n", "construct-r", "audit-L",
         "gamma-k", "audit-empty-n", "card-empty-L", "expsum-empty-L",
         "exceptional-empty-k", "nu-empty-k", "exceptional-trials-0",
@@ -306,10 +325,15 @@ def test_l_list_size_guard(check, capsys):
         "bench-empty-seeds", "bench-empty-methods", "bench-unknown-method",
         "bench-jobs-0", "bench-jobs-negative",
         "card-reads-no-k-list", "card-reads-no-trials", "expsum-reads-no-seed",
-        "exceptional-reads-no-c0", "nu-reads-no-l-list", "nu-reads-no-cap"])
-def test_input_floor(args, message, capsys, monkeypatch):
+        "exceptional-reads-no-c0", "nu-reads-no-l-list", "nu-reads-no-cap",
+        "paper-reads-no-psi", "almost-w-reads-no-C", "universal2-reads-no-psi",
+        "random-reads-no-c0", "construct-symmetric-file",
+        "gamma-symmetric-file"])
+def test_input_floor(args, message, capsys, monkeypatch, tmp_path):
     # bad small inputs end in one error line and exit 1, not a traceback,
     # before any method runs: --r 0 does not wait for a full construction
+    (tmp_path / "chords.txt").write_text("1\n5\n")
+    monkeypatch.chdir(tmp_path)
     ran = []
     monkeypatch.setattr(cli, "_run_method", lambda *a, **kw: ran.append(a))
     rc = main(list(args))
@@ -457,7 +481,7 @@ def test_bench_jobs_capped_by_rows(monkeypatch, capsys):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
-    monkeypatch.setattr(construct, "usable_cpus", lambda: 64)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 64)
     rc = main(["bench", "--n-list", "500", "--k-list", "10", "--methods",
                "greedy", "--seeds", "1,2", "--jobs", "64", "--no-timing"])
     assert rc == 0 and asked == [2]

@@ -165,6 +165,17 @@ def test_build_w_both_phases_match_hardware_modulo(monkeypatch, n, L):
             assert W.marks == L * first and W.checks > 0
 
 
+def test_build_w_phase_2_blocks_past_cells(monkeypatch):
+    # one prime marked leaves u = n - L - 1 > max(CELLS, L) candidates, so
+    # each phase-2 block holds one prime and u cells of the work array
+    n, L = 100003, 20000
+    monkeypatch.setattr(construct, "first_round", lambda n, L: 1)
+    monkeypatch.setattr(construct, "TEST_BELOW_L", n)
+    W = build_W(n, L)
+    assert W.marks == L and W.checks >= n - L - 1
+    assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
+
+
 # Small dense W where some x = L * inv(ell) of a tested prime has no other
 # representation, e.g. (57, 24): the bound k <= L is tight
 @given(
@@ -217,14 +228,6 @@ def test_build_w_threaded_matches_hardware_modulo(monkeypatch, cpus, n, L):
     expected = hardware_modulo_w(n, L, build_W(n, L))
     for W in results:
         assert np.array_equal(W.elements.members, expected)
-
-
-def test_products_buffers_half_a_page_apart():
-    # disjoint, of the size asked, and never at one offset into a page
-    for cells in (1, 7, 256, 511, 512, 2**16, 70_001):
-        v, q = construct._buffers(cells)
-        assert v.size == q.size == cells and not np.shares_memory(v, q)
-        assert (q.ctypes.data - v.ctypes.data) % 4096 == 2048
 
 
 def test_build_w_tests_unmarked_only_past_card_hypothesis(monkeypatch):
@@ -600,6 +603,12 @@ def test_almost_dominating_budget_and_monotone():
     W2 = almost_dominating_W(n, k, psi=2.0)
     assert W2.size <= almost_budget(n, k, 2.0)
     assert W2.size >= W1.size
+    # the search keeps the predicted size L * |window(L)| within budget
+    for n, k, psi in [(10**4, 400, 1.0), (10**4, 400, 2.0), (997, 5, 0.01),
+                      (1024, 30, 0.05), (5000, 60, 0.2), (10**5, 1000, 1.0),
+                      (10**5, 3, 0.001), (65536, 2000, 0.5)]:
+        W = almost_dominating_W(n, k, psi=psi)
+        assert W.L * len(W.window) <= almost_budget(n, k, psi)
 
 
 def test_almost_dominating_coverage_fraction():
