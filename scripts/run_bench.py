@@ -5,8 +5,10 @@ write BENCH JSON.
 Each tree is a `src/` directory holding a `circdom` package, named on the
 command line as NAME=PATH. Every repeat starts one fresh process per tree,
 in alternating order so that the trees share the host's conditions. Each
-process runs every grid point once untimed, then makes PASSES round-robin
-passes over the grid, each timing `build_W(n, L)` (wall and process CPU,
+process runs every grid point's `construct` once as a warm-up, timed
+alone as `construct_first_wall_ms` (at the first grid point a true first
+call in a fresh process), then makes PASSES round-robin passes over the
+grid, each timing `build_W(n, L)` (wall and process CPU,
 which counts every thread), one in-process
 `circdom construct --n N --random-chords K --seed 1 --method paper`,
 `random_dominating` with draw seed RANDOM_SEED on the same chords, and
@@ -97,7 +99,7 @@ def measure(src: str) -> list[dict]:
     for n, k in GRID:
         argv = ["construct", "--n", str(n), "--random-chords", str(k),
                 "--seed", str(CHORD_SEED), "--method", "paper"]
-        _, doc = run_construct(argv)  # warm-up
+        first, doc = run_construct(argv)  # warm-up
         L, primes = doc["parameters"]["L"], doc["parameters"]["num_primes"]
         W = construct.build_W(n, L)
         spec = CirculantSpec(n, random_chord_set(n, k, CHORD_SEED))
@@ -111,6 +113,7 @@ def measure(src: str) -> list[dict]:
                      **prefix_counters(baselines, spec),
                      "marks": W.marks, "checks": W.checks,
                      "spec": spec, "D": rand.D,
+                     "construct_first_wall_ms": [first * 1e3],
                      "build_w_wall_ms": [], "build_w_cpu_ms": [],
                      "construct_wall_ms": [], "random_wall_ms": [],
                      "verify_wall_ms": []})
@@ -201,10 +204,11 @@ def summarise(trees: dict[str, str], passes: dict[str, list]) -> list[dict]:
                 "marks", "checks", "ored_before_switch", "prefix_draws",
                 "prefix_redraws")}
             for key in ("build_w_wall_ms", "build_w_cpu_ms",
-                        "construct_wall_ms", "random_wall_ms",
-                        "verify_wall_ms"):
-                q1, median, q3 = statistics.quantiles(
-                    [t for r in rows for t in r[key]], n=4)
+                        "construct_wall_ms", "construct_first_wall_ms",
+                        "random_wall_ms", "verify_wall_ms"):
+                times = [t for r in rows for t in r[key]]
+                q1, median, q3 = (statistics.quantiles(times, n=4)
+                                  if len(times) > 1 else times * 3)
                 point[name][f"{key}_median"] = round(median, 2)
                 point[name][f"{key}_quartiles"] = [round(q1, 2), round(q3, 2)]
         grid.append(point)
@@ -243,7 +247,9 @@ def main(argv=None) -> int:
                 f"its set per (n, k), chord seed {CHORD_SEED}; medians and "
                 "quartiles over "
                 f"{args.repeats} processes "
-                f"per tree (trees alternating) x {PASSES} timed passes each",
+                f"per tree (trees alternating) x {PASSES} timed passes each; "
+                "construct_first_wall_ms over each process's warm-up "
+                "construct, at the first grid point its first call",
         "machine": {"cpu_model": cpu_model(), "usable_cpus": usable_cpus(),
                     "python": platform.python_version(),
                     "numpy": numpy.__version__,

@@ -22,6 +22,7 @@ from .errors import (
     EmptyPrimeWindow,
     HypothesisNotMet,
     InexactCounts,
+    TooLarge,
 )
 from . import graph
 from .graph import ChordSet, CirculantSpec, VertexSet, _sieve, shift_cover
@@ -35,13 +36,18 @@ LAMBDA_RTOL = 1e-9
 COUNT_ROUND_TOL = 0.25
 # build_W tests the vertices left unmarked after its first round of primes,
 # instead of marking the rest, when fewer than TEST_BELOW_L * L are left.
-TEST_BELOW_L = 2
+# At n = 10^6 on a 2-vCPU Xeon a test cell costs ~1-1.4 ns against ~6-8 ns
+# per mark, so below 5L vertices testing a prime costs less than marking
+# it even when no tested vertex is hit. At 10^5 a test costs up to ~3 ns
+# (few survivors make short rows), but there the first round leaves
+# under 2.5L.
+TEST_BELOW_L = 5
 # build_W's first round takes every ROUND_STRIDE-th prime of the window, so
 # that it spans the window: a vertex x whose products x * ell mod n move
 # slowly with ell misses a run of neighbouring primes together, and would
 # survive a round of the lowest primes into phase 2. W is the same in any
-# order; at n = 10^6, k = 100 stride 4 cut the phase-2 tests from 8.93 M
-# (lowest primes first) to 4.90 M.
+# order; at n = 10^6, k = 100 stride 4 cuts the phase-2 tests from 12.3 M
+# (lowest primes first) to 6.91 M.
 ROUND_STRIDE = 4
 
 
@@ -162,11 +168,16 @@ def solve_lambda(n: int, k: int) -> LambdaSolution:
 
 def first_round(n: int, L: int) -> int:
     """Primes build_W marks before it counts the vertices left unmarked:
-    1.25 m ln m with m = ceil(n / L). L random marks per prime would then
-    leave about n m^-1.25 < L vertices unmarked; the marks are not random
-    and leave more, so build_W's switch goes by the count, not the model."""
+    m ln(m / 2) with m = ceil(n / L), none for m <= 2. L random marks per
+    prime would then leave about 2L vertices unmarked; the round spread by
+    ROUND_STRIDE leaves 1.6L to 3.2L at the paper instances with
+    k = 100 and 1000 from n = 12 500 to 10^6. About there one more prime's
+    L marks (~6-8 ns each) cost what they save in phase 2: they would
+    drop about u L / n of the u vertices left, each tested against about
+    m primes (~1 ns a test) before its first hit, and spare that prime's
+    own u tests."""
     m = -(-n // L)
-    return int(1.25 * m * math.log(m))
+    return int(m * math.log(m / 2))
 
 
 def _products_mod(a: np.ndarray, b: np.ndarray, n: int,
@@ -192,6 +203,24 @@ def _products_mod(a: np.ndarray, b: np.ndarray, n: int,
     return t
 
 
+def _fixed_point(x: np.ndarray, n: int,
+                 L: int) -> tuple[np.ndarray, np.uint64]:
+    """(X, T) with X = floor(x * 2^64 / n) for the uint64 array x, such
+    that ell * X mod 2^64 < T iff x * ell mod n lies in [1, L], for every
+    x in [1, n) and ell in (L, 2L] coprime to n, while 4L * n <= 2^64 and
+    n <= 2^32.
+
+    X is computed as x * c0 + x * e0 // n with (c0, e0) = divmod(2^64, n),
+    exact as x * e0 < n^2 <= 2^64. With r = x * ell mod n, which is not 0,
+    ell * X mod 2^64 lies in (r * 2^64 / n - ell, r * 2^64 / n]: at most
+    L * 2^64 / n < T = floor((2L + 1) * 2^64 / (2n)) for r <= L, and more
+    than (L + 1) * 2^64 / n - 2L >= T for r > L.
+    """
+    c0, e0 = (np.uint64(v) for v in divmod(2**64, n))
+    T = np.uint64((2 * L + 1) * 2**64 // (2 * n))
+    return x * c0 + x * e0 // np.uint64(n), T
+
+
 def build_W(n: int, L: int) -> WSet:
     """The set {k * inv(ell) mod n : (k, ell) in [1, L] x window(L, n)}.
 
@@ -203,17 +232,28 @@ def build_W(n: int, L: int) -> WSet:
     every ROUND_STRIDE-th prime of it, then counts the unmarked vertices.
     If TEST_BELOW_L * L or more are left, it marks the rest of the window.
     Otherwise phase 2 tests just those against the remaining primes with
-    _sieve: x is in W iff x * ell mod n lies in [1, L] for some prime ell
-    of the window (multiply x = k * inv(ell) by the unit ell;
-    x * ell < 2L * n < 2^63). 0 is never k * inv(ell), and never a
-    candidate, since its products 0 would count as hits. The candidates
-    come from inverting the mask in place, so no n-byte temporary is made.
-    Under 4L^2 < n at most L^2 < n / 4 vertices are ever marked, so
-    phase 2 never runs. For L >= n the multiples of any unit already
-    sweep all of Z_n, so the full set is returned directly.
+    _sieve: x is in W iff r = x * ell mod n lies in [1, L] for some prime
+    ell of the window (multiply x = k * inv(ell) by the unit ell). 0 is
+    never k * inv(ell), and never a candidate, since its products 0 would
+    count as hits. The candidates come from inverting the mask in place,
+    so no n-byte temporary is made.
+
+    Each test is one wrapping uint64 multiply and one compare: every
+    candidate is scaled once by _fixed_point, and X is strictly increasing
+    in x, so the survivors' X map back to x by binary search.
+
+    Under 4L^2 < n at most L^2 < n / 4 vertices are ever marked, so at
+    least 3L^2 + 1 >= TEST_BELOW_L * L are left for L >= 2, and phase 2
+    never runs (for L = 1 the first round marks the window's one prime).
+    For L >= n the multiples of any unit already sweep all of Z_n, so the
+    full set is returned directly. Otherwise TooLarge is raised, before
+    anything is allocated, if 4L * n > 2^64 or n > 2^32.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
+    if L < n and n * max(4 * L, n) > 2**64:
+        raise TooLarge(f"build_W needs 4L * n <= 2^64 and n <= 2^32, "
+                       f"got n={n}, L={L}")
     window = primes_in_window(L, n)
     if not window.primes:
         raise EmptyPrimeWindow(f"no primes in [{L + 1}, {2 * L}] coprime to {n}")
@@ -224,15 +264,19 @@ def build_W(n: int, L: int) -> WSet:
     ks = np.arange(1, L + 1, dtype=np.int64)
     rows = max(1, min(len(primes), graph.CELLS // L))
     members = np.zeros(n, dtype=bool)
-    # a block holds at most max(CELLS, L) cells in phase 1, and in phase 2
-    # max(CELLS, u) for the u < min(n, TEST_BELOW_L * L) vertices tested
-    work = np.empty((2, max(graph.CELLS, min(n, TEST_BELOW_L * L))),
-                    dtype=np.int64)
+    # one work array for every block: a phase-1 block computes at most
+    # max(CELLS, L) cells in two rows of it, and a phase-2 block holds at
+    # most max(CELLS, u) products for the u < min(n, TEST_BELOW_L * L)
+    # vertices tested. A fresh table per phase-2 block made build_W at
+    # n = 10^5, k = 100 read ~5.4 ms instead of ~3.4 ms (8 processes).
+    block = max(graph.CELLS, L)
+    work = np.empty(max(2 * block, min(n, TEST_BELOW_L * L)), dtype=np.int64)
+    pair = work[:2 * block].reshape(2, block)
 
     def mark_primes(chunk) -> None:
         invs = np.array([pow(ell, -1, n) for ell in chunk], dtype=np.int64)
         for s in range(0, invs.size, rows):
-            members[_products_mod(invs[s:s + rows], ks, n, work)] = True
+            members[_products_mod(invs[s:s + rows], ks, n, pair)] = True
 
     marked = min(len(primes), first_round(n, L))
     mark_primes(primes[:marked])
@@ -243,11 +287,17 @@ def build_W(n: int, L: int) -> WSet:
     checks = 0
     if marked < len(primes):
         alive = np.flatnonzero(np.logical_not(members, out=members))[1:]
-        alive, _, checks = _sieve(
-            alive, np.array(primes[marked:], dtype=np.int64),
-            lambda x, ell: _products_mod(ell, x, n, work) <= L)
+        X, T = _fixed_point(alive.astype(np.uint64), n, L)
+        cells = work.view(np.uint64)
+
+        def hit(X, ell):
+            out = cells[:ell.size * X.size].reshape(ell.size, X.size)
+            return np.multiply(ell[:, None], X, out=out) < T
+
+        left, _, checks = _sieve(
+            X, np.array(primes[marked:], dtype=np.uint64), hit)
         members[:] = True
-        members[0] = members[alive] = False
+        members[0] = members[alive[np.searchsorted(X, left)]] = False
     return WSet(n=n, L=L, elements=VertexSet(n, members), window=window,
                 marks=L * marked, checks=checks)
 

@@ -34,4 +34,4 @@ class InexactCounts(CircdomError):
 
 
 class TooLarge(CircdomError):
-    """Raised when an exhaustive-search guard rejects the instance size."""
+    """Raised when a size guard rejects the instance."""

@@ -28,6 +28,7 @@ from circdom.errors import (
     EmptyPrimeWindow,
     HypothesisNotMet,
     InexactCounts,
+    TooLarge,
 )
 from circdom.graph import ChordSet, CirculantSpec, VertexSet, coverage
 from circdom.primes import primes_in_window
@@ -167,12 +168,54 @@ def test_build_w_both_phases_match_hardware_modulo(monkeypatch, n, L):
 
 def test_build_w_phase_2_blocks_past_cells(monkeypatch):
     # one prime marked leaves u = n - L - 1 > max(CELLS, L) candidates, so
-    # each phase-2 block holds one prime and u cells of the work array
+    # each phase-2 block holds one prime and its u products, in the
+    # leading u cells of the work array
     n, L = 100003, 20000
     monkeypatch.setattr(construct, "first_round", lambda n, L: 1)
     monkeypatch.setattr(construct, "TEST_BELOW_L", n)
     W = build_W(n, L)
     assert W.marks == L and W.checks >= n - L - 1
+    assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
+
+
+# n = 2^24 divides 2^64 (e0 = 0); the others leave e0 = 2^64 mod n > 0
+@pytest.mark.parametrize("n", [2**24, 16_777_213, 10**6, 99_991, 17])
+def test_fixed_point_hits_match_integer_residues(n):
+    rng = np.random.default_rng(n)
+    for L in sorted({1, 7, n // 3, n // 2 - 1, n - 1}):
+        ells = [ell for ell in {L + 1, 2 * L, *rng.integers(L + 1, 2 * L + 1,
+                                                             40).tolist()}
+                if math.gcd(ell, n) == 1]
+        # x = r / ell for residues r at both ends of [1, L] and of [L + 1, n)
+        # puts every boundary of the hit test in the table
+        xs = {1, n - 1, *rng.integers(1, n, 200).tolist()}
+        for ell in ells[:8]:
+            xs |= {r * pow(ell, -1, n) % n for r in (1, 2, L - 1, L, L + 1,
+                                                    L + 2, n - 2, n - 1)}
+        xs = sorted(x for x in xs if 1 <= x < n)
+        X, T = construct._fixed_point(np.array(xs, dtype=np.uint64), n, L)
+        got = np.array(ells, dtype=np.uint64)[:, None] * X < T
+        want = [[1 <= x * ell % n <= L for x in xs] for ell in ells]
+        assert got.tolist() == want, (n, L)
+        assert X.tolist() == [(x << 64) // n for x in xs]
+
+
+def test_build_w_refuses_past_the_fixed_point_bound():
+    # 4L * n <= 2^64 keeps the phase-2 test exact and n <= 2^32 its
+    # scaling; both are checked before the n-byte mask is allocated
+    with pytest.raises(TooLarge):
+        build_W(2**32, 2**30 + 1)
+    with pytest.raises(TooLarge):
+        build_W(2**32 + 15, 3)
+
+
+# 1 048 583 is a prime just past 2^20 with e0 = 2^64 mod n > 0.99 n
+def test_build_w_forced_phase_2_at_large_prime(monkeypatch):
+    n = 1_048_583
+    L = solve_lambda(n, 100).L
+    monkeypatch.setattr(construct, "TEST_BELOW_L", n)
+    W = build_W(n, L)
+    assert W.checks > 0
     assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
 
 
