@@ -8,8 +8,9 @@ in alternating order so that the trees share the host's conditions. Each
 process runs every grid point's `construct` once as a warm-up, timed
 alone as `construct_first_wall_ms` (at the first grid point a true first
 call in a fresh process), then makes PASSES round-robin passes over the
-grid, each timing `build_W(n, L)` (wall and process CPU,
-which counts every thread), one in-process
+grid, each timing `build_W(n, L)` (wall, process CPU, which counts
+every thread, and the wall time of its phase 2, the `construct._sieve`
+call that tests the vertices its marks left), one in-process
 `circdom construct --n N --random-chords K --seed 1 --method paper`,
 `random_dominating` with draw seed RANDOM_SEED on the same chords, and
 one `is_dominating` pass over the random set. The JSON holds the medians
@@ -21,8 +22,9 @@ random set ORs before it switches to testing the vertices left (null
 where that pass never switches), the draws of the prefix that the random
 baseline covers in bulk and how many prefixes it drew again because they
 covered Z_n, and the machine. Every tree needs `graph._sieve`,
-`baselines.prefix_draws` and `WSet.marks`/`checks`. Run from the repo
-root, e.g. against a checkout of a base commit in ../base:
+`construct._sieve`, `baselines.prefix_draws` and `WSet.marks`/`checks`.
+Run from the repo root, e.g. against a checkout of a base commit in
+../base:
 
     python3 scripts/run_bench.py --tree before=../base/src --tree after=src \\
         --out BENCH_build_w.json
@@ -115,14 +117,27 @@ def measure(src: str) -> list[dict]:
                      "spec": spec, "D": rand.D,
                      "construct_first_wall_ms": [first * 1e3],
                      "build_w_wall_ms": [], "build_w_cpu_ms": [],
+                     "build_w_phase2_ms": [],
                      "construct_wall_ms": [], "random_wall_ms": [],
                      "verify_wall_ms": []})
+    phase2, sieve = [], construct._sieve
+
+    def timed_sieve(*args):  # build_W's phase 2 is one call
+        t0 = time.perf_counter()
+        left = sieve(*args)
+        phase2.append((time.perf_counter() - t0) * 1e3)
+        return left
+
     for _ in range(PASSES):
         for row in rows:
+            phase2.clear()
+            construct._sieve = timed_sieve
             t0, c0 = time.perf_counter(), time.process_time()
             construct.build_W(row["n"], row["L"])
+            construct._sieve = sieve
             row["build_w_wall_ms"].append((time.perf_counter() - t0) * 1e3)
             row["build_w_cpu_ms"].append((time.process_time() - c0) * 1e3)
+            row["build_w_phase2_ms"].append(sum(phase2))
             wall, doc = run_construct(row["argv"])
             row["construct_wall_ms"].append(wall * 1e3)
             if doc["size"] != row["size"]:
@@ -204,8 +219,9 @@ def summarise(trees: dict[str, str], passes: dict[str, list]) -> list[dict]:
                 "marks", "checks", "ored_before_switch", "prefix_draws",
                 "prefix_redraws")}
             for key in ("build_w_wall_ms", "build_w_cpu_ms",
-                        "construct_wall_ms", "construct_first_wall_ms",
-                        "random_wall_ms", "verify_wall_ms"):
+                        "build_w_phase2_ms", "construct_wall_ms",
+                        "construct_first_wall_ms", "random_wall_ms",
+                        "verify_wall_ms"):
                 times = [t for r in rows for t in r[key]]
                 q1, median, q3 = (statistics.quantiles(times, n=4)
                                   if len(times) > 1 else times * 3)
@@ -249,7 +265,10 @@ def main(argv=None) -> int:
                 f"{args.repeats} processes "
                 f"per tree (trees alternating) x {PASSES} timed passes each; "
                 "construct_first_wall_ms over each process's warm-up "
-                "construct, at the first grid point its first call",
+                "construct, at the first grid point its first call; "
+                "build_w_phase2_ms is the part of build_w_wall_ms spent "
+                "testing the vertices left after marking (0 where every "
+                "prime is marked)",
         "machine": {"cpu_model": cpu_model(), "usable_cpus": usable_cpus(),
                     "python": platform.python_version(),
                     "numpy": numpy.__version__,

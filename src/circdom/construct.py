@@ -36,11 +36,11 @@ LAMBDA_RTOL = 1e-9
 COUNT_ROUND_TOL = 0.25
 # build_W tests the vertices left unmarked after its first round of primes,
 # instead of marking the rest, when fewer than TEST_BELOW_L * L are left.
-# At n = 10^6 on a 2-vCPU Xeon a test cell costs ~1-1.4 ns against ~6-8 ns
-# per mark, so below 5L vertices testing a prime costs less than marking
-# it even when no tested vertex is hit. At 10^5 a test costs up to ~3 ns
-# (few survivors make short rows), but there the first round leaves
-# under 2.5L.
+# At n = 10^6 on a 2-vCPU Xeon a test cell costs ~1.6-1.9 ns against
+# ~7.6 ns per mark, so below about 4L vertices testing a prime costs less
+# than marking it even when no tested vertex is hit, and each hit spares
+# later tests. At 10^5 a test costs up to ~2.5 ns (few survivors make
+# short rows), but there the first round leaves under 2.5L.
 TEST_BELOW_L = 5
 # build_W's first round takes every ROUND_STRIDE-th prime of the window, so
 # that it spans the window: a vertex x whose products x * ell mod n move
@@ -172,35 +172,36 @@ def first_round(n: int, L: int) -> int:
     prime would then leave about 2L vertices unmarked; the round spread by
     ROUND_STRIDE leaves 1.6L to 3.2L at the paper instances with
     k = 100 and 1000 from n = 12 500 to 10^6. About there one more prime's
-    L marks (~6-8 ns each) cost what they save in phase 2: they would
+    L marks (~7-8 ns each) cost what they save in phase 2: they would
     drop about u L / n of the u vertices left, each tested against about
-    m primes (~1 ns a test) before its first hit, and spare that prime's
-    own u tests."""
+    m primes (~1.5-2 ns a test) before its first hit, and spare that
+    prime's own u tests."""
     m = -(-n // L)
     return int(m * math.log(m / 2))
 
 
-def _products_mod(a: np.ndarray, b: np.ndarray, n: int,
-                  work: np.ndarray) -> np.ndarray:
-    """a[:, None] * b mod n, computed in the leading cells of the two rows
-    of work, a (2, cells) int64 array, and returned as a view of the first.
+def _ratios(invs: list[int], ks: np.ndarray, n: int,
+            work: np.ndarray) -> np.ndarray:
+    """The (len(invs), ks.size) table of k * a mod n for the units a of
+    invs and the uint64 k of ks, computed in the leading cells of the
+    uint64 array work and returned as an int64 view of them. Exact while
+    every k lies in [1, L] for some L with n * (L + 2^32) < 2^64.
 
-    Reduced in place as t - (t // n) * n: numpy floor-divides an int64
-    array by a scalar with a precomputed multiplier (libdivide), while its
-    % issues one hardware division per element. Exact while the products
-    stay below 2^63. build_W passes one work array to every block: with
-    the product and quotient fresh per block, the allocator returned their
-    pages between blocks and faulted them in again, and a first build_W at
-    n = 10^6, k = 100 took ~168 ms instead of ~73 ms (a fresh quotient
-    alone cost ~5%).
+    In fixed point: with A = ceil(a * 2^64 / n) and r = k * a mod n,
+    A * k mod 2^64 is t = r * 2^64 / n + k * d for some d in [0, 1), and
+    t + 2^32 < (n - 1) * 2^64 / n + L + 2^32 < 2^64 does not wrap. So
+    u = (t + 2^32) >> 32 lies in (t / 2^32, t / 2^32 + 1], u < 2^32, and
+    u * n / 2^32 lies in (r, r + n * (L + 2^32) / 2^64) with an upper end
+    below r + 1: u * n >> 32 is r.
     """
-    shape, size = (a.size, b.size), a.size * b.size
-    t, q = work[0, :size].reshape(shape), work[1, :size].reshape(shape)
-    np.multiply(a[:, None], b, out=t)
-    np.floor_divide(t, n, out=q)
-    q *= n
-    t -= q
-    return t
+    A = np.array([-(-a * 2**64 // n) for a in invs], dtype=np.uint64)
+    t = work[:A.size * ks.size].reshape(A.size, ks.size)
+    np.multiply(A[:, None], ks, out=t)
+    t += np.uint64(2**32)
+    t >>= np.uint64(32)
+    t *= np.uint64(n)
+    t >>= np.uint64(32)
+    return t.view(np.int64)
 
 
 def _fixed_point(x: np.ndarray, n: int,
@@ -224,9 +225,11 @@ def _fixed_point(x: np.ndarray, n: int,
 def build_W(n: int, L: int) -> WSet:
     """The set {k * inv(ell) mod n : (k, ell) in [1, L] x window(L, n)}.
 
-    Phase 1 marks: one modular inverse per prime, then _products_mod over
-    blocks of inverses times [1, L], about graph.CELLS cells each, exact
-    as k * inv < L * n < 2^63, each block scattered into one mask.
+    Phase 1 marks: one modular inverse per prime, then _ratios over
+    blocks of inverses times [1, L], about graph.CELLS cells each, each
+    block scattered into one mask. A mark is a wrapping uint64 multiply
+    by the inverse scaled to ceil(inv * 2^64 / n), then a multiply and
+    two shifts back to the residue, exact while n * (L + 2^32) < 2^64.
 
     Phase 1 marks first_round(n, L) primes, taken across the window as
     every ROUND_STRIDE-th prime of it, then counts the unmarked vertices.
@@ -247,13 +250,14 @@ def build_W(n: int, L: int) -> WSet:
     never runs (for L = 1 the first round marks the window's one prime).
     For L >= n the multiples of any unit already sweep all of Z_n, so the
     full set is returned directly. Otherwise TooLarge is raised, before
-    anything is allocated, if 4L * n > 2^64 or n > 2^32.
+    anything is allocated, if n * (L + 2^32) >= 2^64 or 4L * n > 2^64
+    (the first bound implies n < 2^32).
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    if L < n and n * max(4 * L, n) > 2**64:
-        raise TooLarge(f"build_W needs 4L * n <= 2^64 and n <= 2^32, "
-                       f"got n={n}, L={L}")
+    if L < n and n * max(4 * L, L + 2**32) >= 2**64:
+        raise TooLarge(f"build_W needs n * (L + 2^32) < 2^64 and "
+                       f"4L * n <= 2^64, got n={n}, L={L}")
     window = primes_in_window(L, n)
     if not window.primes:
         raise EmptyPrimeWindow(f"no primes in [{L + 1}, {2 * L}] coprime to {n}")
@@ -261,22 +265,22 @@ def build_W(n: int, L: int) -> WSet:
         return WSet(n=n, L=L, elements=VertexSet.full(n), window=window)
     primes = [ell for r in range(ROUND_STRIDE)
               for ell in window.primes[r::ROUND_STRIDE]]
-    ks = np.arange(1, L + 1, dtype=np.int64)
+    ks = np.arange(1, L + 1, dtype=np.uint64)
     rows = max(1, min(len(primes), graph.CELLS // L))
     members = np.zeros(n, dtype=bool)
     # one work array for every block: a phase-1 block computes at most
-    # max(CELLS, L) cells in two rows of it, and a phase-2 block holds at
-    # most max(CELLS, u) products for the u < min(n, TEST_BELOW_L * L)
-    # vertices tested. A fresh table per phase-2 block made build_W at
-    # n = 10^5, k = 100 read ~5.4 ms instead of ~3.4 ms (8 processes).
-    block = max(graph.CELLS, L)
-    work = np.empty(max(2 * block, min(n, TEST_BELOW_L * L)), dtype=np.int64)
-    pair = work[:2 * block].reshape(2, block)
+    # max(CELLS, L) cells, and a phase-2 block holds at most max(CELLS, u)
+    # products for the u < min(n, TEST_BELOW_L * L) vertices tested.
+    # Fresh arrays per block made a first build_W at n = 10^6, k = 100
+    # take ~168 ms instead of ~73 ms: glibc returned their pages between
+    # blocks and faulted them in again.
+    work = np.empty(max(graph.CELLS, L, min(n, TEST_BELOW_L * L)),
+                    dtype=np.uint64)
 
     def mark_primes(chunk) -> None:
-        invs = np.array([pow(ell, -1, n) for ell in chunk], dtype=np.int64)
-        for s in range(0, invs.size, rows):
-            members[_products_mod(invs[s:s + rows], ks, n, pair)] = True
+        for s in range(0, len(chunk), rows):
+            members[_ratios([pow(ell, -1, n) for ell in chunk[s:s + rows]],
+                            ks, n, work)] = True
 
     marked = min(len(primes), first_round(n, L))
     mark_primes(primes[:marked])
@@ -288,10 +292,9 @@ def build_W(n: int, L: int) -> WSet:
     if marked < len(primes):
         alive = np.flatnonzero(np.logical_not(members, out=members))[1:]
         X, T = _fixed_point(alive.astype(np.uint64), n, L)
-        cells = work.view(np.uint64)
 
         def hit(X, ell):
-            out = cells[:ell.size * X.size].reshape(ell.size, X.size)
+            out = work[:ell.size * X.size].reshape(ell.size, X.size)
             return np.multiply(ell[:, None], X, out=out) < T
 
         left, _, checks = _sieve(

@@ -122,11 +122,12 @@ def test_build_w_matches_naive(n, L):
     assert set(W.indices().tolist()) == expected
 
 
-# L = n // 2 - 1 takes products k * inv(ell) past 2^32 (up to ~5e9)
+# L = n // 2 - 1 takes products k * inv(ell) past 2^32 (up to ~5e9);
+# at 2^24 and 16 777 213 = 2^24 - 3 with L = 97 phase 1 marks alone
 @pytest.mark.parametrize(
     "n,L",
     [(n, L) for n in (10**5, 2**17, 99991) for L in (2, 97, 3000)]
-    + [(99991, 99991 // 2 - 1)],
+    + [(99991, 99991 // 2 - 1), (2**24, 97), (16_777_213, 97)],
 )
 def test_build_w_matches_hardware_modulo(n, L):
     W = build_W(n, L)
@@ -200,13 +201,43 @@ def test_fixed_point_hits_match_integer_residues(n):
         assert X.tolist() == [(x << 64) // n for x in xs]
 
 
+# 2^32 - 2^20 admits L up to 1 048 832: n * (L + 2^32) < 2^64 there
+@pytest.mark.parametrize("n", [2**24, 16_777_213, 10**6, 99_991, 17,
+                               2**32 - 2**20])
+def test_ratios_match_integer_residues(n):
+    rng = np.random.default_rng(n)
+    Ls = ([3, 1000, (2**64 - 1) // n - 2**32] if n > 2**24
+          else sorted({1, 7, n // 3, n - 1}))
+    for L in Ls:
+        assert n * (L + 2**32) < 2**64
+        # the inverses of the units nearest both ends of (L, 2L]
+        ends = [next((ell for ell in window if math.gcd(ell, n) == 1), None)
+                for window in (range(L + 1, 2 * L + 1), range(2 * L, L, -1))]
+        units = [a for a in rng.integers(1, n, 40).tolist()
+                 if math.gcd(a, n) == 1]
+        invs = [1, n - 1, *(pow(ell, -1, n) for ell in ends if ell), *units]
+        ks = sorted(k for k in {1, 2, L - 1, L,
+                                *rng.integers(1, L + 1, 40).tolist()}
+                    if 1 <= k <= L)
+        work = np.empty(len(invs) * len(ks), dtype=np.uint64)
+        got = construct._ratios(invs, np.array(ks, dtype=np.uint64), n, work)
+        assert got.tolist() == [[k * a % n for k in ks] for a in invs], (n, L)
+
+
 def test_build_w_refuses_past_the_fixed_point_bound():
-    # 4L * n <= 2^64 keeps the phase-2 test exact and n <= 2^32 its
-    # scaling; both are checked before the n-byte mask is allocated
+    # n * (L + 2^32) < 2^64 keeps the phase-1 residues exact, and with it
+    # n < 2^32 the phase-2 scaling; 4L * n <= 2^64 keeps the phase-2 test
+    # exact. All are checked before the n-byte mask is allocated
     with pytest.raises(TooLarge):
         build_W(2**32, 2**30 + 1)
     with pytest.raises(TooLarge):
         build_W(2**32 + 15, 3)
+    # past n * (L + 2^32) < 2^64 alone, where 4L * n <= 2^64 and n <= 2^32;
+    # (2^32 - 1, 5) has the prime 7 in its window
+    for n, L in ((2**32 - 1, 3), (2**32 - 1, 5), (2**32 - 2**20, 1_048_833)):
+        assert 4 * L * n <= 2**64 and n <= 2**32
+        with pytest.raises(TooLarge):
+            build_W(n, L)
 
 
 # 1 048 583 is a prime just past 2^20 with e0 = 2^64 mod n > 0.99 n
