@@ -36,6 +36,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -58,6 +59,13 @@ def cpu_model() -> str:
     except OSError:
         pass
     return platform.processor() or platform.machine()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cpu_ticks() -> list[int] | None:
@@ -253,9 +261,6 @@ def main(argv=None) -> int:
         for name in order:
             passes[name].append(run_tree(trees[name]))
     import numpy
-
-    sys.path.insert(0, str(ROOT / "src"))
-    from circdom.cli import usable_cpus
 
     doc = {
         "what": "build_W, `construct --method paper`, random_dominating "

@@ -4,9 +4,10 @@ JSON for single reports, CSV for sweeps. All science parameters are
 explicit flags; the only environment knob is CIRCDOM_OUT_DIR, which
 prefixes relative --out paths. Each cmd_* returns (text, exit code: 0
 verified or passed, 1 not); main alone range-checks n, L, r, --trials
-and --jobs, rejects a grid with no points, an unknown bench method, an
-audit or construct flag the check or method does not read and
---symmetric without --random-chords, writes the text and maps errors:
+and the theorem constants --c, --C, --c0 and --psi, rejects a grid with
+no points, an unknown bench method, an audit or construct flag the check
+or method does not read and --symmetric without --random-chords, writes
+the text and maps errors:
 HypothesisNotMet exits 2 with "HypothesisNotMet: msg", any other
 CircdomError, OSError or ValueError exits 1 with "error: Name: msg".
 """
@@ -16,7 +17,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -38,18 +41,12 @@ MAX_N = 2**24
 COMMANDS = ("construct", "audit", "bench", "gamma")
 METHODS = ("paper", "greedy", "random", "universal2", "almost-w")
 # The audit and construct flags only some checks or methods read, with
-# their defaults, and the ones each check or method reads; main rejects a
-# flag given to a check or method that ignores it.
+# their defaults, and the ones each method reads (each check's are in
+# AUDITS); main rejects a flag given to a check or method that ignores it.
 DEFAULTS = {
     "audit": {"l_list": [], "k_list": [], "trials": 1, "seed": 0,
               "c": 1.0, "C": 1.0, "c0": 1.0, "cap": AUDIT_CAP},
     "construct": {"psi": 1.0, "c": 1.0, "C": 1.0, "c0": 1.0},
-}
-AUDIT_READS = {
-    "card": ("l_list",),
-    "expsum": ("l_list", "cap"),
-    "exceptional": ("k_list", "trials", "seed"),
-    "nu": ("k_list", "trials", "seed", "c", "C", "c0"),
 }
 METHOD_READS = {"universal2": ("c", "C", "c0"), "almost-w": ("psi",)}
 
@@ -67,14 +64,6 @@ def _resolve_out(path: str | None):
     if base and not p.is_absolute():
         p = Path(base) / p
     return p
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _emit(text: str, out_path) -> None:
@@ -275,23 +264,27 @@ def _audit_nu_lines(args):
                 }, min_nu > 0 and dominated
 
 
+# Each check's line generator and the flags of DEFAULTS["audit"] it reads.
+AUDITS = {
+    "card": (_audit_card_lines, ("l_list",)),
+    "expsum": (_audit_expsum_lines, ("l_list", "cap")),
+    "exceptional": (_audit_exceptional_lines, ("k_list", "trials", "seed")),
+    "nu": (_audit_nu_lines, ("k_list", "trials", "seed", "c", "C", "c0")),
+}
+
+
 def cmd_audit(args) -> tuple[str, int]:
-    runners = {
-        "card": _audit_card_lines,
-        "expsum": _audit_expsum_lines,
-        "exceptional": _audit_exceptional_lines,
-        "nu": _audit_nu_lines,
-    }
-    results = list(runners[args.check](args))
+    lines, _ = AUDITS[args.check]
+    results = list(lines(args))
     text = "".join(json.dumps(line) + "\n" for line, _ in results)
     return text, int(not all(passed for _, passed in results))
 
 
-def _bench_row(task) -> dict:
+def _bench_row(n: int, k: int, method: str, seed: int,
+               no_timing: bool) -> dict:
     """One CSV row: the construct record and its parameters, with n, k,
     method and seed as given, or those four and the error; absent cells
     are empty."""
-    n, k, method, seed, no_timing = task
     record = {"n": n, "k": k, "method": method, "seed": seed}
     try:
         spec = CirculantSpec(n, random_chord_set(n, k, seed))
@@ -305,25 +298,13 @@ def _bench_row(task) -> dict:
 
 
 def cmd_bench(args) -> tuple[str, int]:
-    tasks = [
-        (n, k, method, seed, args.no_timing)
-        for n in args.n_list
-        for k in args.k_list
-        for method in args.methods
-        for seed in args.seeds
-    ]
-    # a fork pool starts all its processes at the first submit
-    jobs = min(args.jobs, len(tasks), usable_cpus())
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_bench_row, tasks))
-    else:
-        rows = [_bench_row(t) for t in tasks]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    writer.writerows(rows)  # rows already in deterministic grid order
+    # one row at a time in grid order, so no two rows share the cores
+    for n, k, method, seed in itertools.product(
+            args.n_list, args.k_list, args.methods, args.seeds):
+        writer.writerow(_bench_row(n, k, method, seed, args.no_timing))
     return buf.getvalue(), 0
 
 
@@ -382,7 +363,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser("audit",
                            help="numerical audits of the supporting lemmas",
                            argument_default=argparse.SUPPRESS)
-        p.add_argument("--check", required=True, choices=list(AUDIT_READS))
+        p.add_argument("--check", required=True, choices=list(AUDITS))
         p.add_argument("--n-list", type=_int_list, required=True)
         p.add_argument("--l-list", type=_int_list)
         p.add_argument("--k-list", type=_int_list)
@@ -401,7 +382,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--k-list", type=_int_list, required=True)
         p.add_argument("--methods", type=_name_list, default=["paper"])
         p.add_argument("--seeds", type=_int_list, default=[0])
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--no-timing", action="store_true")
         p.set_defaults(func=cmd_bench)
@@ -424,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         swept[1] = "l_list"
     try:
         if args.command == "audit":
-            chooser, reads = f"--check {args.check}", AUDIT_READS[args.check]
+            chooser, reads = f"--check {args.check}", AUDITS[args.check][1]
         else:
             method = getattr(args, "method", None)
             chooser, reads = f"--method {method}", METHOD_READS.get(method, ())
@@ -442,10 +422,13 @@ def main(argv: list[str] | None = None) -> int:
             if method not in METHODS:
                 raise ValueError(f"--methods: unknown method {method!r}; "
                                  f"choose from {', '.join(METHODS)}")
-        for name in ("trials", "jobs"):
-            value = getattr(args, name, 1)
-            if value < 1:
-                raise ValueError(f"{_flag(name)}={value} is below 1")
+        if getattr(args, "trials", 1) < 1:
+            raise ValueError(f"--trials={args.trials} is below 1")
+        for name in ("c", "C", "c0", "psi"):
+            value = getattr(args, name, 1.0)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{_flag(name)}={value} is not a positive finite number")
         if getattr(args, "r", 1) < 1:
             raise ValueError("r must be >= 1")
         for n in args.n_list if hasattr(args, "n_list") else [args.n]:

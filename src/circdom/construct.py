@@ -332,7 +332,6 @@ def construct_dominating(spec: CirculantSpec) -> DominationReport:
     The prime window of L = ceil(lambda) is never empty, since lambda >=
     n^(1/4) (see test_paper_window_never_empty).
     """
-    _require_scale(spec.n)
     n, k = spec.n, spec.k
     t0 = time.perf_counter()
     sol = solve_lambda(n, k)

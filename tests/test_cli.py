@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -240,6 +239,19 @@ def test_l_list_size_guard(check, capsys):
         f"error: TooLarge: L={MAX_N + 1} exceeds MAX_N={MAX_N}\n")
 
 
+# each theorem constant, with a command that reads it, and its bad values
+CONSTRUCT_100 = ("construct", "--n", "100", "--random-chords", "5",
+                 "--seed", "1", "--method")
+NU_10000 = ("audit", "--check", "nu", "--n-list", "10000", "--k-list", "2000")
+BAD_CONSTANT_FLAGS = [
+    *[("construct", (*CONSTRUCT_100, "universal2"), f) for f in
+      ("--c", "--C", "--c0")],
+    ("construct", (*CONSTRUCT_100, "almost-w"), "--psi"),
+    *[("nu", NU_10000, f) for f in ("--c", "--C", "--c0")],
+]
+BAD_CONSTANTS = {"nan": "nan", "inf": "inf", "0": "0", "-1": "negative"}
+
+
 @pytest.mark.parametrize("args, message", [
     (("construct", "--n", "-5", "--random-chords", "2", "--seed", "1",
       "--method", "greedy"), "error: ValueError: n=-5 is below 2"),
@@ -279,10 +291,6 @@ def test_l_list_size_guard(check, capsys):
     (("bench", "--n-list", "1000", "--k-list", "25", "--methods",
       "greedy,gredy"), "error: ValueError: --methods: unknown method "
      "'gredy'; choose from paper, greedy, random, universal2, almost-w"),
-    (("bench", "--n-list", "1000", "--k-list", "25", "--jobs", "0"),
-     "error: ValueError: --jobs=0 is below 1"),
-    (("bench", "--n-list", "1000", "--k-list", "25", "--jobs", "-3"),
-     "error: ValueError: --jobs=-3 is below 1"),
     # a flag the chosen check does not read is an error, not ignored
     (("audit", "--check", "card", "--n-list", "101", "--l-list", "3",
       "--k-list", "5", "--trials", "7"),
@@ -318,17 +326,22 @@ def test_l_list_size_guard(check, capsys):
      "error: ValueError: --symmetric is not read without --random-chords"),
     (("gamma", "--n", "20", "--chords-file", "chords.txt", "--symmetric"),
      "error: ValueError: --symmetric is not read without --random-chords"),
+    # a theorem constant must be a positive finite number
+    *[((*argv, flag, value), f"error: ValueError: {flag}={float(value)} "
+       "is not a positive finite number")
+      for _, argv, flag in BAD_CONSTANT_FLAGS for value in BAD_CONSTANTS],
 ], ids=["construct-n", "audit-n", "gamma-n", "construct-r", "audit-L",
         "gamma-k", "audit-empty-n", "card-empty-L", "expsum-empty-L",
         "exceptional-empty-k", "nu-empty-k", "exceptional-trials-0",
         "nu-trials-negative", "bench-empty-n", "bench-empty-k",
         "bench-empty-seeds", "bench-empty-methods", "bench-unknown-method",
-        "bench-jobs-0", "bench-jobs-negative",
         "card-reads-no-k-list", "card-reads-no-trials", "expsum-reads-no-seed",
         "exceptional-reads-no-c0", "nu-reads-no-l-list", "nu-reads-no-cap",
         "paper-reads-no-psi", "almost-w-reads-no-C", "universal2-reads-no-psi",
         "random-reads-no-c0", "construct-symmetric-file",
-        "gamma-symmetric-file"])
+        "gamma-symmetric-file",
+        *[f"{name}-{flag[2:]}-{kind}" for name, _, flag in BAD_CONSTANT_FLAGS
+          for kind in BAD_CONSTANTS.values()]])
 def test_input_floor(args, message, capsys, monkeypatch, tmp_path):
     # bad small inputs end in one error line and exit 1, not a traceback,
     # before any method runs: --r 0 does not wait for a full construction
@@ -444,7 +457,7 @@ def test_main_parses_as_full_parser(argv, capsys):
 
 
 def test_import_loads_no_process_pool_or_fft():
-    # bench --jobs 1, construct and gamma need neither; they load on use
+    # bench, construct and gamma need neither; they load on use
     code = ("import sys, circdom.cli; "
             "print([m for m in ('multiprocessing', 'numpy.fft') "
             "if m in sys.modules])")
@@ -452,40 +465,6 @@ def test_import_loads_no_process_pool_or_fft():
                          text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
-
-
-def test_bench_parallel_matches_serial(tmp_path):
-    base = ("bench", "--n-list", "500,1000", "--k-list", "10",
-            "--methods", "greedy", "--seeds", "1,2,3", "--no-timing")
-    a = run_cli(*base, "--jobs", "1")
-    b = run_cli(*base, "--jobs", "3")
-    assert a.stdout == b.stdout
-
-
-def test_bench_jobs_capped_by_rows(monkeypatch, capsys):
-    # a fork pool starts every process at its first submit: ask for no
-    # more than there are rows (never tried with real processes)
-    asked = []
-
-    class InProcess:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 64)
-    rc = main(["bench", "--n-list", "500", "--k-list", "10", "--methods",
-               "greedy", "--seeds", "1,2", "--jobs", "64", "--no-timing"])
-    assert rc == 0 and asked == [2]
-    assert len(capsys.readouterr().out.splitlines()) == 1 + 2
 
 
 def test_gamma_subcommand(cycle_file):
