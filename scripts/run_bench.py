@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time build_W, the paper method and the random baseline on source trees;
-write BENCH JSON.
+"""Time build_W, the paper method, the random baseline and exact_gamma;
+write BENCH JSON for one or more source trees.
 
 Each tree is a `src/` directory holding a `circdom` package, named on the
 command line as NAME=PATH. Every repeat starts one fresh process per tree,
@@ -21,8 +21,12 @@ candidate x prime cells tested), the chords the verification of the
 random set ORs before it switches to testing the vertices left (null
 where that pass never switches), the draws of the prefix that the random
 baseline covers in bulk and how many prefixes it drew again because they
-covered Z_n, and the machine. Every tree needs `graph._sieve`,
-`construct._sieve`, `baselines.prefix_draws` and `WSet.marks`/`checks`.
+covered Z_n, and the machine. Each pass also times `exact_gamma`, summed
+over every 2-chord set at n = 22 (checked against circbench's recorded
+table) and alone on C_22({9, 11}) and C_24({6, 18}), its slowest sets at
+n = 22 and 24; the JSON puts these per tree under `gamma`. Every tree
+needs `graph._sieve`, `construct._sieve`, `baselines.prefix_draws` and
+`WSet.marks`/`checks`.
 Run from the repo root, e.g. against a checkout of a base commit in
 ../base:
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -49,6 +54,13 @@ GRID = [(n, k) for n in (10**5, 10**6) for k in (100, 1000)]
 CHORD_SEED = 1
 RANDOM_SEED = 1
 PASSES = 3  # timed passes over the grid per process
+# exact_gamma jobs: name -> the (n, chords) sets timed together in one sample
+GAMMA_JOBS = {
+    "n22_k2_all": [(22, S) for S in itertools.combinations(range(1, 22), 2)],
+    "n22_9_11": [(22, (9, 11))],
+    "n24_6_18": [(24, (6, 18))],
+}
+GAMMA_TABLE = ROOT / "circbench" / "gamma_n22_k2.json"
 
 
 def cpu_model() -> str:
@@ -86,14 +98,15 @@ def steal_frac(before: list[int] | None, after: list[int] | None) -> float | Non
     return round(delta[7] / sum(delta), 4) if sum(delta) else None
 
 
-def measure(src: str) -> list[dict]:
-    """PASSES timed passes over the grid with the circdom package in src."""
+def measure(src: str) -> dict:
+    """PASSES timed passes over the grid and the gamma jobs with the
+    circdom package in src."""
     sys.path.insert(0, src)
     from circdom import baselines, construct, graph
     from circdom.baselines import random_chord_set, random_dominating
     from circdom.cli import main
-    from circdom.graph import CirculantSpec
-    from circdom.verify import is_dominating
+    from circdom.graph import ChordSet, CirculantSpec
+    from circdom.verify import exact_gamma, is_dominating
 
     def run_construct(argv: list[str]) -> tuple[float, dict]:
         out = io.StringIO()
@@ -128,6 +141,14 @@ def measure(src: str) -> list[dict]:
                      "build_w_phase2_ms": [],
                      "construct_wall_ms": [], "random_wall_ms": [],
                      "verify_wall_ms": []})
+    gamma_specs = {name: [CirculantSpec(n, ChordSet(n, S)) for n, S in sets]
+                   for name, sets in GAMMA_JOBS.items()}
+    gamma = {name: {"values": [exact_gamma(spec) for spec in specs],  # warm-up
+                    "wall_ms": []} for name, specs in gamma_specs.items()}
+    recorded = json.loads(GAMMA_TABLE.read_text(encoding="utf-8"))["gamma"]
+    if gamma["n22_k2_all"]["values"] != [
+            recorded[",".join(map(str, S))] for _, S in GAMMA_JOBS["n22_k2_all"]]:
+        raise SystemExit(f"error: exact_gamma disagrees with {GAMMA_TABLE.name}")
     phase2, sieve = [], construct._sieve
 
     def timed_sieve(*args):  # build_W's phase 2 is one call
@@ -156,9 +177,14 @@ def measure(src: str) -> list[dict]:
             t0 = time.perf_counter()
             is_dominating(row["spec"], row["D"])
             row["verify_wall_ms"].append((time.perf_counter() - t0) * 1e3)
+        for name, specs in gamma_specs.items():
+            t0 = time.perf_counter()
+            for spec in specs:
+                exact_gamma(spec)
+            gamma[name]["wall_ms"].append((time.perf_counter() - t0) * 1e3)
     for row in rows:
         del row["spec"], row["D"]
-    return rows
+    return {"grid": rows, "gamma": gamma}
 
 
 def cover_counters(graph, k, verify) -> dict:
@@ -199,16 +225,23 @@ def prefix_counters(baselines, spec) -> dict:
             "prefix_redraws": len(covers) - 1}
 
 
-def run_tree(src: str) -> list[dict]:
+def run_tree(src: str) -> dict:
     res = subprocess.run([sys.executable, __file__, "--measure", src],
                          capture_output=True, text=True, check=True)
     return json.loads(res.stdout)
 
 
+def spread(times: list[float]) -> dict:
+    """Median and quartiles of the samples, rounded to 0.01 ms."""
+    q1, median, q3 = (statistics.quantiles(times, n=4)
+                      if len(times) > 1 else times * 3)
+    return {"median": round(median, 2), "quartiles": [round(q1, 2), round(q3, 2)]}
+
+
 def summarise(trees: dict[str, str], passes: dict[str, list]) -> list[dict]:
     grid = []
     for i, (n, k) in enumerate(GRID):
-        first = passes[next(iter(trees))][0][i]
+        first = passes[next(iter(trees))][0]["grid"][i]
         lb = -(-n // (k + 1))
         point = {"n": n, "k": k, "L": first["L"],
                  "num_primes": first["num_primes"], "size": first["size"],
@@ -218,7 +251,7 @@ def summarise(trees: dict[str, str], passes: dict[str, list]) -> list[dict]:
                  "random_size_over_lb": first["random_size"] / lb,
                  "draws": first["draws"]}
         for name in trees:
-            rows = [p[i] for p in passes[name]]
+            rows = [p["grid"][i] for p in passes[name]]
             for key in ("size", "random_size", "draws"):
                 if any(r[key] != first[key] for r in rows):
                     raise SystemExit(
@@ -230,13 +263,28 @@ def summarise(trees: dict[str, str], passes: dict[str, list]) -> list[dict]:
                         "build_w_phase2_ms", "construct_wall_ms",
                         "construct_first_wall_ms", "random_wall_ms",
                         "verify_wall_ms"):
-                times = [t for r in rows for t in r[key]]
-                q1, median, q3 = (statistics.quantiles(times, n=4)
-                                  if len(times) > 1 else times * 3)
-                point[name][f"{key}_median"] = round(median, 2)
-                point[name][f"{key}_quartiles"] = [round(q1, 2), round(q3, 2)]
+                times = spread([t for r in rows for t in r[key]])
+                point[name][f"{key}_median"] = times["median"]
+                point[name][f"{key}_quartiles"] = times["quartiles"]
         grid.append(point)
     return grid
+
+
+def summarise_gamma(trees: dict[str, str], passes: dict[str, list]) -> dict:
+    """Per gamma job: its sets, the sum of their gammas (which must agree
+    across trees) and each tree's wall time per sample."""
+    out = {}
+    for job, sets in GAMMA_JOBS.items():
+        runs = {name: [p["gamma"][job] for p in passes[name]] for name in trees}
+        values = {tuple(r["values"]) for rs in runs.values() for r in rs}
+        if len(values) != 1:
+            raise SystemExit(f"error: gamma differs across trees on {job}")
+        out[job] = {"sets": len(sets), "gamma_sum": sum(values.pop())}
+        for name, rs in runs.items():
+            times = spread([t for r in rs for t in r["wall_ms"]])
+            out[job][name] = {"wall_ms_median": times["median"],
+                              "wall_ms_quartiles": times["quartiles"]}
+    return out
 
 
 def main(argv=None) -> int:
@@ -273,7 +321,9 @@ def main(argv=None) -> int:
                 "construct, at the first grid point its first call; "
                 "build_w_phase2_ms is the part of build_w_wall_ms spent "
                 "testing the vertices left after marking (0 where every "
-                "prime is marked)",
+                "prime is marked); gamma holds exact_gamma's wall time per "
+                "pass, summed over all 210 2-chord sets at n = 22 "
+                "(n22_k2_all) and on C_22({9, 11}) and C_24({6, 18}) alone",
         "machine": {"cpu_model": cpu_model(), "usable_cpus": usable_cpus(),
                     "python": platform.python_version(),
                     "numpy": numpy.__version__,
@@ -282,6 +332,7 @@ def main(argv=None) -> int:
         "trees": list(trees),
         "repeats": args.repeats,
         "grid": summarise(trees, passes),
+        "gamma": summarise_gamma(trees, passes),
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:

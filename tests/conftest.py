@@ -112,6 +112,36 @@ def naive_exact_gamma(n, chords):
     raise AssertionError("unreachable: Z_n itself dominates")
 
 
+def ap_family(n, k_max=5):
+    """(chords, gamma) for S = d*{1..k}, every d in [1, n) and k <= k_max
+    with k < n/g, g = gcd(d, n): gamma = g*ceil((n/g)/(k+1)).
+
+    Each of the g cosets of the subgroup <d> is a component in which a
+    vertex covers at most k+1, and x + d(k+1)j (j >= 0) covers the coset
+    of x.
+    """
+    for d in range(1, n):
+        g = math.gcd(d, n)
+        for k in range(1, min(k_max, n // g - 1) + 1):
+            chords = tuple(sorted(d * i % n for i in range(1, k + 1)))
+            yield chords, g * -(-(n // g) // (k + 1))
+
+
+def planted_family(n, seeds):
+    """(chords, gamma) for S = {i + m*r_i : 1 <= i < m}, every divisor
+    2 <= m < n of n and r_i drawn from [0, n/m) by each seed: gamma = n/m.
+
+    S u {0} holds each residue mod m once, so mZ_n is a perfect code.
+    """
+    for m in range(2, n):
+        if n % m:
+            continue
+        for seed in seeds:
+            r = np.random.default_rng(seed).integers(0, n // m, size=m - 1)
+            chords = tuple(sorted(i + m * int(ri) for i, ri in enumerate(r, 1)))
+            yield chords, n // m
+
+
 def naive_greedy_picks(n, chords):
     """Greedy picks in order, recounting every vertex's gain each round."""
     chords = np.asarray(chords, dtype=np.int64)

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,17 @@ from circdom.verify import (
     is_dominating,
 )
 
-from conftest import naive_exact_gamma, naive_is_dominating
+from conftest import (
+    ap_family,
+    naive_exact_gamma,
+    naive_is_dominating,
+    planted_family,
+)
+
+# gamma of every 2-chord set at n = 22, recorded by circbench's own solver
+GAMMA_N22_TABLE = (
+    Path(__file__).resolve().parents[1] / "circbench" / "gamma_n22_k2.json"
+)
 
 
 def spec_of(n, chords):
@@ -99,6 +111,31 @@ def test_exact_gamma_matches_brute_force_seeded():
         k = int(rng.integers(1, 5))
         chords = random_chord_set(n, k, int(rng.integers(2**32))).chords
         assert exact_gamma(spec_of(n, chords)) == naive_exact_gamma(n, chords)
+
+
+@pytest.mark.parametrize("n", range(21, 25))
+def test_exact_gamma_matches_ap_closed_form(n):
+    for chords, gamma in ap_family(n):
+        assert exact_gamma(spec_of(n, chords)) == gamma, (n, chords)
+
+
+@pytest.mark.parametrize("n", range(21, 25))
+def test_exact_gamma_matches_planted_closed_form(n):
+    for chords, gamma in planted_family(n, range(6)):
+        assert exact_gamma(spec_of(n, chords)) == gamma, (n, chords)
+
+
+def test_closed_form_family_sizes():
+    assert sum(len(list(ap_family(n))) for n in range(21, 25)) == 406
+    assert sum(len(list(planted_family(n, range(6)))) for n in range(21, 25)) == 60
+
+
+def test_exact_gamma_matches_recorded_n22_table():
+    doc = json.loads(GAMMA_N22_TABLE.read_text(encoding="utf-8"))
+    assert len(doc["gamma"]) == 210
+    for key, gamma in doc["gamma"].items():
+        chords = tuple(int(s) for s in key.split(","))
+        assert exact_gamma(spec_of(doc["n"], chords)) == gamma, chords
 
 
 def test_lower_bounds():
