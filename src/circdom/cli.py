@@ -295,8 +295,10 @@ def _bench_row(n: int, k: int, method: str, seed: int,
         spec = CirculantSpec(n, random_chord_set(n, k, seed))
         doc = report_to_dict(_run_method(method, spec, seed, fallback=True),
                              no_timing=no_timing)
-        record = {**doc["parameters"], **doc, **record, "ratio_vs_envelope":
-                  doc["size"] / cons.dom_size_envelope(n, k)}
+        record = {**doc["parameters"], **doc, **record}
+        if n >= cons.MIN_N:  # no envelope below: lnln 2 < 0 makes it negative
+            record["ratio_vs_envelope"] = (
+                doc["size"] / cons.dom_size_envelope(n, k))
     except (CircdomError, ValueError) as exc:
         record["error"] = _describe(exc)
     return {c: record.get(c, "") for c in BENCH_COLUMNS}

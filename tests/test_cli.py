@@ -386,17 +386,24 @@ def test_bench_reports_bad_k_in_row(capsys):
     assert rows[1].endswith(",ValueError: require 1 <= k <= n - 1")
 
 
-@pytest.mark.parametrize("method", ["paper", "greedy", "random"])
-def test_bench_row_is_construct_record(method, capsys):
-    grid = ("--n", "2000", "--random-chords", "25", "--seed", "3")
+@pytest.mark.parametrize("method, n, k", [
+    ("paper", 2000, 25), ("greedy", 2000, 25), ("random", 2000, 25),
+    # below construct.MIN_N the envelope is meaningless (negative at n = 2)
+    ("greedy", 2, 1), ("greedy", 15, 1)],
+    ids=["paper", "greedy", "random", "greedy-n2", "greedy-n15"])
+def test_bench_row_is_construct_record(method, n, k, capsys):
+    grid = ("--n", str(n), "--random-chords", str(k), "--seed", "3")
     assert main(["construct", *grid, "--method", method, "--no-timing"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert main(["bench", "--n-list", "2000", "--k-list", "25", "--methods",
+    assert main(["bench", "--n-list", str(n), "--k-list", str(k), "--methods",
                  method, "--seeds", "3", "--no-timing"]) == 0
     (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
     record = {**doc["parameters"], **doc}
     for field in ("size", "verified", "wall_ms", "L", "w_size", "u_size"):
         assert row[field] == str(record.get(field, "")), field
+    ratio = (str(doc["size"] / construct.dom_size_envelope(n, k))
+             if n >= construct.MIN_N else "")
+    assert row["ratio_vs_envelope"] == ratio
 
 
 @pytest.mark.parametrize("timing", [[], ["--no-timing"]],

@@ -1,0 +1,121 @@
+"""scripts/run_bench.py: its spy, its argument checks, a tree that fails
+and one run over every point. Structure only: no time is asserted."""
+
+import importlib.util
+import json
+import re
+import shutil
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "run_bench.py"
+COUNTERS = ("marks", "checks", "ored_before_switch", "prefix_draws",
+            "prefix_redraws")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("run_bench", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_spy_records_calls_and_restores(bench):
+    def scale(x, by=2):
+        return by * x
+
+    module = types.SimpleNamespace(scale=scale)
+    with bench.spy(module, "scale") as calls:
+        assert module.scale(3) == 6 and module.scale(4, by=3) == 12
+    assert module.scale is scale
+    assert [(args, result) for args, result, _ in calls] == [((3,), 6),
+                                                              ((4,), 12)]
+    assert all(ms >= 0 for *_, ms in calls)
+
+
+def test_spy_restores_when_the_call_raises(bench):
+    def fail():
+        raise ValueError("boom")
+
+    module = types.SimpleNamespace(fail=fail)
+    with pytest.raises(ValueError, match="boom"):
+        with bench.spy(module, "fail") as calls:
+            module.fail()
+    assert module.fail is fail and calls == []
+
+
+def test_spy_yields_none_for_a_missing_name(bench):
+    module = types.SimpleNamespace()
+    with bench.spy(module, "absent") as calls:
+        assert calls is None
+    assert not hasattr(module, "absent")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--repeats", "0"],
+    ["--tree", "justname"],
+    ["--tree", "=src"],
+    ["--tree", "a="],
+    ["--tree", "a=x", "--tree", "a=y"],
+], ids=["repeats-0", "no-equals", "no-name", "no-src", "same-name"])
+def test_bad_arguments_exit_2_with_usage(bench, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage:")
+
+
+def test_failing_tree_is_named_with_its_stderr(tmp_path):
+    (tmp_path / "circdom").mkdir()
+    (tmp_path / "circdom" / "__init__.py").write_text(
+        'raise RuntimeError("broken tree")\n')
+    res = subprocess.run([sys.executable, str(SCRIPT), "--repeats", "1",
+                          "--tree", f"broken={tmp_path}"],
+                         capture_output=True, text=True)
+    assert res.returncode == 1
+    assert f"error: tree broken ({tmp_path}) failed:" in res.stderr
+    assert "RuntimeError: broken tree" in res.stderr
+
+
+def test_every_point_and_job_and_null_for_a_missing_name(bench, tmp_path):
+    # a copy of src/ whose construct has no _sieve: its phase-2 time is
+    # null, and everything else matches src/
+    tree = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "circdom", tree / "circdom",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    construct = tree / "circdom" / "construct.py"
+    construct.write_text(
+        re.sub(r"\b_sieve\b", "_test_left", construct.read_text()))
+    with open(tree / "circdom" / "graph.py", "a") as graph:
+        graph.write("\n_test_left = _sieve\n")
+    out = tmp_path / "bench.json"
+    assert bench.main(["--repeats", "1", "--tree", f"src={ROOT / 'src'}",
+                       "--tree", f"renamed={tree}", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["trees"] == ["src", "renamed"] and doc["repeats"] == 1
+    grid, gamma = doc["points"][:4], doc["points"][4:]
+    assert [(p["n"], p["k"]) for p in grid] == bench.GRID
+    assert [p["name"] for p in gamma] == list(bench.GAMMA_SETS)
+    jobs = ["build_w", "build_w_phase2", "construct", "construct_first",
+            "random", "verify"]
+    for point in grid:
+        assert point["size"] > 0 and point["random_size"] > 0
+        src, renamed = point["trees"]["src"], point["trees"]["renamed"]
+        assert list(src["wall_ms"]) == jobs
+        assert all(src["wall_ms"].values()), src["wall_ms"]
+        assert all(src[c] is not None for c in COUNTERS), src
+        assert renamed["wall_ms"]["build_w_phase2"] is None
+        assert all(renamed["wall_ms"][job] for job in jobs
+                   if job != "build_w_phase2")
+        assert [renamed[c] for c in COUNTERS] == [src[c] for c in COUNTERS]
+    for point in gamma:
+        assert point["gamma_sum"] > 0
+        for name in doc["trees"]:
+            assert list(point["trees"][name]["wall_ms"]) == ["gamma"]
+            assert point["trees"][name]["wall_ms"]["gamma"]["median"] >= 0
