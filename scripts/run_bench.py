@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time build_W, the paper method, the random baseline and exact_gamma;
-write BENCH JSON for one or more source trees.
+"""Time build_W, the paper method, the random and greedy baselines and
+exact_gamma; write BENCH JSON for one or more source trees.
 
 Each tree is a `src/` directory holding a `circdom` package, named on the
 command line as NAME=SRC. Every repeat starts one fresh process per tree,
@@ -14,6 +14,9 @@ grid point a true first call in a fresh process), and its jobs are
 `build_w`, `construct`, `random` and `verify` (see JOBS). A gamma point
 is a set of circulants, and its one job `gamma` runs `exact_gamma` on
 each; every n = 22 set is checked against circbench's recorded table.
+A greedy point is an (n, k) at chord seed CHORD_SEED: its one job
+`greedy` runs greedy_dominating, whose size and rounds every tree must
+give (greedy_size, rounds).
 
 The JSON holds one record per point: the outputs every tree must agree
 on (L, num_primes, size, random_size, draws, gamma_sum), and under each
@@ -61,6 +64,9 @@ GAMMA_SETS = {
     "n22_9_11": [(22, (9, 11))],
     "n24_6_18": [(24, (6, 18))],
 }
+# greedy points: name -> the (n, k) one `greedy` sample runs
+GREEDY_POINTS = {f"greedy_{n}_{k}": (n, k)
+                 for n, k in ((5000, 100), (10**5, 100), (10**5, 1000))}
 # every wall_ms entry of a point: what it times
 JOBS = {
     "build_w": "construct.build_W(n, L) at construct's L",
@@ -70,6 +76,8 @@ JOBS = {
     "random": f"random_dominating, draw seed {RANDOM_SEED}, same chords",
     "verify": "one is_dominating pass over the random set",
     "gamma": "exact_gamma on every set of the gamma point",
+    "greedy": f"greedy_dominating at the greedy point, chord seed "
+              f"{CHORD_SEED}",
 }
 
 
@@ -203,8 +211,19 @@ def measure(src: str) -> list[dict]:
                 "counters": {}, "wall_ms": {}}, {
                     "gamma": lambda: [verify.exact_gamma(s) for s in specs]}
 
+    def greedy_point(name: str, n: int, k: int) -> tuple[dict, dict]:
+        spec = graph.CirculantSpec(
+            n, baselines.random_chord_set(n, k, CHORD_SEED))
+        rep = baselines.greedy_dominating(spec)  # the warm-up
+        return {"shared": {"name": name, "n": n, "k": k,
+                           "greedy_size": rep.size,
+                           "rounds": rep.parameters["rounds"]},
+                "counters": {}, "wall_ms": {}}, {
+                    "greedy": lambda: baselines.greedy_dominating(spec)}
+
     points, jobs = zip(*[grid_point(n, k) for n, k in GRID] + [
-        gamma_point(name, sets) for name, sets in GAMMA_SETS.items()])
+        gamma_point(name, sets) for name, sets in GAMMA_SETS.items()] + [
+        greedy_point(name, n, k) for name, (n, k) in GREEDY_POINTS.items()])
     for _ in range(PASSES):
         for point, timed in zip(points, jobs):
             for job, run in timed.items():

@@ -296,7 +296,7 @@ def _bench_row(n: int, k: int, method: str, seed: int,
         doc = report_to_dict(_run_method(method, spec, seed, fallback=True),
                              no_timing=no_timing)
         record = {**doc["parameters"], **doc, **record}
-        if n >= cons.MIN_N:  # no envelope below: lnln 2 < 0 makes it negative
+        if n >= cons.MIN_N:  # no envelope below the scale floor
             record["ratio_vs_envelope"] = (
                 doc["size"] / cons.dom_size_envelope(n, k))
     except (CircdomError, ValueError) as exc:

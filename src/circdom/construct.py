@@ -5,8 +5,9 @@ Core objects: the set W = {k * inv(ell) mod n : k in [1, L], ell prime in
 S + W, the dominating set D = U union W, the universal 2-dominating set,
 and the universal almost-dominating set.
 
-All logarithms are natural. Instances with n < 16 are rejected so that
-loglog n stays positive.
+All logarithms are natural. Instances with n < MIN_N = 16 are rejected:
+a scale floor for the asymptotic bounds, which mean nothing at such n
+(lnln n itself is positive from n = 3).
 """
 
 from __future__ import annotations

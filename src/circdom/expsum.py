@@ -67,7 +67,8 @@ def _magnitudes(W: WSet) -> np.ndarray:
 def expsum_audit(n: int, L: int, cap: int = AUDIT_CAP) -> ExpSumAudit:
     """Report the worst sum over a in [1, n-1] against the bound.
 
-    Raises DegenerateInstance below MIN_N, where lnln n <= 0 leaves no bound.
+    Raises DegenerateInstance below MIN_N, the scale floor construct keeps:
+    lnln n > 0 from n = 3, but the asymptotic bound means nothing there.
     """
     if n > cap:
         raise AuditTooLarge(f"n={n} exceeds the audit cap {cap}")

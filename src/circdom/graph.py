@@ -29,7 +29,8 @@ from .errors import ChordFileError, InvalidChord
 COUNT_EVERY = 16
 TEST_BELOW_SHARE = 512
 # _sieve tests blocks of at most CELLS (item, candidate) cells; build_W
-# multiplies and the random baseline draws in blocks of about as many.
+# multiplies, the random baseline draws and greedy scans its gains in
+# blocks of about as many.
 # Other modules read it as graph.CELLS, so all see one value.
 CELLS = 2**16
 WORD = np.dtype("<u8")  # bit x of a packed mask: bit x % 64 of word x // 64

@@ -159,6 +159,24 @@ def naive_greedy_picks(n, chords):
     return picks
 
 
+def argmax_greedy_picks(n, chords):
+    """Greedy picks in order, with incremental gains and a full argmax
+    each round: quick enough for n in the tens of thousands."""
+    offsets = np.concatenate(([0], np.asarray(chords, dtype=np.int64)))
+    gain = np.full(n, offsets.size, dtype=np.int64)
+    uncovered = np.ones(n, dtype=bool)
+    picks = []
+    while True:
+        u = int(np.argmax(gain))  # argmax returns the first maximum
+        if gain[u] == 0:
+            return picks
+        picks.append(u)
+        hit = (u + offsets) % n
+        fresh = hit[uncovered[hit]]
+        uncovered[fresh] = False
+        np.subtract.at(gain, ((fresh[:, None] - offsets) % n).ravel(), 1)
+
+
 def naive_random_cover(n, chords, seed):
     """One PCG64 draw per iteration until covered: (sorted picks, draws)."""
     rng = np.random.default_rng(seed)

@@ -13,7 +13,8 @@ from circdom.baselines import (
 from circdom.graph import ChordSet, CirculantSpec
 from circdom.verify import exact_gamma
 
-from conftest import naive_greedy_picks, naive_random_cover, naive_shift_cover
+from conftest import (argmax_greedy_picks, naive_greedy_picks,
+                      naive_random_cover, naive_shift_cover)
 
 
 def spec_of(n, chords):
@@ -68,13 +69,26 @@ def greedy_instances():
         yield n, (1, n - 1)
 
 
-def test_greedy_picks_match_recount_oracle():
+# CELLS below n makes the forward scan cross block boundaries
+@pytest.mark.parametrize("cells", [1, 7, 200, graph.CELLS])
+def test_greedy_picks_match_recount_oracle(cells, monkeypatch):
+    monkeypatch.setattr(graph, "CELLS", cells)
     count = 0
     for n, chords in greedy_instances():
         picks = _greedy_picks(n, np.asarray(chords, dtype=np.int64))
         assert picks == naive_greedy_picks(n, chords), (n, chords)
         count += 1
     assert count >= 200
+
+
+@pytest.mark.parametrize("cells", [200, graph.CELLS])
+@pytest.mark.parametrize("n", [5000, 20000])
+def test_greedy_picks_match_argmax_oracle(n, cells, monkeypatch):
+    monkeypatch.setattr(graph, "CELLS", cells)
+    for seed in (1, 2, 3):
+        chords = random_chord_set(n, 100, seed).as_array()
+        picks = _greedy_picks(n, chords)
+        assert picks == argmax_greedy_picks(n, chords), (n, seed)
 
 
 @pytest.mark.parametrize("cells", [1, 7, 200, graph.CELLS])

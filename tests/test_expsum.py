@@ -76,7 +76,8 @@ def test_audit_cap():
 
 
 def test_audit_scale_floor():
-    # below MIN_N, lnln n <= 0 would make the bound and the ratio negative
+    # MIN_N is a scale floor: n = 15 is rejected although lnln 15 > 0, and
+    # at n = 2 lnln n < 0 would make the bound and the ratio negative
     for n in (2, MIN_N - 1):
         with pytest.raises(DegenerateInstance):
             expsum_audit(n, 3)

@@ -1,7 +1,9 @@
 """scripts/run_bench.py: its spy, its argument checks, a tree that fails
-and one run over every point. Structure only: no time is asserted."""
+and one run over every grid, gamma and greedy point. Structure only: no
+time is asserted."""
 
 import importlib.util
+import itertools
 import json
 import re
 import shutil
@@ -71,6 +73,16 @@ def test_bad_arguments_exit_2_with_usage(bench, argv, capsys):
     assert capsys.readouterr().err.startswith("usage:")
 
 
+@pytest.mark.parametrize("output", ["greedy_size", "rounds"])
+def test_trees_disagreeing_on_a_greedy_output_stop_the_run(bench, output):
+    point = {"shared": {"name": "greedy_5000_100", "greedy_size": 131,
+                        "rounds": 131},
+             "counters": {}, "wall_ms": {"greedy": [3.0]}}
+    other = {**point, "shared": {**point["shared"], output: 132}}
+    with pytest.raises(SystemExit, match="tree b disagrees"):
+        bench.summarise({"a": "x", "b": "y"}, {"a": [[point]], "b": [[other]]})
+
+
 def test_failing_tree_is_named_with_its_stderr(tmp_path):
     (tmp_path / "circdom").mkdir()
     (tmp_path / "circdom" / "__init__.py").write_text(
@@ -99,9 +111,13 @@ def test_every_point_and_job_and_null_for_a_missing_name(bench, tmp_path):
                        "--tree", f"renamed={tree}", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["trees"] == ["src", "renamed"] and doc["repeats"] == 1
-    grid, gamma = doc["points"][:4], doc["points"][4:]
+    points = iter(doc["points"])
+    grid = list(itertools.islice(points, len(bench.GRID)))
+    gamma = list(itertools.islice(points, len(bench.GAMMA_SETS)))
+    greedy = list(points)
     assert [(p["n"], p["k"]) for p in grid] == bench.GRID
     assert [p["name"] for p in gamma] == list(bench.GAMMA_SETS)
+    assert [p["name"] for p in greedy] == list(bench.GREEDY_POINTS)
     jobs = ["build_w", "build_w_phase2", "construct", "construct_first",
             "random", "verify"]
     for point in grid:
@@ -119,3 +135,11 @@ def test_every_point_and_job_and_null_for_a_missing_name(bench, tmp_path):
         for name in doc["trees"]:
             assert list(point["trees"][name]["wall_ms"]) == ["gamma"]
             assert point["trees"][name]["wall_ms"]["gamma"]["median"] >= 0
+    # one record per greedy point holds greedy_size and rounds, so the two
+    # trees agreed on them in every run
+    for point, (n, k) in zip(greedy, bench.GREEDY_POINTS.values()):
+        assert (point["n"], point["k"]) == (n, k)
+        assert -(-n // (k + 1)) <= point["greedy_size"] == point["rounds"]
+        for name in doc["trees"]:
+            assert list(point["trees"][name]["wall_ms"]) == ["greedy"]
+            assert point["trees"][name]["wall_ms"]["greedy"]["median"] >= 0
