@@ -23,10 +23,11 @@ on (L, num_primes, size, random_size, draws, gamma_sum), and under each
 tree its work counters and the median and quartiles of each job's wall
 ms over all repeats x PASSES samples. The counters are `marks` and
 `checks` of build_W's WSet and, from spies on the tree's own names,
-`ored_before_switch` (k + 1 minus the chords verification hands to
-graph._sieve; null where it never switches), `prefix_draws` (the last
-return of baselines.prefix_draws in random_dominating) and
-`prefix_redraws` (its calls minus one). A counter or wall time whose name
+`survivors` (the vertices build_W's phase 2 hands to construct._sieve;
+null where phase 2 does not run), `ored_before_switch` (k + 1 minus the
+chords verification hands to graph._sieve; null where it never
+switches), `prefix_draws` (the last return of baselines.prefix_draws in
+random_dominating) and `prefix_redraws` (its calls minus one). A counter or wall time whose name
 the tree lacks is null for that tree. A tree whose process fails stops
 the run with exit 1 and the tail of that process's stderr.
 
@@ -158,7 +159,8 @@ def measure(src: str) -> list[dict]:
             doc = run_construct(argv)  # the warm-up
         wall_ms = {"construct_first": [first[0][2]], "build_w_phase2": []}
         L = doc["parameters"]["L"]
-        W = construct.build_W(n, L)
+        with spy(construct, "_sieve") as phase2:
+            W = construct.build_W(n, L)
         spec = graph.CirculantSpec(
             n, baselines.random_chord_set(n, k, CHORD_SEED))
         draw = functools.partial(
@@ -188,6 +190,7 @@ def measure(src: str) -> list[dict]:
                            "draws": rand.parameters["draws"]},
                 "counters": {
                     **{c: getattr(W, c, None) for c in ("marks", "checks")},
+                    "survivors": phase2[0][0][0].size if phase2 else None,
                     "ored_before_switch":
                         k + 1 - tested[0][0][1].size if tested else None,
                     "prefix_draws": prefixes[-1][1] if prefixes else None,

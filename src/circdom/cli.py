@@ -29,7 +29,7 @@ from . import construct as cons
 from .baselines import greedy_dominating, random_chord_set, random_dominating
 from .construct import DominationReport
 from .errors import CircdomError, HypothesisNotMet, TooLarge
-from .expsum import AUDIT_CAP, FFT_TOL_PER_ELEMENT, expsum_audit
+from .expsum import FFT_TOL_PER_ELEMENT, expsum_audit
 from .graph import ChordSet, CirculantSpec, load_chord_file
 from .verify import (
     EXACT_GAMMA_MAX_N,
@@ -50,7 +50,7 @@ METHODS = ("paper", "greedy", "random", "universal2", "almost-w")
 # AUDITS); main rejects a flag given to a check or method that ignores it.
 DEFAULTS = {
     "audit": {"l_list": [], "k_list": [], "trials": 1, "seed": 0,
-              "c": 1.0, "C": 1.0, "c0": 1.0, "cap": AUDIT_CAP},
+              "c": 1.0, "C": 1.0, "c0": 1.0},
     "construct": {"psi": 1.0, "c": 1.0, "C": 1.0, "c0": 1.0},
 }
 METHOD_READS = {"universal2": ("c", "C", "c0"), "almost-w": ("psi",)}
@@ -217,7 +217,7 @@ def _audit_card_lines(args):
 def _audit_expsum_lines(args):
     for n in args.n_list:
         for L in args.l_list:
-            audit = expsum_audit(n, L, cap=args.cap)
+            audit = expsum_audit(n, L)
             yield {
                 "n": audit.n, "L": audit.L, "w_size": audit.w_size,
                 "max_abs": audit.max_abs, "argmax_a": audit.argmax_a,
@@ -272,7 +272,7 @@ def _audit_nu_lines(args):
 # Each check's line generator and the flags of DEFAULTS["audit"] it reads.
 AUDITS = {
     "card": (_audit_card_lines, ("l_list",)),
-    "expsum": (_audit_expsum_lines, ("l_list", "cap")),
+    "expsum": (_audit_expsum_lines, ("l_list",)),
     "exceptional": (_audit_exceptional_lines, ("k_list", "trials", "seed")),
     "nu": (_audit_nu_lines, ("k_list", "trials", "seed", "c", "C", "c0")),
 }
@@ -379,7 +379,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--c", type=float)
         p.add_argument("--C", type=float)
         p.add_argument("--c0", type=float)
-        p.add_argument("--cap", type=int)
         p.add_argument("--out", type=str, default=None)
         p.set_defaults(func=cmd_audit)
 

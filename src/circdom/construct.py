@@ -35,14 +35,6 @@ BISECT_ITERS = 200
 LAMBDA_RTOL = 1e-9
 # FFT representation counts must lie closer than this to an integer.
 COUNT_ROUND_TOL = 0.25
-# build_W tests the vertices left unmarked after its first round of primes,
-# instead of marking the rest, when fewer than TEST_BELOW_L * L are left.
-# At n = 10^6 on a 2-vCPU Xeon a test cell costs ~1.6-1.9 ns against
-# ~7.6 ns per mark, so below about 4L vertices testing a prime costs less
-# than marking it even when no tested vertex is hit, and each hit spares
-# later tests. At 10^5 a test costs up to ~2.5 ns (few survivors make
-# short rows), but there the first round leaves under 2.5L.
-TEST_BELOW_L = 5
 # build_W's first round takes every ROUND_STRIDE-th prime of the window, so
 # that it spans the window: a vertex x whose products x * ell mod n move
 # slowly with ell misses a run of neighbouring primes together, and would
@@ -168,7 +160,7 @@ def solve_lambda(n: int, k: int) -> LambdaSolution:
 
 
 def first_round(n: int, L: int) -> int:
-    """Primes build_W marks before it counts the vertices left unmarked:
+    """Primes build_W marks before it tests the vertices left unmarked:
     m ln(m / 2) with m = ceil(n / L), none for m <= 2. L random marks per
     prime would then leave about 2L vertices unmarked; the round spread by
     ROUND_STRIDE leaves 1.6L to 3.2L at the paper instances with
@@ -233,22 +225,21 @@ def build_W(n: int, L: int) -> WSet:
     two shifts back to the residue, exact while n * (L + 2^32) < 2^64.
 
     Phase 1 marks first_round(n, L) primes, taken across the window as
-    every ROUND_STRIDE-th prime of it, then counts the unmarked vertices.
-    If TEST_BELOW_L * L or more are left, it marks the rest of the window.
-    Otherwise phase 2 tests just those against the remaining primes with
-    _sieve: x is in W iff r = x * ell mod n lies in [1, L] for some prime
-    ell of the window (multiply x = k * inv(ell) by the unit ell). 0 is
-    never k * inv(ell), and never a candidate, since its products 0 would
-    count as hits. The candidates come from inverting the mask in place,
-    so no n-byte temporary is made.
+    every ROUND_STRIDE-th prime of it. If primes are left, phase 2 tests
+    the unmarked vertices against them with _sieve: x is in W iff r =
+    x * ell mod n lies in [1, L] for some prime ell of the window
+    (multiply x = k * inv(ell) by the unit ell). 0 is never k * inv(ell),
+    and never a candidate, since its products 0 would count as hits. The
+    candidates come from inverting the mask in place, so no n-byte
+    temporary is made.
 
     Each test is one wrapping uint64 multiply and one compare: every
     candidate is scaled once by _fixed_point, and X is strictly increasing
     in x, so the survivors' X map back to x by binary search.
 
-    Under 4L^2 < n at most L^2 < n / 4 vertices are ever marked, so at
-    least 3L^2 + 1 >= TEST_BELOW_L * L are left for L >= 2, and phase 2
-    never runs (for L = 1 the first round marks the window's one prime).
+    Under 4L^2 < n, m = ceil(n / L) > 4L, so first_round(n, L) =
+    floor(m ln(m / 2)) > 4L ln(2L) - 1 > 2.77L - 1 >= L >= |window(L)|:
+    phase 1 marks the whole window and phase 2 never runs.
     For L >= n the multiples of any unit already sweep all of Z_n, so the
     full set is returned directly. Otherwise TooLarge is raised, before
     anything is allocated, if n * (L + 2^32) >= 2^64 or 4L * n > 2^64
@@ -267,31 +258,25 @@ def build_W(n: int, L: int) -> WSet:
     primes = [ell for r in range(ROUND_STRIDE)
               for ell in window.primes[r::ROUND_STRIDE]]
     ks = np.arange(1, L + 1, dtype=np.uint64)
-    rows = max(1, min(len(primes), graph.CELLS // L))
+    marked = min(len(primes), first_round(n, L))
+    rows = max(1, graph.CELLS // L)
     members = np.zeros(n, dtype=bool)
     # one work array for every block: a phase-1 block computes at most
-    # max(CELLS, L) cells, and a phase-2 block holds at most max(CELLS, u)
-    # products for the u < min(n, TEST_BELOW_L * L) vertices tested.
+    # max(CELLS, L) cells, and phase 2 grows it once if its blocks of at
+    # most max(CELLS, u) products for the u vertices tested need more.
     # Fresh arrays per block made a first build_W at n = 10^6, k = 100
     # take ~168 ms instead of ~73 ms: glibc returned their pages between
     # blocks and faulted them in again.
-    work = np.empty(max(graph.CELLS, L, min(n, TEST_BELOW_L * L)),
-                    dtype=np.uint64)
-
-    def mark_primes(chunk) -> None:
-        for s in range(0, len(chunk), rows):
-            members[_ratios([pow(ell, -1, n) for ell in chunk[s:s + rows]],
-                            ks, n, work)] = True
-
-    marked = min(len(primes), first_round(n, L))
-    mark_primes(primes[:marked])
-    if (marked < len(primes)
-            and n - np.count_nonzero(members) >= TEST_BELOW_L * L):
-        mark_primes(primes[marked:])
-        marked = len(primes)
+    work = np.empty(max(graph.CELLS, L), dtype=np.uint64)
+    for s in range(0, marked, rows):
+        members[_ratios([pow(ell, -1, n)
+                         for ell in primes[s:min(s + rows, marked)]],
+                        ks, n, work)] = True
     checks = 0
     if marked < len(primes):
         alive = np.flatnonzero(np.logical_not(members, out=members))[1:]
+        if alive.size > work.size:
+            work = np.empty(alive.size, dtype=np.uint64)
         X, T = _fixed_point(alive.astype(np.uint64), n, L)
 
         def hit(X, ell):

@@ -26,7 +26,7 @@ class HypothesisNotMet(CircdomError):
 
 
 class AuditTooLarge(CircdomError):
-    """Raised when an audit request exceeds the configured scan cap."""
+    """Raised when an audit request exceeds the scan cap, expsum.AUDIT_CAP."""
 
 
 class InexactCounts(CircdomError):

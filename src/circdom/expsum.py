@@ -64,14 +64,14 @@ def _magnitudes(W: WSet) -> np.ndarray:
     return np.abs(np.fft.fft(W.elements.members.astype(float)))
 
 
-def expsum_audit(n: int, L: int, cap: int = AUDIT_CAP) -> ExpSumAudit:
+def expsum_audit(n: int, L: int) -> ExpSumAudit:
     """Report the worst sum over a in [1, n-1] against the bound.
 
     Raises DegenerateInstance below MIN_N, the scale floor construct keeps:
     lnln n > 0 from n = 3, but the asymptotic bound means nothing there.
     """
-    if n > cap:
-        raise AuditTooLarge(f"n={n} exceeds the audit cap {cap}")
+    if n > AUDIT_CAP:
+        raise AuditTooLarge(f"n={n} exceeds the audit cap {AUDIT_CAP}")
     _require_scale(n)
     W = build_W(n, L)
     mags = _magnitudes(W)

@@ -127,9 +127,6 @@ class VertexSet:
     def complement(self) -> "VertexSet":
         return VertexSet(self.n, ~self.members)
 
-    def __contains__(self, v: int) -> bool:
-        return bool(self.members[v % self.n])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, VertexSet) and self.n == other.n and bool(
             np.array_equal(self.members, other.members)

@@ -127,8 +127,8 @@ def test_audit_card_error_line_passes(capsys):
 
 def test_audit_failed_line_prints_whole_grid(monkeypatch, capsys):
     # the first of two lines fails: both are printed, the exit code is 1
-    def first_fails(n, L, cap):
-        audit = expsum_audit(n, L, cap=cap)
+    def first_fails(n, L):
+        audit = expsum_audit(n, L)
         return dataclasses.replace(audit, parseval_rel_err=float(n == 101))
 
     expsum_audit = cli.expsum_audit
@@ -147,6 +147,11 @@ def test_audit_expsum_cap():
     assert res.returncode == 1
     assert "AuditTooLarge" in res.stderr
     assert res.stderr.startswith("error: AuditTooLarge: ")
+    # the cap is fixed: --cap is no flag of audit
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--check", "expsum", "--n-list", "101", "--l-list",
+              "3", "--cap", "64"])
+    assert exc.value.code == 2
 
 
 def test_audit_expsum_fields():
@@ -305,8 +310,6 @@ BAD_CONSTANTS = {"nan": "nan", "inf": "inf", "0": "0", "-1": "negative"}
      "error: ValueError: --c0 is not read by --check exceptional"),
     (("audit", "--check", "nu", "--n-list", "10000", "--k-list", "2000",
       "--l-list", "4"), "error: ValueError: --l-list is not read by --check nu"),
-    (("audit", "--check", "nu", "--n-list", "10000", "--k-list", "2000",
-      "--cap", "64"), "error: ValueError: --cap is not read by --check nu"),
     # so is a construct flag the chosen method does not read, and
     # --symmetric with a chord file, whose set {1, 5} is not symmetric
     (("construct", "--n", "100", "--random-chords", "5", "--seed", "1",
@@ -336,7 +339,7 @@ BAD_CONSTANTS = {"nan": "nan", "inf": "inf", "0": "0", "-1": "negative"}
         "nu-trials-negative", "bench-empty-n", "bench-empty-k",
         "bench-empty-seeds", "bench-empty-methods", "bench-unknown-method",
         "card-reads-no-k-list", "card-reads-no-trials", "expsum-reads-no-seed",
-        "exceptional-reads-no-c0", "nu-reads-no-l-list", "nu-reads-no-cap",
+        "exceptional-reads-no-c0", "nu-reads-no-l-list",
         "paper-reads-no-psi", "almost-w-reads-no-C", "universal2-reads-no-psi",
         "random-reads-no-c0", "construct-symmetric-file",
         "gamma-symmetric-file",

@@ -143,37 +143,37 @@ def hardware_modulo_w(n, L, W):
     return expected
 
 
-# Threshold 0 marks the whole window; threshold n tests the vertices left
-# after the first round whenever primes are left. (10^5, 3562) is the paper
-# instance at k = 100.
+# first_round patched to the window size marks every prime; patched to 1,
+# phase 2 tests the vertices left after one prime. (10^5, 3562) is the
+# paper instance at k = 100; (2^20, 8089) leaves the most unmarked
+# vertices per L found after its own first round, 3.23L.
 @pytest.mark.parametrize(
     "n,L",
     [(n, L) for n in (10**5, 2**17, 99991) for L in (2, 97, 3000)]
-    + [(99991, 99991 // 2 - 1), (10**5, 3562)],
+    + [(99991, 99991 // 2 - 1), (10**5, 3562), (2**20, 8089)],
 )
 def test_build_w_both_phases_match_hardware_modulo(monkeypatch, n, L):
-    window = primes_in_window(L, n)
-    first = min(len(window), construct.first_round(n, L))
+    window = len(primes_in_window(L, n))
     expected = None
-    for threshold in (0, n):
-        monkeypatch.setattr(construct, "TEST_BELOW_L", threshold)
+    for first in (window, 1, construct.first_round(n, L)):
+        monkeypatch.setattr(construct, "first_round", lambda n, L: first)
         W = build_W(n, L)
         if expected is None:
             expected = hardware_modulo_w(n, L, W)
         assert np.array_equal(W.elements.members, expected)
-        if threshold == 0 or first == len(window):
-            assert (W.marks, W.checks) == (L * len(window), 0)
+        if first >= window:
+            assert (W.marks, W.checks) == (L * window, 0)
         else:
             assert W.marks == L * first and W.checks > 0
 
 
 def test_build_w_phase_2_blocks_past_cells(monkeypatch):
     # one prime marked leaves u = n - L - 1 > max(CELLS, L) candidates, so
-    # each phase-2 block holds one prime and its u products, in the
-    # leading u cells of the work array
+    # phase 2 grows the work array, and each of its blocks holds one prime
+    # and its u products, in the leading u cells of the array
     n, L = 100003, 20000
+    assert n - L - 1 > max(graph.CELLS, L)
     monkeypatch.setattr(construct, "first_round", lambda n, L: 1)
-    monkeypatch.setattr(construct, "TEST_BELOW_L", n)
     W = build_W(n, L)
     assert W.marks == L and W.checks >= n - L - 1
     assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
@@ -244,9 +244,9 @@ def test_build_w_refuses_past_the_fixed_point_bound():
 def test_build_w_forced_phase_2_at_large_prime(monkeypatch):
     n = 1_048_583
     L = solve_lambda(n, 100).L
-    monkeypatch.setattr(construct, "TEST_BELOW_L", n)
+    monkeypatch.setattr(construct, "first_round", lambda n, L: 1)
     W = build_W(n, L)
-    assert W.checks > 0
+    assert W.marks == L and W.checks > 0
     assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
 
 
@@ -265,7 +265,7 @@ def test_build_w_tested_primes_match_naive(n, frac):
     except EmptyPrimeWindow:
         return
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "TEST_BELOW_L", n)  # test after the first round
+        mp.setattr(construct, "first_round", lambda n, L: 1)  # test after one
         tested = build_W(n, L)
     assert set(tested.indices().tolist()) == naive_w_set(n, L, W.window.primes)
     assert np.array_equal(tested.elements.members, W.elements.members)
@@ -306,7 +306,7 @@ def test_build_w_threaded_matches_hardware_modulo(monkeypatch, cpus, n, L):
 
 def test_build_w_tests_unmarked_only_past_card_hypothesis(monkeypatch):
     # phase 2 runs at the paper instances with k = 100, and never when
-    # 4L^2 < n: then at most L^2 < n / 4 vertices are marked
+    # 4L^2 < n: then the first round takes the whole window
     calls = []
     kernel = construct._sieve
 
@@ -335,6 +335,19 @@ def test_build_w_tests_unmarked_only_past_card_hypothesis(monkeypatch):
     for n, L in ((16381, 16), (16384, 16)):
         assert build_W(n, L).checks == 0
     assert not calls
+
+
+def test_first_round_takes_window_under_card_hypothesis():
+    # 4L^2 < n gives m = ceil(n / L) > 4L and first_round > 2.77L - 1 >= L
+    rng = np.random.default_rng(25)
+    for n in sorted({16, 17, 64, 65, 2**14, *rng.integers(16, 20_000, 30)}):
+        n = int(n)
+        for L in range(1, math.isqrt(n - 1) // 2 + 1):
+            assert 4 * L * L < n
+            window = len(primes_in_window(L, n))
+            assert construct.first_round(n, L) >= window, (n, L)
+            if window:
+                assert build_W(n, L).checks == 0, (n, L)
 
 
 @pytest.mark.parametrize("cells", [1, 7, graph.CELLS])

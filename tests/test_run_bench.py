@@ -16,8 +16,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "run_bench.py"
-COUNTERS = ("marks", "checks", "ored_before_switch", "prefix_draws",
-            "prefix_redraws")
+COUNTERS = ("marks", "checks", "survivors", "ored_before_switch",
+            "prefix_draws", "prefix_redraws")
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +96,8 @@ def test_failing_tree_is_named_with_its_stderr(tmp_path):
 
 
 def test_every_point_and_job_and_null_for_a_missing_name(bench, tmp_path):
-    # a copy of src/ whose construct has no _sieve: its phase-2 time is
-    # null, and everything else matches src/
+    # a copy of src/ whose construct has no _sieve: its phase-2 time and
+    # survivors are null, and everything else matches src/
     tree = tmp_path / "src"
     shutil.copytree(ROOT / "src" / "circdom", tree / "circdom",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -126,10 +126,16 @@ def test_every_point_and_job_and_null_for_a_missing_name(bench, tmp_path):
         assert list(src["wall_ms"]) == jobs
         assert all(src["wall_ms"].values()), src["wall_ms"]
         assert all(src[c] is not None for c in COUNTERS), src
+        # phase 2 runs at every grid point, after one prime or more has
+        # marked L vertices, and tests each survivor once or more
+        assert 0 < src["survivors"] <= min(src["checks"],
+                                           point["n"] - 1 - point["L"])
         assert renamed["wall_ms"]["build_w_phase2"] is None
         assert all(renamed["wall_ms"][job] for job in jobs
                    if job != "build_w_phase2")
-        assert [renamed[c] for c in COUNTERS] == [src[c] for c in COUNTERS]
+        assert renamed["survivors"] is None
+        assert ([renamed[c] for c in COUNTERS if c != "survivors"]
+                == [src[c] for c in COUNTERS if c != "survivors"])
     for point in gamma:
         assert point["gamma_sum"] > 0
         for name in doc["trees"]:
