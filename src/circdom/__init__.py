@@ -26,7 +26,7 @@ from .graph import (
     coverage,
     load_chord_file,
 )
-from .primes import PrimeWindow, primes_in_window
+from .primes import primes_in_window
 from .verify import exact_gamma, gamma_lower_bound, is_dominating
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "DominationReport",
     "ExpSumAudit",
     "LambdaSolution",
-    "PrimeWindow",
     "VertexSet",
     "WSet",
     "__version__",

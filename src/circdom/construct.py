@@ -27,7 +27,7 @@ from .errors import (
 )
 from . import graph
 from .graph import ChordSet, CirculantSpec, VertexSet, _sieve, shift_cover
-from .primes import PrimeWindow, primes_in_window
+from .primes import primes_in_window
 from .verify import is_dominating
 
 MIN_N = 16
@@ -55,12 +55,13 @@ class LambdaSolution:
 
 @dataclass
 class WSet:
-    """The modular-ratio set together with the window that generated it."""
+    """The modular-ratio set together with the window that generated it:
+    the ascending primes of [L+1, 2L] coprime to n."""
 
     n: int
     L: int
     elements: VertexSet
-    window: PrimeWindow
+    window: tuple[int, ...]
     marks: int = 0  # (k, ell) cells marked
     checks: int = 0  # (unmarked vertex, ell) cells tested
 
@@ -251,12 +252,12 @@ def build_W(n: int, L: int) -> WSet:
         raise TooLarge(f"build_W needs n * (L + 2^32) < 2^64 and "
                        f"4L * n <= 2^64, got n={n}, L={L}")
     window = primes_in_window(L, n)
-    if not window.primes:
+    if not window:
         raise EmptyPrimeWindow(f"no primes in [{L + 1}, {2 * L}] coprime to {n}")
     if L >= n:
         return WSet(n=n, L=L, elements=VertexSet.full(n), window=window)
     primes = [ell for r in range(ROUND_STRIDE)
-              for ell in window.primes[r::ROUND_STRIDE]]
+              for ell in window[r::ROUND_STRIDE]]
     ks = np.arange(1, L + 1, dtype=np.uint64)
     marked = min(len(primes), first_round(n, L))
     rows = max(1, graph.CELLS // L)
@@ -333,22 +334,6 @@ def construct_dominating(spec: CirculantSpec) -> DominationReport:
     })
 
 
-@dataclass(frozen=True)
-class Universal2Checks:
-    """Evaluated hypothesis and runtime checks for the universal 2-dominator."""
-
-    n: int
-    k: int
-    c: float
-    C: float
-    c0: float
-    L: int
-    hypothesis_ok: bool  # k >= C sqrt(n) (ln n)^3 / lnln n
-    card_ok: bool  # L < 0.5 sqrt(n)
-    num_primes: int | None
-    runtime_ok: bool | None  # |window| > c0 n (ln n)^2 / (k lnln n)
-
-
 def _universal2_k_floor(n: int, C: float) -> float:
     """Hypothesis threshold C sqrt(n) (ln n)^3 / lnln n for k."""
     return C * math.sqrt(n) * math.log(n) ** 3 / _loglog(n)
@@ -359,51 +344,36 @@ def universal2_L(n: int, k: int, c: float) -> int:
     return math.ceil(c * n * math.log(n) ** 3 / (k * _loglog(n)))
 
 
-def universal2_checks(
-    n: int, k: int, c: float = 1.0, C: float = 1.0, c0: float = 1.0
-) -> Universal2Checks:
-    """Evaluate all universal-2-domination feasibility checks without raising."""
-    _require_scale(n)
-    hypothesis_ok = k >= _universal2_k_floor(n, C)
-    L = universal2_L(n, k, c)
-    card_ok = 4 * L * L < n
-    num_primes = None
-    runtime_ok = None
-    if card_ok:
-        num_primes = len(primes_in_window(L, n))
-        runtime_ok = num_primes > c0 * n * math.log(n) ** 2 / (k * _loglog(n))
-    return Universal2Checks(
-        n=n, k=k, c=c, C=C, c0=c0, L=L,
-        hypothesis_ok=hypothesis_ok, card_ok=card_ok,
-        num_primes=num_primes, runtime_ok=runtime_ok,
-    )
-
-
 def construct_universal_2dom(
     n: int, k: int, c: float = 1.0, C: float = 1.0, c0: float = 1.0
 ) -> WSet:
     """Chord-set-independent W that 2-dominates every C_n(S) with |S| >= k.
 
     Deterministic in (n, k, c): the same call always returns the same set.
-    Raises HypothesisNotMet, before W is built, when the theorem hypothesis,
-    the cardinality hypothesis L < 0.5*sqrt(n), or the runtime window check
-    fails.
+    Before W is built, raises HypothesisNotMet at the first of these checks
+    that fails: the theorem hypothesis k >= C sqrt(n) (ln n)^3 / lnln n,
+    the cardinality hypothesis L < 0.5 sqrt(n) with L = universal2_L(n, k,
+    c), and the runtime check |window| > c0 n (ln n)^2 / (k lnln n). An
+    empty window is left to build_W, which raises EmptyPrimeWindow.
     """
-    checks = universal2_checks(n, k, c=c, C=C, c0=c0)
-    if not checks.hypothesis_ok:
+    _require_scale(n)
+    # negated, so that a NaN constant fails its check
+    if not k >= _universal2_k_floor(n, C):
         raise HypothesisNotMet(
             f"k={k} below C*sqrt(n)(ln n)^3/lnln n with C={C} for n={n}"
         )
-    if not checks.card_ok:
+    L = universal2_L(n, k, c)
+    if 4 * L * L >= n:
         raise HypothesisNotMet(
-            f"L={checks.L} >= 0.5*sqrt(n) for n={n}; distinctness lemma fails"
+            f"L={L} >= 0.5*sqrt(n) for n={n}; distinctness lemma fails"
         )
-    # an empty window is left to build_W, which raises EmptyPrimeWindow
-    if checks.num_primes and not checks.runtime_ok:
+    num_primes = len(primes_in_window(L, n))
+    if num_primes and not num_primes > c0 * n * math.log(n) ** 2 / (
+            k * _loglog(n)):
         raise HypothesisNotMet(
-            f"window size {checks.num_primes} fails the c0={c0} runtime check"
+            f"window size {num_primes} fails the c0={c0} runtime check"
         )
-    return build_W(n, checks.L)
+    return build_W(n, L)
 
 
 @dataclass(frozen=True)

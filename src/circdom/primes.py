@@ -7,21 +7,8 @@ Divisors of n are dropped from the window on the way out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PrimeWindow:
-    """Primes ell in [L+1, 2L] with gcd(ell, n) = 1, sorted ascending."""
-
-    L: int
-    n: int
-    primes: tuple[int, ...] = field(default=())
-
-    def __len__(self) -> int:
-        return len(self.primes)
 
 
 def _sieve_upto(limit: int) -> np.ndarray:
@@ -36,14 +23,13 @@ def _sieve_upto(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def primes_in_window(L: int, n: int) -> PrimeWindow:
-    """All primes in [L+1, 2L] coprime to n."""
+def primes_in_window(L: int, n: int) -> tuple[int, ...]:
+    """The primes ell in [L+1, 2L] with gcd(ell, n) = 1, ascending."""
     if L < 1:
         raise ValueError("L must be >= 1")
     if n < 2:
         raise ValueError("n must be >= 2")
     primes = _sieve_upto(2 * L)
     primes = primes[primes > L]
-    coprime = tuple(primes[np.gcd(primes, n) == 1].tolist())
-    return PrimeWindow(L=L, n=n, primes=coprime)
+    return tuple(primes[np.gcd(primes, n) == 1].tolist())
 

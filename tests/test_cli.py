@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circdom import cli, construct
+from circdom import cli, construct, expsum
 from circdom.cli import BENCH_COLUMNS, MAX_N, main
 from circdom.errors import HypothesisNotMet
 from circdom.expsum import AUDIT_CAP
@@ -129,7 +129,7 @@ def test_audit_failed_line_prints_whole_grid(monkeypatch, capsys):
     # the first of two lines fails: both are printed, the exit code is 1
     def first_fails(n, L):
         audit = expsum_audit(n, L)
-        return dataclasses.replace(audit, parseval_rel_err=float(n == 101))
+        return dataclasses.replace(audit, direct_check_err=float(n == 101))
 
     expsum_audit = cli.expsum_audit
     monkeypatch.setattr(cli, "expsum_audit", first_fails)
@@ -138,7 +138,30 @@ def test_audit_failed_line_prints_whole_grid(monkeypatch, capsys):
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert rc == 1
     assert [l["n"] for l in lines] == [101, 1009]
-    assert [l["parseval_rel_err"] for l in lines] == [1.0, 0.0]
+    assert [l["direct_check_err"] > 0.5 for l in lines] == [True, False]
+
+
+def test_audit_direct_sums_catch_one_bad_magnitude(monkeypatch, capsys):
+    # |S(a)| off by 1e-3 at one seeded a other than argmax_a fails the
+    # line; it moves sum_a |S(a)|^2 by ~0.02, under Parseval's 1e-6 n |W|
+    n, L = 16381, 16
+    argmax_a = expsum.expsum_audit(n, L).argmax_a
+    a = next(int(a) for a in np.random.default_rng(n).integers(1, n, size=4)
+             if a != argmax_a)
+    magnitudes = expsum._magnitudes
+
+    def off_at_a(W):
+        mags = magnitudes(W)
+        mags[a] += 1e-3
+        return mags
+
+    monkeypatch.setattr(expsum, "_magnitudes", off_at_a)
+    rc = main(["audit", "--check", "expsum", "--n-list", str(n),
+               "--l-list", str(L)])
+    line = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert line["argmax_a"] == argmax_a
+    assert line["direct_check_err"] == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_audit_expsum_cap():
@@ -160,7 +183,7 @@ def test_audit_expsum_fields():
     assert res.returncode == 0, res.stderr
     line = json.loads(res.stdout.splitlines()[0])
     for field in ("n", "L", "w_size", "max_abs", "argmax_a", "bound", "ratio",
-                  "parseval_rel_err", "direct_check_err"):
+                  "direct_check_err"):
         assert field in line
 
 

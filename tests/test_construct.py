@@ -21,7 +21,6 @@ from circdom.construct import (
     exceptional_set,
     solve_lambda,
     suggest_universal2_constants,
-    universal2_checks,
 )
 from circdom.errors import (
     DegenerateInstance,
@@ -81,7 +80,7 @@ def test_solve_lambda_degenerate():
 
 def test_build_w_101_3():
     W = build_W(101, 3)
-    assert W.window.primes == (5,)
+    assert W.window == (5,)
     assert sorted(W.indices().tolist()) == [41, 61, 81]
     assert W.size == 3 * 1  # distinctness: 3 < 0.5 * sqrt(101)
     assert W.card_hypothesis_ok
@@ -104,9 +103,9 @@ def test_paper_window_never_empty():
     """
     checked = 0
     for L in range(1, 15):
-        P = math.prod(primes_in_window(L, 101).primes)  # 101 > 2L: all
+        P = math.prod(primes_in_window(L, 101))  # 101 > 2L: all
         for n in range(P * -(-construct.MIN_N // P), L**4 + 1, P):
-            assert not primes_in_window(L, n).primes
+            assert not primes_in_window(L, n)
             assert math.ceil(solve_lambda(n, n - 1).lam) > L, (n, L)
             checked += 1
     assert checked == 180
@@ -118,7 +117,7 @@ def test_paper_window_never_empty():
 )
 def test_build_w_matches_naive(n, L):
     W = build_W(n, L)
-    expected = naive_w_set(n, L, W.window.primes)
+    expected = naive_w_set(n, L, W.window)
     assert set(W.indices().tolist()) == expected
 
 
@@ -138,7 +137,7 @@ def hardware_modulo_w(n, L, W):
     """Mask of (ks * inv(ell)) % n over the primes of W's window."""
     ks = np.arange(1, L + 1, dtype=np.int64)
     expected = np.zeros(n, dtype=bool)
-    for ell in W.window.primes:
+    for ell in W.window:
         expected[(ks * pow(ell, -1, n)) % n] = True
     return expected
 
@@ -267,7 +266,7 @@ def test_build_w_tested_primes_match_naive(n, frac):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construct, "first_round", lambda n, L: 1)  # test after one
         tested = build_W(n, L)
-    assert set(tested.indices().tolist()) == naive_w_set(n, L, W.window.primes)
+    assert set(tested.indices().tolist()) == naive_w_set(n, L, W.window)
     assert np.array_equal(tested.elements.members, W.elements.members)
 
 
@@ -321,7 +320,7 @@ def test_build_w_tests_unmarked_only_past_card_hypothesis(monkeypatch):
         # the call tested this window's primes past the first round, which
         # takes every ROUND_STRIDE-th prime, from each of the first
         # ROUND_STRIDE primes in turn
-        stride, primes = construct.ROUND_STRIDE, W.window.primes
+        stride, primes = construct.ROUND_STRIDE, W.window
         order = sorted(range(len(primes)), key=lambda i: (i % stride, i))
         assert calls[-1] == [primes[i] for i in
                              order[construct.first_round(n, L):]]
@@ -359,7 +358,7 @@ def test_build_w_checks_count_tested_cells(n, cells, monkeypatch):
     monkeypatch.setattr(graph, "CELLS", cells)
     L = solve_lambda(n, 100).L
     W = build_W(n, L)
-    stride, primes = construct.ROUND_STRIDE, W.window.primes
+    stride, primes = construct.ROUND_STRIDE, W.window
     order = [primes[i] for i in
              sorted(range(len(primes)), key=lambda i: (i % stride, i))]
     first = construct.first_round(n, L)
@@ -398,7 +397,7 @@ def test_pairwise_distinctness_witness():
     n, L = 10007, 12
     W = build_W(n, L)
     seen = {}
-    for ell in W.window.primes:
+    for ell in W.window:
         inv = pow(ell, -1, n)
         for k in range(1, L + 1):
             v = (k * inv) % n
@@ -578,10 +577,16 @@ def test_universal2_deterministic_and_chordfree():
 
 
 def test_universal2_hypothesis_not_met():
-    with pytest.raises(HypothesisNotMet):
-        construct_universal_2dom(10**4, 50, c=1.0, C=0.0)  # L >= 0.5 sqrt(n)
-    with pytest.raises(HypothesisNotMet):
-        construct_universal_2dom(10**4, 2000, c=1.0, C=1.0)  # k below threshold
+    # at c = C = c0 = 1 the card check fails too: the k-floor message wins
+    n = 10**4
+    assert 4 * construct.universal2_L(n, 2000, 1.0) ** 2 >= n
+    message = f"k=2000 below C*sqrt(n)(ln n)^3/lnln n with C=1.0 for n={n}"
+    with pytest.raises(HypothesisNotMet, match=f"^{re.escape(message)}$"):
+        construct_universal_2dom(n, 2000, c=1.0, C=1.0, c0=1.0)
+    # only the card check fails
+    message = f"L=70379 >= 0.5*sqrt(n) for n={n}; distinctness lemma fails"
+    with pytest.raises(HypothesisNotMet, match=f"^{re.escape(message)}$"):
+        construct_universal_2dom(n, 50, c=1.0, C=0.0)
 
 
 def test_universal2_runtime_check_before_build_w(monkeypatch):
@@ -589,24 +594,22 @@ def test_universal2_runtime_check_before_build_w(monkeypatch):
     n, k = 10**4, 2000
     sugg = suggest_universal2_constants(n, k)
     c0 = 2 * sugg.c0_max
-    checks = universal2_checks(n, k, c=sugg.c_max, C=sugg.C_max, c0=c0)
-    assert checks.hypothesis_ok and checks.card_ok and not checks.runtime_ok
-    assert checks.num_primes == len(construct.build_W(n, checks.L).window)
+    assert len(primes_in_window(sugg.L_at_c_max, n)) == 10
 
     def refuse(n, L):
         raise AssertionError("build_W called")
 
     monkeypatch.setattr(construct, "build_W", refuse)
-    message = f"window size {checks.num_primes} fails the c0={c0} runtime check"
+    message = f"window size 10 fails the c0={c0} runtime check"
     with pytest.raises(HypothesisNotMet, match=f"^{re.escape(message)}$"):
         construct_universal_2dom(n, k, c=sugg.c_max, C=sugg.C_max, c0=c0)
 
 
 def test_universal2_empty_window_left_to_build_w():
     # L = 1 and n even: the window {2} is empty, which is not a c0 failure
-    checks = universal2_checks(10**4, 2000, c=1e-6, C=0.01)
-    assert (checks.L, checks.num_primes, checks.runtime_ok) == (1, 0, False)
-    with pytest.raises(EmptyPrimeWindow):
+    assert construct.universal2_L(10**4, 2000, 1e-6) == 1
+    message = "no primes in [2, 2] coprime to 10000"
+    with pytest.raises(EmptyPrimeWindow, match=f"^{re.escape(message)}$"):
         construct_universal_2dom(10**4, 2000, c=1e-6, C=0.01)
 
 
@@ -618,17 +621,9 @@ def test_universal2_suggested_constants_pass_checks():
     assert (1000, 999) in points and (4988, 997) in points
     for n, k in points:
         sugg = suggest_universal2_constants(n, k)
-        checks = universal2_checks(n, k, c=sugg.c_max, C=sugg.C_max,
-                                   c0=sugg.c0_max / 2)
-        assert checks.hypothesis_ok and checks.card_ok, (n, k)
-        assert checks.L == sugg.L_at_c_max and checks.runtime_ok, (n, k)
-
-
-def test_universal2_checks_record_outcomes():
-    checks = universal2_checks(10**4, 2000, c=1.0, C=1.0, c0=1.0)
-    assert not checks.hypothesis_ok
-    assert not checks.card_ok
-    assert checks.runtime_ok is None
+        W = construct_universal_2dom(n, k, c=sugg.c_max, C=sugg.C_max,
+                                     c0=sugg.c0_max / 2)
+        assert W.L == sugg.L_at_c_max, (n, k)
 
 
 def test_universal2_two_dominates_random_chordsets():
