@@ -7,7 +7,6 @@ greedy/random baselines, exponential-sum audits, and a CLI harness.
 from .baselines import greedy_dominating, random_chord_set, random_dominating
 from .construct import (
     DominationReport,
-    LambdaSolution,
     WSet,
     almost_dominating_W,
     all_representation_counts,
@@ -36,7 +35,6 @@ __all__ = [
     "CirculantSpec",
     "DominationReport",
     "ExpSumAudit",
-    "LambdaSolution",
     "VertexSet",
     "WSet",
     "__version__",

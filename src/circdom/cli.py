@@ -229,15 +229,14 @@ def _audit_expsum_lines(args):
 def _audit_exceptional_lines(args):
     for n in args.n_list:
         for k in args.k_list:
-            sol = cons.solve_lambda(n, k)
-            W = cons.build_W(n, sol.L)
+            W = cons.build_W(n, math.ceil(cons.solve_lambda(n, k)))
             bound = cons.exceptional_bound(n, k, len(W.window))
             for trial in range(args.trials):
                 seed = args.seed + trial
                 U = cons.exceptional_set(n, random_chord_set(n, k, seed), W)
                 yield {
                     "check": "exceptional", "n": n, "k": k, "trial": trial,
-                    "seed": seed, "L": sol.L, "num_primes": len(W.window),
+                    "seed": seed, "L": W.L, "num_primes": len(W.window),
                     "u_size": U.size, "bound": bound,
                     "ratio": U.size / bound,
                 }, True

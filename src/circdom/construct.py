@@ -31,7 +31,6 @@ from .primes import primes_in_window
 from .verify import is_dominating
 
 MIN_N = 16
-BISECT_ITERS = 200
 LAMBDA_RTOL = 1e-9
 # FFT representation counts must lie closer than this to an integer.
 COUNT_ROUND_TOL = 0.25
@@ -42,15 +41,6 @@ COUNT_ROUND_TOL = 0.25
 # order; at n = 10^6, k = 100 stride 4 cuts the phase-2 tests from 12.3 M
 # (lowest primes first) to 6.91 M.
 ROUND_STRIDE = 4
-
-
-@dataclass(frozen=True)
-class LambdaSolution:
-    """Root of the size-balancing equation and the integer cutoff L = ceil."""
-
-    lam: float
-    L: int
-    residual: float
 
 
 @dataclass
@@ -118,23 +108,20 @@ def _require_scale(n: int) -> None:
         raise DegenerateInstance(f"n must be >= {MIN_N}, got {n}")
 
 
-def _balance_target(n: int, k: int) -> float:
-    """Right side of the rearranged balance lam^4/(ln lam)^3 = target."""
-    return n * n * math.log(n) ** 4 / (k * _loglog(n) ** 2)
-
-
-def solve_lambda(n: int, k: int) -> LambdaSolution:
-    """Solve n^2 (ln lam)^2 (ln n)^4 / (k lam^2 (lnln n)^2) = lam^2 / ln lam.
+def solve_lambda(n: int, k: int) -> float:
+    """Solve n^2 (ln lam)^2 (ln n)^4 / (k lam^2 (lnln n)^2) = lam^2 / ln lam
+    for lam; the paper's cutoff is L = ceil(lam).
 
     Rearranged to the increasing form lam^4/(ln lam)^3 = target and
-    bisected. The bracket's upper end is doubled past n when the desk-scale
-    root exceeds n (happens for small n with small k; harmless, the
-    hypothesis flags downstream record it).
+    bisected until hi - lo <= 1e-12 lo: at the latest when lo and hi are
+    adjacent floats, spaced at most 2^-52 lo. The bracket's upper end is
+    doubled past n when the desk-scale root exceeds n (happens for small
+    n with small k; harmless, the hypothesis flags downstream record it).
     """
     _require_scale(n)
     if not 1 <= k < n:
         raise ValueError("require 1 <= k < n")
-    target = _balance_target(n, k)
+    target = n * n * math.log(n) ** 4 / (k * _loglog(n) ** 2)
 
     def g(lam: float) -> float:
         return lam**4 / math.log(lam) ** 3
@@ -143,21 +130,13 @@ def solve_lambda(n: int, k: int) -> LambdaSolution:
     hi = float(n)
     while g(hi) < target:
         hi *= 2.0
-    for _ in range(BISECT_ITERS):
+    while hi - lo > LAMBDA_RTOL * lo * 1e-3:
         mid = 0.5 * (lo + hi)
         if g(mid) < target:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= LAMBDA_RTOL * lo * 1e-3:
-            break
-    lam = 0.5 * (lo + hi)
-    lhs = n * n * math.log(lam) ** 2 * math.log(n) ** 4 / (
-        k * lam * lam * _loglog(n) ** 2
-    )
-    rhs = lam * lam / math.log(lam)
-    residual = abs(lhs - rhs) / rhs
-    return LambdaSolution(lam=lam, L=math.ceil(lam), residual=residual)
+    return 0.5 * (lo + hi)
 
 
 def first_round(n: int, L: int) -> int:
@@ -321,12 +300,12 @@ def construct_dominating(spec: CirculantSpec) -> DominationReport:
     """
     n, k = spec.n, spec.k
     t0 = time.perf_counter()
-    sol = solve_lambda(n, k)
-    W = build_W(n, sol.L)
+    lam = solve_lambda(n, k)
+    W = build_W(n, math.ceil(lam))
     U = exceptional_set(n, spec.chords, W)
     return report("paper", spec, W.elements.union(U), 1, t0, {
-        "lambda": sol.lam,
-        "L": sol.L,
+        "lambda": lam,
+        "L": W.L,
         "num_primes": len(W.window),
         "w_size": W.size,
         "u_size": U.size,
@@ -339,9 +318,11 @@ def _universal2_k_floor(n: int, C: float) -> float:
     return C * math.sqrt(n) * math.log(n) ** 3 / _loglog(n)
 
 
-def universal2_L(n: int, k: int, c: float) -> int:
-    """L = ceil(c * n (ln n)^3 / (k lnln n))."""
-    return math.ceil(c * n * math.log(n) ** 3 / (k * _loglog(n)))
+def universal2_L(n: int, k: int, c: float) -> int | float:
+    """L = ceil(c * n (ln n)^3 / (k lnln n)); inf, which fails the card
+    check, where a finite c near the float maximum overflows it."""
+    L = c * n * math.log(n) ** 3 / (k * _loglog(n))
+    return L if L == math.inf else math.ceil(L)
 
 
 def construct_universal_2dom(
@@ -378,12 +359,12 @@ def construct_universal_2dom(
 
 @dataclass(frozen=True)
 class Universal2Constants:
-    """Largest constants that keep the universal-2-dom checks satisfiable."""
+    """Largest constants that keep the universal-2-dom checks satisfiable.
+    c_max gives the largest L with 4L^2 < n, L = isqrt((n - 1) // 4)."""
 
     C_max: float  # hypothesis holds iff C <= C_max
     c_max: float  # L(c) < 0.5 sqrt(n) iff c <= c_max
-    L_at_c_max: int
-    c0_max: float  # runtime check at L_at_c_max holds iff c0 < c0_max
+    c0_max: float  # runtime check at L(c_max) holds iff c0 < c0_max
 
 
 def suggest_universal2_constants(n: int, k: int) -> Universal2Constants:
@@ -407,9 +388,7 @@ def suggest_universal2_constants(n: int, k: int) -> Universal2Constants:
         c_max = math.nextafter(c_max, 0.0)
     num_primes = len(primes_in_window(L_max, n))
     c0_max = num_primes * k * ll / (n * math.log(n) ** 2)
-    return Universal2Constants(
-        C_max=C_max, c_max=c_max, L_at_c_max=L_max, c0_max=c0_max
-    )
+    return Universal2Constants(C_max=C_max, c_max=c_max, c0_max=c0_max)
 
 
 def all_representation_counts(n: int, S: ChordSet, W: WSet) -> np.ndarray:
@@ -450,6 +429,8 @@ def almost_dominating_W(n: int, k: int, psi: float = 1.0) -> WSet:
     budget = almost_budget(n, k, psi)
     if budget < 1:
         raise ValueError("budget below one element; increase psi")
+    if not math.isfinite(budget):
+        raise ValueError("budget is not a finite number; decrease psi")
 
     def predicted(L: int) -> int:
         return L * len(primes_in_window(L, n))

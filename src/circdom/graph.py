@@ -3,9 +3,10 @@
 Coverage direction: a vertex u covers u + S (and itself). The edge rule
 i -> j iff i - j in S would make dominated vertices of the form D - S;
 the constructive proofs cover W + S instead, and we follow the
-constructions. For symmetric S the two conventions coincide; replacing
-S by -S recovers the other one. shift_cover marks sources + chords in a
-new mask: the exceptional set's open cover passes S, closed covers S u {0}.
+constructions. For symmetric S = -S mod n the conventions coincide;
+replacing S by -S recovers the other one. shift_cover marks sources +
+chords in a new mask: the exceptional set's open cover passes S, closed
+covers S u {0}.
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ class ChordSet:
     @property
     def k(self) -> int:
         return len(self.chords)
-
-    @property
-    def symmetric(self) -> bool:
-        members = set(self.chords)
-        return all((self.n - s) in members for s in self.chords)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.chords, dtype=np.int64)

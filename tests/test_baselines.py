@@ -289,9 +289,11 @@ def test_random_chord_set_basics():
 
 
 def test_random_chord_set_symmetric():
+    # closed under s -> n - s
     S = random_chord_set(100, 10, 1, symmetric=True)
-    assert S.k == 10 and S.symmetric
+    assert S.k == 10 and {100 - s for s in S.chords} == set(S.chords)
     S = random_chord_set(100, 7, 2, symmetric=True)
-    assert S.k == 7 and S.symmetric and 50 in S.chords
+    assert S.k == 7 and {100 - s for s in S.chords} == set(S.chords)
+    assert 50 in S.chords
     with pytest.raises(ValueError):
         random_chord_set(101, 7, 3, symmetric=True)

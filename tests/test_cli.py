@@ -383,6 +383,35 @@ def test_input_floor(args, message, capsys, monkeypatch, tmp_path):
     assert ran == []
 
 
+# finite constants whose derived L or budget overflows a float
+def test_universal2_infinite_L_fails_card_check(capsys):
+    rc = main(["construct", "--n", "10000", "--random-chords", "2000",
+               "--seed", "1", "--method", "universal2", "--c", "1e308",
+               "--C", "1e-9"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("HypothesisNotMet: L=inf >= 0.5*sqrt(n) for "
+                            "n=10000; distinctness lemma fails\n")
+
+
+def test_audit_nu_infinite_L_falls_back(capsys):
+    # the fallback constants replace (c, C, c0) in every line
+    assert main([*NU_10000, "--c", "1e308", "--C", "1e-9"]) == 0
+    overflowed = capsys.readouterr().out
+    assert main(list(NU_10000)) == 0
+    assert overflowed == capsys.readouterr().out
+
+
+def test_almost_w_infinite_budget(capsys):
+    rc = main([*CONSTRUCT_100, "almost-w", "--psi", "1e308"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        "error: ValueError: budget is not a finite number; decrease psi")
+
+
 def test_audit_expsum_below_scale_floor(capsys):
     rc = main(["audit", "--check", "expsum", "--n-list", "2", "--l-list", "3"])
     captured = capsys.readouterr()

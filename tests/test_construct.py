@@ -57,20 +57,50 @@ def lambda_oracle(n, k, dps=50):
 
 def test_solve_lambda_residual_and_range():
     for n, k in [(16, 1), (100, 5), (10**4, 64), (10**6, 999)]:
-        sol = solve_lambda(n, k)
-        assert sol.residual <= 1e-9
-        assert sol.lam > n**0.25
+        lam = solve_lambda(n, k)
+        # the balance n^2 (ln lam)^2 (ln n)^4 / (k lam^2 (lnln n)^2) =
+        # lam^2 / ln lam holds to a relative 1e-9
+        lhs = n * n * math.log(lam) ** 2 * math.log(n) ** 4 / (
+            k * lam * lam * math.log(math.log(n)) ** 2)
+        rhs = lam * lam / math.log(lam)
+        assert abs(lhs - rhs) / rhs <= 1e-9
+        assert lam > n**0.25
 
 
 def test_solve_lambda_matches_oracle():
     for n, k in [(10**4, 64), (10**5, 300), (16, 1)]:
-        sol = solve_lambda(n, k)
-        assert sol.lam == pytest.approx(lambda_oracle(n, k), rel=1e-9)
-        assert sol.L == math.ceil(sol.lam)
+        lam = solve_lambda(n, k)
+        assert lam == pytest.approx(lambda_oracle(n, k), rel=1e-9)
+
+
+# float.hex(lambda) and L = ceil(lambda), bit for bit, so that any change to
+# the bisection shows: the k = 1 and k = n - 1 extremes, n = 16, where the
+# bracket doubles past n, and a prime n
+LAMBDA_PINS = [
+    (16, 1, "0x1.ad2daf487b580p+4", 27),
+    (16, 15, "0x1.54892583b0900p+3", 11),
+    (100, 5, "0x1.2a441eac3d7acp+6", 75),
+    (2**24, 1, "0x1.07eed984b3a0ep+18", 270_268),
+    (2**24, 2**24 - 1, "0x1.7a0f926d6bc3ap+11", 3025),
+    (999_983, 1, "0x1.8dde397e5bf13p+15", 50_928),
+    (999_983, 100, "0x1.cb570c4059404p+13", 14_699),
+    (999_983, 1000, "0x1.eb1c8dda4645cp+12", 7858),
+    (10**5, 100, "0x1.bd39412d84f48p+11", 3562),
+    (10**5, 1000, "0x1.d7375de25878ep+10", 1885),
+    (10**6, 100, "0x1.cb58425c508c4p+13", 14_700),
+    (10**6, 1000, "0x1.eb1ddb62d29b2p+12", 7858),
+]
+
+
+@pytest.mark.parametrize("n,k,lam_hex,L", LAMBDA_PINS)
+def test_solve_lambda_pinned(n, k, lam_hex, L):
+    lam = solve_lambda(n, k)
+    assert lam.hex() == lam_hex
+    assert math.ceil(lam) == L
 
 
 def test_solve_lambda_monotone_in_k():
-    assert solve_lambda(10**4, 256).lam < solve_lambda(10**4, 64).lam
+    assert solve_lambda(10**4, 256) < solve_lambda(10**4, 64)
 
 
 def test_solve_lambda_degenerate():
@@ -106,7 +136,7 @@ def test_paper_window_never_empty():
         P = math.prod(primes_in_window(L, 101))  # 101 > 2L: all
         for n in range(P * -(-construct.MIN_N // P), L**4 + 1, P):
             assert not primes_in_window(L, n)
-            assert math.ceil(solve_lambda(n, n - 1).lam) > L, (n, L)
+            assert math.ceil(solve_lambda(n, n - 1)) > L, (n, L)
             checked += 1
     assert checked == 180
 
@@ -242,7 +272,7 @@ def test_build_w_refuses_past_the_fixed_point_bound():
 # 1 048 583 is a prime just past 2^20 with e0 = 2^64 mod n > 0.99 n
 def test_build_w_forced_phase_2_at_large_prime(monkeypatch):
     n = 1_048_583
-    L = solve_lambda(n, 100).L
+    L = math.ceil(solve_lambda(n, 100))
     monkeypatch.setattr(construct, "first_round", lambda n, L: 1)
     W = build_W(n, L)
     assert W.marks == L and W.checks > 0
@@ -315,7 +345,7 @@ def test_build_w_tests_unmarked_only_past_card_hypothesis(monkeypatch):
 
     monkeypatch.setattr(construct, "_sieve", spy)
     for n in (12_500, 25_000, 50_000, 100_000):
-        L = solve_lambda(n, 100).L
+        L = math.ceil(solve_lambda(n, 100))
         W = build_W(n, L)
         # the call tested this window's primes past the first round, which
         # takes every ROUND_STRIDE-th prime, from each of the first
@@ -356,7 +386,7 @@ def test_build_w_checks_count_tested_cells(n, cells, monkeypatch):
     # against blocks of the remaining primes, each of at most CELLS cells
     # or one prime, and drops a vertex at the block holding its first hit
     monkeypatch.setattr(graph, "CELLS", cells)
-    L = solve_lambda(n, 100).L
+    L = math.ceil(solve_lambda(n, 100))
     W = build_W(n, L)
     stride, primes = construct.ROUND_STRIDE, W.window
     order = [primes[i] for i in
@@ -441,7 +471,7 @@ def _scale_instance(kind):
     n = 10**5
     if kind == "dense":
         S = random_chord_set(n, 100, seed=1)
-        W = build_W(n, solve_lambda(n, 100).L)
+        W = build_W(n, math.ceil(solve_lambda(n, 100)))
         return n, S, W, W.elements
     # 1000 chords including 1 and n - 1, so both wrap slices carry marks
     rng = np.random.default_rng(5)
@@ -594,7 +624,7 @@ def test_universal2_runtime_check_before_build_w(monkeypatch):
     n, k = 10**4, 2000
     sugg = suggest_universal2_constants(n, k)
     c0 = 2 * sugg.c0_max
-    assert len(primes_in_window(sugg.L_at_c_max, n)) == 10
+    assert len(primes_in_window(math.isqrt((n - 1) // 4), n)) == 10
 
     def refuse(n, L):
         raise AssertionError("build_W called")
@@ -623,7 +653,7 @@ def test_universal2_suggested_constants_pass_checks():
         sugg = suggest_universal2_constants(n, k)
         W = construct_universal_2dom(n, k, c=sugg.c_max, C=sugg.C_max,
                                      c0=sugg.c0_max / 2)
-        assert W.L == sugg.L_at_c_max, (n, k)
+        assert W.L == math.isqrt((n - 1) // 4), (n, k)
 
 
 def test_universal2_two_dominates_random_chordsets():

@@ -32,11 +32,6 @@ small_instances = st.integers(min_value=2, max_value=40).flatmap(
 )
 
 
-def test_chordset_symmetric_flag():
-    assert ChordSet(9, (1, 8)).symmetric
-    assert not ChordSet(9, (1, 2)).symmetric
-
-
 def test_coverage_examples():
     spec = spec_of(4, [1])
     D = VertexSet.from_indices(4, [0, 2])
@@ -347,7 +342,6 @@ def test_chord_file_roundtrip(tmp_path):
     p.write_text("# cycle on 9 vertices\n1\n\n8\n")
     cs = load_chord_file(p, 9)
     assert cs.chords == (1, 8)
-    assert cs.symmetric
 
 
 def test_chord_file_duplicate_names_line(tmp_path):
