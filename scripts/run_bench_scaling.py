@@ -17,12 +17,14 @@ from circdom.cli import main  # noqa: E402
 
 OUT = ROOT / "artifacts" / "bench_scaling.csv"
 
+ARGV = [
+    "bench",
+    "--n-list", "12500,25000,50000,100000",
+    "--k-list", "100",
+    "--methods", "paper",
+    "--seeds", "0,1,2,3,4",
+    "--out", str(OUT),
+]
+
 if __name__ == "__main__":
-    sys.exit(main([
-        "bench",
-        "--n-list", "12500,25000,50000,100000",
-        "--k-list", "100",
-        "--methods", "paper",
-        "--seeds", "0,1,2,3,4",
-        "--out", str(OUT),
-    ]))
+    sys.exit(main(ARGV))

@@ -64,9 +64,6 @@ class WSet:
         # L < 0.5 * sqrt(n), checked exactly: (2L)^2 < n
         return 4 * self.L * self.L < self.n
 
-    def indices(self) -> np.ndarray:
-        return self.elements.indices()
-
 
 @dataclass
 class DominationReport:
@@ -234,7 +231,8 @@ def build_W(n: int, L: int) -> WSet:
     if not window:
         raise EmptyPrimeWindow(f"no primes in [{L + 1}, {2 * L}] coprime to {n}")
     if L >= n:
-        return WSet(n=n, L=L, elements=VertexSet.full(n), window=window)
+        return WSet(n=n, L=L, elements=VertexSet(n, np.ones(n, dtype=bool)),
+                    window=window)
     primes = [ell for r in range(ROUND_STRIDE)
               for ell in window[r::ROUND_STRIDE]]
     ks = np.arange(1, L + 1, dtype=np.uint64)
@@ -303,7 +301,8 @@ def construct_dominating(spec: CirculantSpec) -> DominationReport:
     lam = solve_lambda(n, k)
     W = build_W(n, math.ceil(lam))
     U = exceptional_set(n, spec.chords, W)
-    return report("paper", spec, W.elements.union(U), 1, t0, {
+    D = VertexSet(n, W.elements.members | U.members)
+    return report("paper", spec, D, 1, t0, {
         "lambda": lam,
         "L": W.L,
         "num_primes": len(W.window),
@@ -376,9 +375,7 @@ def suggest_universal2_constants(n: int, k: int) -> Universal2Constants:
     _require_scale(n)
     ll = _loglog(n)
     C_max = k * ll / (math.sqrt(n) * math.log(n) ** 3)
-    L_max = math.isqrt((n - 1) // 4)  # largest L with 4L^2 < n
-    if L_max < 1:
-        raise HypothesisNotMet(f"no L satisfies L < 0.5*sqrt(n) for n={n}")
+    L_max = math.isqrt((n - 1) // 4)  # largest L with 4L^2 < n; 1 at n = MIN_N
     c_max = L_max * k * ll / (n * math.log(n) ** 3)
     # The quotients may round just past their boundary; step back onto it,
     # so that the checks themselves pass at C_max and c_max.

@@ -47,7 +47,7 @@ class ExpSumAudit:
 
 def exp_sum_W(n: int, W: WSet, a: int) -> complex:
     """Direct summation of e_n(a * w) over w in W."""
-    w = W.indices()
+    w = W.elements.indices()
     phases = ((a % n) * w % n) * (2.0 * math.pi / n)
     return complex(np.exp(1j * phases).sum())
 

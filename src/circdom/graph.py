@@ -95,10 +95,6 @@ class VertexSet:
         self._size: int | None = None
 
     @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls(n, np.ones(n, dtype=bool))
-
-    @classmethod
     def from_indices(cls, n: int, indices) -> "VertexSet":
         members = np.zeros(n, dtype=bool)
         idx = np.asarray(list(indices), dtype=np.int64)
@@ -116,12 +112,6 @@ class VertexSet:
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.members).astype(np.int64)
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.n, self.members | other.members)
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.n, ~self.members)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VertexSet) and self.n == other.n and bool(

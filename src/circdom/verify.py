@@ -10,8 +10,7 @@ EXACT_GAMMA_MAX_N = 24
 
 def is_dominating(spec: CirculantSpec, D: VertexSet, r: int = 1):
     """Whether every vertex is within r (+S)-steps of D; returns uncovered set."""
-    covered = coverage(spec, D, r)
-    uncovered = covered.complement()
+    uncovered = VertexSet(spec.n, ~coverage(spec, D, r).members)
     return uncovered.size == 0, uncovered
 
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -15,7 +16,8 @@ from circdom.cli import BENCH_COLUMNS, MAX_N, main
 from circdom.errors import HypothesisNotMet
 from circdom.expsum import AUDIT_CAP
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 CONSTRUCT_KEYS = [
     "n", "k", "method", "r", "seed", "generator", "size", "verified",
@@ -221,6 +223,18 @@ def test_audit_nu_hypothesis_not_met_exits_2(monkeypatch, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "HypothesisNotMet: refused n=10000\n"
+
+
+def test_audit_nu_empty_window_exits_1(capsys):
+    # the fallback constants reach L = 1 at n = 16, whose window [2, 2]
+    # holds no prime coprime to 16: card reports this on its line, nu
+    # fails the whole grid
+    rc = main(["audit", "--check", "nu", "--n-list", "16", "--k-list", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: EmptyPrimeWindow: no primes in [2, 2] "
+                            "coprime to 16\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -516,6 +530,16 @@ def test_main_parses_as_full_parser(argv, capsys):
     assert parse_outcome(main, argv, capsys) == want
     assert want[2] == (0 if "--help" in argv else 2)
     assert want[0 if "--help" in argv else 1]
+
+
+def test_bench_scaling_argv_parses():
+    # criterion 8 reads the CSV this script writes
+    spec = importlib.util.spec_from_file_location(
+        "run_bench_scaling", ROOT / "scripts" / "run_bench_scaling.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    args = cli.build_parser("bench").parse_args(script.ARGV)
+    assert args.out == str(ROOT / "artifacts" / "bench_scaling.csv")
 
 
 def test_import_loads_no_process_pool_or_fft():

@@ -111,7 +111,7 @@ def test_solve_lambda_degenerate():
 def test_build_w_101_3():
     W = build_W(101, 3)
     assert W.window == (5,)
-    assert sorted(W.indices().tolist()) == [41, 61, 81]
+    assert sorted(W.elements.indices().tolist()) == [41, 61, 81]
     assert W.size == 3 * 1  # distinctness: 3 < 0.5 * sqrt(101)
     assert W.card_hypothesis_ok
 
@@ -148,7 +148,7 @@ def test_paper_window_never_empty():
 def test_build_w_matches_naive(n, L):
     W = build_W(n, L)
     expected = naive_w_set(n, L, W.window)
-    assert set(W.indices().tolist()) == expected
+    assert set(W.elements.indices().tolist()) == expected
 
 
 # L = n // 2 - 1 takes products k * inv(ell) past 2^32 (up to ~5e9);
@@ -296,7 +296,8 @@ def test_build_w_tested_primes_match_naive(n, frac):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construct, "first_round", lambda n, L: 1)  # test after one
         tested = build_W(n, L)
-    assert set(tested.indices().tolist()) == naive_w_set(n, L, W.window)
+    assert set(tested.elements.indices().tolist()) == naive_w_set(
+        n, L, W.window)
     assert np.array_equal(tested.elements.members, W.elements.members)
 
 
@@ -404,7 +405,7 @@ def test_build_w_checks_count_tested_cells(n, cells, monkeypatch):
         i += len(block)
     assert W.checks == checks > 0
     assert W.marks == L * first
-    assert set(alive) == set(range(1, n)) - set(W.indices().tolist())
+    assert set(alive) == set(range(1, n)) - set(W.elements.indices().tolist())
 
 
 @given(
@@ -462,7 +463,7 @@ def test_exceptional_set_matches_naive(seed, L):
     S = random_chord_set(n, 10, seed)
     W = build_W(n, L)
     U = exceptional_set(n, S, W)
-    reachable = naive_sumset(n, S.chords, W.indices().tolist())
+    reachable = naive_sumset(n, S.chords, W.elements.indices().tolist())
     assert set(U.indices().tolist()) == set(range(n)) - reachable
 
 
@@ -485,7 +486,8 @@ def _scale_instance(kind):
 def test_cover_at_scale_matches_index_scatter(kind):
     n, S, W, D = _scale_instance(kind)
     U = exceptional_set(n, S, W)
-    hit = naive_shift_cover(np.zeros(n, dtype=bool), W.indices(), S.chords)
+    hit = naive_shift_cover(np.zeros(n, dtype=bool), W.elements.indices(),
+                            S.chords)
     assert np.array_equal(U.members, ~hit)
     if kind == "sparse":  # never saturates, so every chord is scanned
         assert U.size > 0
@@ -697,7 +699,8 @@ def test_representation_counts_match_triple_loop(n, L, seed):
     W = build_W(n, L)
     counts = all_representation_counts(n, S, W)
     assert counts.dtype == np.int64
-    expected = naive_representation_counts(n, S.chords, W.indices().tolist())
+    expected = naive_representation_counts(n, S.chords,
+                                           W.elements.indices().tolist())
     assert counts.tolist() == expected
 
 

@@ -31,7 +31,7 @@ def test_exp_sum_conjugate_symmetry():
 
 def test_exp_sum_matches_termwise_oracle():
     W = build_W(101, 3)
-    assert sorted(W.indices().tolist()) == [41, 61, 81]
+    assert sorted(W.elements.indices().tolist()) == [41, 61, 81]
     got = exp_sum_W(101, W, 1)
     expected = naive_exp_sum(101, [41, 61, 81], 1)
     assert got == pytest.approx(expected, abs=1e-12)
@@ -41,7 +41,7 @@ def test_exp_sum_matches_termwise_oracle():
 def test_audit_matches_double_loop(n, L):
     audit = expsum_audit(n, L)
     W = build_W(n, L)
-    w_vals = W.indices().tolist()
+    w_vals = W.elements.indices().tolist()
     mags = {a: abs(naive_exp_sum(n, w_vals, a)) for a in range(1, n)}
     best = max(mags.values())
     assert audit.max_abs == pytest.approx(best, abs=1e-9)

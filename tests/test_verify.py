@@ -36,7 +36,7 @@ def spec_of(n, chords):
 
 def test_is_dominating_examples():
     spec = spec_of(4, [1])
-    ok, unc = is_dominating(spec, VertexSet.full(4), 1)
+    ok, unc = is_dominating(spec, VertexSet(4, np.ones(4, dtype=bool)), 1)
     assert ok and unc.size == 0
 
     ok, unc = is_dominating(spec, VertexSet.from_indices(4, [0, 2]), 1)
