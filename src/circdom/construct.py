@@ -31,7 +31,7 @@ from .primes import primes_in_window
 from .verify import is_dominating
 
 MIN_N = 16
-LAMBDA_RTOL = 1e-9
+LAMBDA_RTOL = 1e-12
 # FFT representation counts must lie closer than this to an integer.
 COUNT_ROUND_TOL = 0.25
 # build_W's first round takes every ROUND_STRIDE-th prime of the window, so
@@ -127,7 +127,7 @@ def solve_lambda(n: int, k: int) -> float:
     hi = float(n)
     while g(hi) < target:
         hi *= 2.0
-    while hi - lo > LAMBDA_RTOL * lo * 1e-3:
+    while hi - lo > LAMBDA_RTOL * lo:
         mid = 0.5 * (lo + hi)
         if g(mid) < target:
             lo = mid
@@ -150,12 +150,20 @@ def first_round(n: int, L: int) -> int:
     return int(m * math.log(m / 2))
 
 
-def _ratios(invs: list[int], ks: np.ndarray, n: int,
+def _scale(v: np.ndarray, n: int) -> np.ndarray:
+    """ceil(v * 2^64 / n) for the uint64 array v of residues mod n <= 2^32,
+    as v * c0 + (v * e0 + n - 1) // n with (c0, e0) = divmod(2^64, n):
+    v * e0 + n - 1 <= (n - 1) * n < 2^64 does not wrap."""
+    c0, e0 = (np.uint64(w) for w in divmod(2**64, n))
+    return v * c0 + (v * e0 + np.uint64(n - 1)) // np.uint64(n)
+
+
+def _ratios(A: np.ndarray, ks: np.ndarray, n: int,
             work: np.ndarray) -> np.ndarray:
-    """The (len(invs), ks.size) table of k * a mod n for the units a of
-    invs and the uint64 k of ks, computed in the leading cells of the
-    uint64 array work and returned as an int64 view of them. Exact while
-    every k lies in [1, L] for some L with n * (L + 2^32) < 2^64.
+    """The (A.size, ks.size) table of k * a mod n for the units a with
+    A = _scale(a, n) and the uint64 k of ks, computed in the leading cells
+    of the uint64 array work and returned as an int64 view of them. Exact
+    while every k lies in [1, L] for some L with n * (L + 2^32) < 2^64.
 
     In fixed point: with A = ceil(a * 2^64 / n) and r = k * a mod n,
     A * k mod 2^64 is t = r * 2^64 / n + k * d for some d in [0, 1), and
@@ -164,7 +172,6 @@ def _ratios(invs: list[int], ks: np.ndarray, n: int,
     u * n / 2^32 lies in (r, r + n * (L + 2^32) / 2^64) with an upper end
     below r + 1: u * n >> 32 is r.
     """
-    A = np.array([-(-a * 2**64 // n) for a in invs], dtype=np.uint64)
     t = work[:A.size * ks.size].reshape(A.size, ks.size)
     np.multiply(A[:, None], ks, out=t)
     t += np.uint64(2**32)
@@ -174,32 +181,14 @@ def _ratios(invs: list[int], ks: np.ndarray, n: int,
     return t.view(np.int64)
 
 
-def _fixed_point(x: np.ndarray, n: int,
-                 L: int) -> tuple[np.ndarray, np.uint64]:
-    """(X, T) with X = floor(x * 2^64 / n) for the uint64 array x, such
-    that ell * X mod 2^64 < T iff x * ell mod n lies in [1, L], for every
-    x in [1, n) and ell in (L, 2L] coprime to n, while 4L * n <= 2^64 and
-    n <= 2^32.
-
-    X is computed as x * c0 + x * e0 // n with (c0, e0) = divmod(2^64, n),
-    exact as x * e0 < n^2 <= 2^64. With r = x * ell mod n, which is not 0,
-    ell * X mod 2^64 lies in (r * 2^64 / n - ell, r * 2^64 / n]: at most
-    L * 2^64 / n < T = floor((2L + 1) * 2^64 / (2n)) for r <= L, and more
-    than (L + 1) * 2^64 / n - 2L >= T for r > L.
-    """
-    c0, e0 = (np.uint64(v) for v in divmod(2**64, n))
-    T = np.uint64((2 * L + 1) * 2**64 // (2 * n))
-    return x * c0 + x * e0 // np.uint64(n), T
-
-
 def build_W(n: int, L: int) -> WSet:
     """The set {k * inv(ell) mod n : (k, ell) in [1, L] x window(L, n)}.
 
     Phase 1 marks: one modular inverse per prime, then _ratios over
     blocks of inverses times [1, L], about graph.CELLS cells each, each
     block scattered into one mask. A mark is a wrapping uint64 multiply
-    by the inverse scaled to ceil(inv * 2^64 / n), then a multiply and
-    two shifts back to the residue, exact while n * (L + 2^32) < 2^64.
+    by the inverse scaled by _scale, then a multiply and two shifts back
+    to the residue, exact while n * (L + 2^32) < 2^64.
 
     Phase 1 marks first_round(n, L) primes, taken across the window as
     every ROUND_STRIDE-th prime of it. If primes are left, phase 2 tests
@@ -210,23 +199,26 @@ def build_W(n: int, L: int) -> WSet:
     candidates come from inverting the mask in place, so no n-byte
     temporary is made.
 
-    Each test is one wrapping uint64 multiply and one compare: every
-    candidate is scaled once by _fixed_point, and X is strictly increasing
-    in x, so the survivors' X map back to x by binary search.
+    Each test is one wrapping uint64 multiply and one compare. Every
+    candidate is scaled once by _scale to X = ceil(x * 2^64 / n); with
+    r = x * ell mod n, not 0, ell * X mod 2^64 lies in [r * 2^64 / n,
+    r * 2^64 / n + ell), so it is at most T = floor(((L + 1) * 2^64 - 1)
+    / n) iff r <= L, while 2L * n <= 2^64, which the size bound implies.
+    X is strictly increasing in x, so the survivors' X map back to x by
+    binary search.
 
     Under 4L^2 < n, m = ceil(n / L) > 4L, so first_round(n, L) =
     floor(m ln(m / 2)) > 4L ln(2L) - 1 > 2.77L - 1 >= L >= |window(L)|:
     phase 1 marks the whole window and phase 2 never runs.
     For L >= n the multiples of any unit already sweep all of Z_n, so the
     full set is returned directly. Otherwise TooLarge is raised, before
-    anything is allocated, if n * (L + 2^32) >= 2^64 or 4L * n > 2^64
-    (the first bound implies n < 2^32).
+    anything is allocated, if n * (L + 2^32) >= 2^64 (the bound implies
+    n < 2^32).
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    if L < n and n * max(4 * L, L + 2**32) >= 2**64:
-        raise TooLarge(f"build_W needs n * (L + 2^32) < 2^64 and "
-                       f"4L * n <= 2^64, got n={n}, L={L}")
+    if L < n and n * (L + 2**32) >= 2**64:
+        raise TooLarge(f"build_W needs n * (L + 2^32) < 2^64, got n={n}, L={L}")
     window = primes_in_window(L, n)
     if not window:
         raise EmptyPrimeWindow(f"no primes in [{L + 1}, {2 * L}] coprime to {n}")
@@ -246,20 +238,21 @@ def build_W(n: int, L: int) -> WSet:
     # take ~168 ms instead of ~73 ms: glibc returned their pages between
     # blocks and faulted them in again.
     work = np.empty(max(graph.CELLS, L), dtype=np.uint64)
+    A = _scale(np.array([pow(ell, -1, n) for ell in primes[:marked]],
+                        dtype=np.uint64), n)
     for s in range(0, marked, rows):
-        members[_ratios([pow(ell, -1, n)
-                         for ell in primes[s:min(s + rows, marked)]],
-                        ks, n, work)] = True
+        members[_ratios(A[s:s + rows], ks, n, work)] = True
     checks = 0
     if marked < len(primes):
         alive = np.flatnonzero(np.logical_not(members, out=members))[1:]
         if alive.size > work.size:
             work = np.empty(alive.size, dtype=np.uint64)
-        X, T = _fixed_point(alive.astype(np.uint64), n, L)
+        X = _scale(alive.astype(np.uint64), n)
+        T = np.uint64(((L + 1) * 2**64 - 1) // n)
 
         def hit(X, ell):
             out = work[:ell.size * X.size].reshape(ell.size, X.size)
-            return np.multiply(ell[:, None], X, out=out) < T
+            return np.multiply(ell[:, None], X, out=out) <= T
 
         left, _, checks = _sieve(
             X, np.array(primes[marked:], dtype=np.uint64), hit)
@@ -330,11 +323,11 @@ def construct_universal_2dom(
     """Chord-set-independent W that 2-dominates every C_n(S) with |S| >= k.
 
     Deterministic in (n, k, c): the same call always returns the same set.
-    Before W is built, raises HypothesisNotMet at the first of these checks
-    that fails: the theorem hypothesis k >= C sqrt(n) (ln n)^3 / lnln n,
-    the cardinality hypothesis L < 0.5 sqrt(n) with L = universal2_L(n, k,
-    c), and the runtime check |window| > c0 n (ln n)^2 / (k lnln n). An
-    empty window is left to build_W, which raises EmptyPrimeWindow.
+    Raises HypothesisNotMet at the first of these checks that fails: the
+    theorem hypothesis k >= C sqrt(n) (ln n)^3 / lnln n and the cardinality
+    hypothesis L < 0.5 sqrt(n) with L = universal2_L(n, k, c) before W is
+    built, and the runtime check |window| > c0 n (ln n)^2 / (k lnln n) on
+    W's window, after build_W has raised EmptyPrimeWindow for an empty one.
     """
     _require_scale(n)
     # negated, so that a NaN constant fails its check
@@ -347,13 +340,13 @@ def construct_universal_2dom(
         raise HypothesisNotMet(
             f"L={L} >= 0.5*sqrt(n) for n={n}; distinctness lemma fails"
         )
-    num_primes = len(primes_in_window(L, n))
-    if num_primes and not num_primes > c0 * n * math.log(n) ** 2 / (
-            k * _loglog(n)):
+    W = build_W(n, L)
+    num_primes = len(W.window)
+    if not num_primes > c0 * n * math.log(n) ** 2 / (k * _loglog(n)):
         raise HypothesisNotMet(
             f"window size {num_primes} fails the c0={c0} runtime check"
         )
-    return build_W(n, L)
+    return W
 
 
 @dataclass(frozen=True)

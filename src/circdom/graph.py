@@ -255,7 +255,7 @@ def coverage(spec: CirculantSpec, D: VertexSet, r: int) -> VertexSet:
 
 
 def load_chord_file(path, n: int) -> ChordSet:
-    """Parse a chord file: one decimal residue per line, '#' comments.
+    """Parse a chord file: one residue in ASCII digits per line, '#' comments.
 
     Duplicates are rejected with the offending line number.
     """
@@ -266,10 +266,9 @@ def load_chord_file(path, n: int) -> ChordSet:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            value = int(line)
-        except ValueError:
+        if not (line.isascii() and line.isdigit()):
             raise ChordFileError(f"{path}:{lineno}: not an integer: {line!r}")
+        value = int(line)
         if not 1 <= value <= n - 1:
             raise ChordFileError(
                 f"{path}:{lineno}: chord {value} outside [1, {n - 1}]"

@@ -175,11 +175,13 @@ def hardware_modulo_w(n, L, W):
 # first_round patched to the window size marks every prime; patched to 1,
 # phase 2 tests the vertices left after one prime. (10^5, 3562) is the
 # paper instance at k = 100; (2^20, 8089) leaves the most unmarked
-# vertices per L found after its own first round, 3.23L.
+# vertices per L found after its own first round, 3.23L. At L = n - 1 the
+# phase-2 threshold is 2^64 - 1, and 1024 divides 2^64 (e0 = 0).
 @pytest.mark.parametrize(
     "n,L",
     [(n, L) for n in (10**5, 2**17, 99991) for L in (2, 97, 3000)]
-    + [(99991, 99991 // 2 - 1), (10**5, 3562), (2**20, 8089)],
+    + [(99991, 99991 // 2 - 1), (10**5, 3562), (2**20, 8089)]
+    + [(n, L) for n in (1009, 1024) for L in (n - 2, n - 1)],
 )
 def test_build_w_both_phases_match_hardware_modulo(monkeypatch, n, L):
     window = len(primes_in_window(L, n))
@@ -193,7 +195,9 @@ def test_build_w_both_phases_match_hardware_modulo(monkeypatch, n, L):
         if first >= window:
             assert (W.marks, W.checks) == (L * window, 0)
         else:
-            assert W.marks == L * first and W.checks > 0
+            # at L = n - 1 one prime marks every vertex but 0, which leaves
+            # phase 2 none to test; first_round is 0 there, so it tests all
+            assert W.marks == L * first and (W.checks > 0 or L == n - 1)
 
 
 def test_build_w_phase_2_blocks_past_cells(monkeypatch):
@@ -208,11 +212,16 @@ def test_build_w_phase_2_blocks_past_cells(monkeypatch):
     assert np.array_equal(W.elements.members, hardware_modulo_w(n, L, W))
 
 
-# n = 2^24 divides 2^64 (e0 = 0); the others leave e0 = 2^64 mod n > 0
-@pytest.mark.parametrize("n", [2**24, 16_777_213, 10**6, 99_991, 17])
+# n = 2^24 and 2 divide 2^64 (e0 = 0); the others leave e0 = 2^64 mod n
+# > 0. The hit test is exact while 2L * n <= 2^64, which at the prime
+# 2^32 - 5 drops L = n - 1, and L = 1 is the only L < n = 2
+@pytest.mark.parametrize("n", [2**24, 16_777_213, 10**6, 99_991, 17, 2,
+                               2**32 - 5])
 def test_fixed_point_hits_match_integer_residues(n):
     rng = np.random.default_rng(n)
     for L in sorted({1, 7, n // 3, n // 2 - 1, n - 1}):
+        if not (1 <= L < n and 2 * L * n <= 2**64):
+            continue
         ells = [ell for ell in {L + 1, 2 * L, *rng.integers(L + 1, 2 * L + 1,
                                                              40).tolist()}
                 if math.gcd(ell, n) == 1]
@@ -223,11 +232,12 @@ def test_fixed_point_hits_match_integer_residues(n):
             xs |= {r * pow(ell, -1, n) % n for r in (1, 2, L - 1, L, L + 1,
                                                     L + 2, n - 2, n - 1)}
         xs = sorted(x for x in xs if 1 <= x < n)
-        X, T = construct._fixed_point(np.array(xs, dtype=np.uint64), n, L)
-        got = np.array(ells, dtype=np.uint64)[:, None] * X < T
+        X = construct._scale(np.array(xs, dtype=np.uint64), n)
+        assert X.tolist() == [-(-(x << 64) // n) for x in xs]
+        T = np.uint64(((L + 1) * 2**64 - 1) // n)
+        got = np.array(ells, dtype=np.uint64)[:, None] * X <= T
         want = [[1 <= x * ell % n <= L for x in xs] for ell in ells]
         assert got.tolist() == want, (n, L)
-        assert X.tolist() == [(x << 64) // n for x in xs]
 
 
 # 2^32 - 2^20 admits L up to 1 048 832: n * (L + 2^32) < 2^64 there
@@ -249,19 +259,20 @@ def test_ratios_match_integer_residues(n):
                                 *rng.integers(1, L + 1, 40).tolist()}
                     if 1 <= k <= L)
         work = np.empty(len(invs) * len(ks), dtype=np.uint64)
-        got = construct._ratios(invs, np.array(ks, dtype=np.uint64), n, work)
+        A = construct._scale(np.array(invs, dtype=np.uint64), n)
+        got = construct._ratios(A, np.array(ks, dtype=np.uint64), n, work)
         assert got.tolist() == [[k * a % n for k in ks] for a in invs], (n, L)
 
 
 def test_build_w_refuses_past_the_fixed_point_bound():
     # n * (L + 2^32) < 2^64 keeps the phase-1 residues exact, and with it
-    # n < 2^32 the phase-2 scaling; 4L * n <= 2^64 keeps the phase-2 test
-    # exact. All are checked before the n-byte mask is allocated
+    # n < 2^32 the scaling and 2L * n <= 2^64 the phase-2 test. It is
+    # checked before the n-byte mask is allocated
     with pytest.raises(TooLarge):
         build_W(2**32, 2**30 + 1)
     with pytest.raises(TooLarge):
         build_W(2**32 + 15, 3)
-    # past n * (L + 2^32) < 2^64 alone, where 4L * n <= 2^64 and n <= 2^32;
+    # past n * (L + 2^32) < 2^64 even where 4L * n <= 2^64 and n <= 2^32;
     # (2^32 - 1, 5) has the prime 7 in its window
     for n, L in ((2**32 - 1, 3), (2**32 - 1, 5), (2**32 - 2**20, 1_048_833)):
         assert 4 * L * n <= 2**64 and n <= 2**32
@@ -621,20 +632,27 @@ def test_universal2_hypothesis_not_met():
         construct_universal_2dom(n, 50, c=1.0, C=0.0)
 
 
-def test_universal2_runtime_check_before_build_w(monkeypatch):
-    # fails only the runtime check: the same error, and W is never built
+def test_universal2_runtime_check_sieves_once(monkeypatch):
+    # the runtime check reads W's window, so a call that fails only that
+    # check and a call that passes each sieve the window once, in build_W
     n, k = 10**4, 2000
     sugg = suggest_universal2_constants(n, k)
     c0 = 2 * sugg.c0_max
     assert len(primes_in_window(math.isqrt((n - 1) // 4), n)) == 10
+    calls = []
 
-    def refuse(n, L):
-        raise AssertionError("build_W called")
+    def counted(L, n):
+        calls.append(L)
+        return primes_in_window(L, n)
 
-    monkeypatch.setattr(construct, "build_W", refuse)
+    monkeypatch.setattr(construct, "primes_in_window", counted)
     message = f"window size 10 fails the c0={c0} runtime check"
     with pytest.raises(HypothesisNotMet, match=f"^{re.escape(message)}$"):
         construct_universal_2dom(n, k, c=sugg.c_max, C=sugg.C_max, c0=c0)
+    assert len(calls) == 1
+    W = construct_universal_2dom(n, k, c=sugg.c_max, C=sugg.C_max,
+                                 c0=sugg.c0_max / 2)
+    assert len(W.window) == 10 and calls == [W.L, W.L]
 
 
 def test_universal2_empty_window_left_to_build_w():

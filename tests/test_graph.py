@@ -360,6 +360,11 @@ def test_chord_file_bad_value(tmp_path):
     p.write_text("0\n")
     with pytest.raises(ChordFileError, match="1"):
         load_chord_file(p, 9)
+    # int() reads each of these, as 10, 3 and 7
+    for line in ("1_0", "\uff13", "+7"):
+        p.write_text(f"1\n{line}\n", encoding="utf-8")
+        with pytest.raises(ChordFileError, match=":2: not an integer"):
+            load_chord_file(p, 50)
 
 
 def test_vertexset_basics():
