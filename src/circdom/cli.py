@@ -2,12 +2,13 @@
 
 JSON for single reports, CSV for sweeps. All science parameters are
 explicit flags; the only environment knob is CIRCDOM_OUT_DIR, which
-prefixes relative --out paths. Each cmd_* returns (text, exit code: 0
-verified or passed, 1 not); main alone range-checks n, L, r, --trials
-and the theorem constants --c, --C, --c0 and --psi, rejects a grid with
-no points, an unknown bench method, an audit or construct flag the check
-or method does not read and --symmetric without --random-chords, writes
-the text and maps errors:
+prefixes relative --out paths. main parses with one parser, built on
+its first call and reused for the rest of the process. Each cmd_*
+returns (text, exit code: 0 verified or passed, 1 not); main alone
+range-checks n, L, r, --trials and the theorem constants --c, --C, --c0
+and --psi, rejects a grid with no points, an unknown bench method, an
+audit or construct flag the check or method does not read and
+--symmetric without --random-chords, writes the text and maps errors:
 HypothesisNotMet exits 2 with "HypothesisNotMet: msg", any other
 CircdomError, OSError or ValueError exits 1 with "error: Name: msg".
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -28,7 +30,7 @@ from pathlib import Path
 from . import construct as cons
 from .baselines import greedy_dominating, random_chord_set, random_dominating
 from .construct import DominationReport
-from .errors import CircdomError, HypothesisNotMet, TooLarge
+from .errors import CircdomError, EmptyPrimeWindow, HypothesisNotMet, TooLarge
 from .expsum import FFT_TOL_PER_ELEMENT, expsum_audit
 from .graph import ChordSet, CirculantSpec, load_chord_file
 from .verify import (
@@ -43,7 +45,6 @@ UNCOVERED_SAMPLE_CAP = 1000
 # is allocated (the smallest n is 2, the smallest circulant graph).
 MAX_N = 2**24
 
-COMMANDS = ("construct", "audit", "bench", "gamma")
 METHODS = ("paper", "greedy", "random", "universal2", "almost-w")
 # The audit and construct flags only some checks or methods read, with
 # their defaults, and the ones each method reads (each check's are in
@@ -162,13 +163,11 @@ def _run_method(method: str, spec: CirculantSpec, seed: int | None,
             "L": W.L, "num_primes": len(W.window), "w_size": W.size,
             "c": c, "C": C, "c0": c0,
         })
-    if method == "almost-w":
-        W = cons.almost_dominating_W(n, k, psi=psi)
-        return cons.report("almostW", spec, W.elements, 1, t0, {
-            "L": W.L, "num_primes": len(W.window), "w_size": W.size,
-            "psi": psi, "budget": cons.almost_budget(n, k, psi),
-        })
-    raise CircdomError(f"unknown method {method!r}")
+    W = cons.almost_dominating_W(n, k, psi=psi)  # method "almost-w"
+    return cons.report("almostW", spec, W.elements, 1, t0, {
+        "L": W.L, "num_primes": len(W.window), "w_size": W.size,
+        "psi": psi, "budget": cons.almost_budget(n, k, psi),
+    })
 
 
 def cmd_construct(args) -> tuple[str, int]:
@@ -195,89 +194,86 @@ def _name_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _audit_card_lines(args):
-    for n in args.n_list:
-        for L in args.l_list:
-            try:
-                W = cons.build_W(n, L)
-            except CircdomError as exc:
-                yield {"check": "card", "n": n, "L": L,
-                       "error": type(exc).__name__}, True
-                continue
-            expected = L * len(W.window)
-            hyp = W.card_hypothesis_ok
-            exact = W.size == expected
-            yield {
-                "check": "card", "n": n, "L": L,
-                "num_primes": len(W.window), "w_size": W.size,
-                "expected": expected, "hypothesis_ok": hyp, "exact": exact,
-            }, exact or not hyp
+def _audit_card(args, n: int, L: int):
+    try:
+        W = cons.build_W(n, L)
+    except EmptyPrimeWindow as exc:
+        yield {"check": "card", "n": n, "L": L,
+               "error": type(exc).__name__}, True
+        return
+    expected = L * len(W.window)
+    hyp = W.card_hypothesis_ok
+    exact = W.size == expected
+    yield {
+        "check": "card", "n": n, "L": L,
+        "num_primes": len(W.window), "w_size": W.size,
+        "expected": expected, "hypothesis_ok": hyp, "exact": exact,
+    }, exact or not hyp
 
 
-def _audit_expsum_lines(args):
-    for n in args.n_list:
-        for L in args.l_list:
-            audit = expsum_audit(n, L)
-            yield {
-                "n": audit.n, "L": audit.L, "w_size": audit.w_size,
-                "max_abs": audit.max_abs, "argmax_a": audit.argmax_a,
-                "bound": audit.bound, "ratio": audit.ratio,
-                "check": "expsum", "direct_check_err": audit.direct_check_err,
-            }, audit.direct_check_err <= FFT_TOL_PER_ELEMENT * audit.w_size
+def _audit_expsum(args, n: int, L: int):
+    audit = expsum_audit(n, L)
+    yield {
+        "n": audit.n, "L": audit.L, "w_size": audit.w_size,
+        "max_abs": audit.max_abs, "argmax_a": audit.argmax_a,
+        "bound": audit.bound, "ratio": audit.ratio,
+        "check": "expsum", "direct_check_err": audit.direct_check_err,
+    }, audit.direct_check_err <= FFT_TOL_PER_ELEMENT * audit.w_size
 
 
-def _audit_exceptional_lines(args):
-    for n in args.n_list:
-        for k in args.k_list:
-            W = cons.build_W(n, math.ceil(cons.solve_lambda(n, k)))
-            bound = cons.exceptional_bound(n, k, len(W.window))
-            for trial in range(args.trials):
-                seed = args.seed + trial
-                U = cons.exceptional_set(n, random_chord_set(n, k, seed), W)
-                yield {
-                    "check": "exceptional", "n": n, "k": k, "trial": trial,
-                    "seed": seed, "L": W.L, "num_primes": len(W.window),
-                    "u_size": U.size, "bound": bound,
-                    "ratio": U.size / bound,
-                }, True
+def _audit_exceptional(args, n: int, k: int):
+    W = cons.build_W(n, math.ceil(cons.solve_lambda(n, k)))
+    bound = cons.exceptional_bound(n, k, len(W.window))
+    for trial in range(args.trials):
+        seed = args.seed + trial
+        U = cons.exceptional_set(n, random_chord_set(n, k, seed), W)
+        yield {
+            "check": "exceptional", "n": n, "k": k, "trial": trial,
+            "seed": seed, "L": W.L, "num_primes": len(W.window),
+            "u_size": U.size, "bound": bound, "ratio": U.size / bound,
+        }, True
 
 
-def _audit_nu_lines(args):
-    for n in args.n_list:
-        for k in args.k_list:
-            W, (c, C, c0), used = _universal2_W(n, k, args.c, args.C,
-                                                args.c0, fallback=True)
-            sugg = used or cons.suggest_universal2_constants(n, k)
-            for trial in range(args.trials):
-                seed = args.seed + trial
-                S = random_chord_set(n, k, seed)
-                spec = CirculantSpec(n, S)
-                counts = cons.all_representation_counts(n, S, W)
-                min_nu = int(counts.min())
-                dominated, _ = is_dominating(spec, W.elements, 2)
-                yield {
-                    "check": "nu", "n": n, "k": k, "trial": trial,
-                    "seed": seed, "L": W.L, "w_size": W.size,
-                    "min_nu": min_nu, "two_dominates": dominated,
-                    "used_fallback_constants": used is not None,
-                    "c": c, "C": C, "c0": c0,
-                    "c_max": sugg.c_max, "C_max": sugg.C_max,
-                    "c0_max": sugg.c0_max,
-                }, min_nu > 0 and dominated
+def _audit_nu(args, n: int, k: int):
+    try:
+        W, (c, C, c0), used = _universal2_W(n, k, args.c, args.C, args.c0,
+                                            fallback=True)
+    except EmptyPrimeWindow as exc:  # no W, so nothing 2-dominates
+        yield {"check": "nu", "n": n, "k": k,
+               "error": type(exc).__name__}, False
+        return
+    sugg = used or cons.suggest_universal2_constants(n, k)
+    for trial in range(args.trials):
+        seed = args.seed + trial
+        S = random_chord_set(n, k, seed)
+        counts = cons.all_representation_counts(n, S, W)
+        min_nu = int(counts.min())
+        dominated, _ = is_dominating(CirculantSpec(n, S), W.elements, 2)
+        yield {
+            "check": "nu", "n": n, "k": k, "trial": trial,
+            "seed": seed, "L": W.L, "w_size": W.size,
+            "min_nu": min_nu, "two_dominates": dominated,
+            "used_fallback_constants": used is not None,
+            "c": c, "C": C, "c0": c0,
+            "c_max": sugg.c_max, "C_max": sugg.C_max,
+            "c0_max": sugg.c0_max,
+        }, min_nu > 0 and dominated
 
 
-# Each check's line generator and the flags of DEFAULTS["audit"] it reads.
+# Each check's (line, passed) generator over one grid point (args, n, x),
+# and the flags of DEFAULTS["audit"] it reads: the first is x's axis.
 AUDITS = {
-    "card": (_audit_card_lines, ("l_list",)),
-    "expsum": (_audit_expsum_lines, ("l_list",)),
-    "exceptional": (_audit_exceptional_lines, ("k_list", "trials", "seed")),
-    "nu": (_audit_nu_lines, ("k_list", "trials", "seed", "c", "C", "c0")),
+    "card": (_audit_card, ("l_list",)),
+    "expsum": (_audit_expsum, ("l_list",)),
+    "exceptional": (_audit_exceptional, ("k_list", "trials", "seed")),
+    "nu": (_audit_nu, ("k_list", "trials", "seed", "c", "C", "c0")),
 }
 
 
 def cmd_audit(args) -> tuple[str, int]:
-    lines, _ = AUDITS[args.check]
-    results = list(lines(args))
+    check, reads = AUDITS[args.check]
+    results = [result for n in args.n_list for x in getattr(args, reads[0])
+               for result in check(args, n, x)]
     text = "".join(json.dumps(line) + "\n" for line, _ in results)
     return text, int(not all(passed for _, passed in results))
 
@@ -334,81 +330,72 @@ def _add_chord_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--symmetric", action="store_true")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The circdom parser; given a command, with only its subparser, which
-    parses that command's argv as the full parser does."""
+def build_parser() -> argparse.ArgumentParser:
+    """The circdom parser, with every command's subparser."""
     parser = argparse.ArgumentParser(
         prog="circdom",
         description="Dominating sets in circulant graphs: construct, audit, bench.",
     )
-    # one subparser's usage line still names every command
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{%s}" % ",".join(COMMANDS) if command else None)
-    wanted = COMMANDS if command is None else (command,)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    if "construct" in wanted:
-        p = sub.add_parser("construct", help="build and verify a dominating set")
-        _add_chord_flags(p)
-        p.add_argument("--method", required=True, choices=METHODS)
-        p.add_argument("--r", type=int, default=1)
-        # flags left out stay unset, so main can tell them from given ones
-        p.add_argument("--c", type=float, default=argparse.SUPPRESS)
-        p.add_argument("--C", type=float, default=argparse.SUPPRESS)
-        p.add_argument("--c0", type=float, default=argparse.SUPPRESS)
-        p.add_argument("--psi", type=float, default=argparse.SUPPRESS)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--no-timing", action="store_true",
-                       help="write wall_ms as 0.0 for byte-reproducible output")
-        p.set_defaults(func=cmd_construct)
+    p = sub.add_parser("construct", help="build and verify a dominating set")
+    _add_chord_flags(p)
+    p.add_argument("--method", required=True, choices=METHODS)
+    p.add_argument("--r", type=int, default=1)
+    # flags left out stay unset, so main can tell them from given ones
+    p.add_argument("--c", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--C", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--c0", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--psi", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--out", type=str, default=None)
+    p.add_argument("--no-timing", action="store_true",
+                   help="write wall_ms as 0.0 for byte-reproducible output")
 
-    if "audit" in wanted:
-        # flags left out stay unset, so main can tell them from given ones
-        p = sub.add_parser("audit",
-                           help="numerical audits of the supporting lemmas",
-                           argument_default=argparse.SUPPRESS)
-        p.add_argument("--check", required=True, choices=list(AUDITS))
-        p.add_argument("--n-list", type=_int_list, required=True)
-        p.add_argument("--l-list", type=_int_list)
-        p.add_argument("--k-list", type=_int_list)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--c", type=float)
-        p.add_argument("--C", type=float)
-        p.add_argument("--c0", type=float)
-        p.add_argument("--out", type=str, default=None)
-        p.set_defaults(func=cmd_audit)
+    # flags left out stay unset, so main can tell them from given ones
+    p = sub.add_parser("audit",
+                       help="numerical audits of the supporting lemmas",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--check", required=True, choices=list(AUDITS))
+    p.add_argument("--n-list", type=_int_list, required=True)
+    p.add_argument("--l-list", type=_int_list)
+    p.add_argument("--k-list", type=_int_list)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--c", type=float)
+    p.add_argument("--C", type=float)
+    p.add_argument("--c0", type=float)
+    p.add_argument("--out", type=str, default=None)
 
-    if "bench" in wanted:
-        p = sub.add_parser("bench", help="CSV sweep over (n, k, method, seed)")
-        p.add_argument("--n-list", type=_int_list, required=True)
-        p.add_argument("--k-list", type=_int_list, required=True)
-        p.add_argument("--methods", type=_name_list, default=["paper"])
-        p.add_argument("--seeds", type=_int_list, default=[0])
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--no-timing", action="store_true")
-        p.set_defaults(func=cmd_bench)
+    p = sub.add_parser("bench", help="CSV sweep over (n, k, method, seed)")
+    p.add_argument("--n-list", type=_int_list, required=True)
+    p.add_argument("--k-list", type=_int_list, required=True)
+    p.add_argument("--methods", type=_name_list, default=["paper"])
+    p.add_argument("--seeds", type=_int_list, default=[0])
+    p.add_argument("--out", type=str, default=None)
+    p.add_argument("--no-timing", action="store_true")
 
-    if "gamma" in wanted:
-        p = sub.add_parser(
-            "gamma", help=f"exact domination number (n <= {EXACT_GAMMA_MAX_N})")
-        _add_chord_flags(p)
-        p.add_argument("--out", type=str, default=None)
-        p.set_defaults(func=cmd_gamma)
+    p = sub.add_parser(
+        "gamma", help=f"exact domination number (n <= {EXACT_GAMMA_MAX_N})")
+    _add_chord_flags(p)
+    p.add_argument("--out", type=str, default=None)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on first use: parse_args keeps no state
+    between calls, and importing the module builds nothing."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
-    swept = ["n_list", "k_list", "seeds", "methods"]  # a grid's axes
-    if getattr(args, "check", None) in ("card", "expsum"):
-        swept[1] = "l_list"
+    args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
+    swept = ("n_list", "k_list", "seeds", "methods")  # a grid's axes
     try:
         if args.command == "audit":
             chooser, reads = f"--check {args.check}", AUDITS[args.check][1]
+            swept = ("n_list", reads[0])
         else:
             method = getattr(args, "method", None)
             chooser, reads = f"--method {method}", METHOD_READS.get(method, ())
@@ -443,7 +430,8 @@ def main(argv: list[str] | None = None) -> int:
         for L in getattr(args, "l_list", []):
             if L > MAX_N:
                 raise TooLarge(f"L={L} exceeds MAX_N={MAX_N}")
-        text, code = args.func(args)
+        # looked up per call: the parser outlives any rebinding of a cmd_*
+        text, code = globals()[f"cmd_{args.command}"](args)
         _emit(text, _resolve_out(args.out))
     except HypothesisNotMet as exc:
         print(_describe(exc), file=sys.stderr)

@@ -100,9 +100,12 @@ def _loglog(n: int) -> float:
     return math.log(math.log(n))
 
 
-def _require_scale(n: int) -> None:
+def _require_scale(n: int, k: int = 1) -> None:
+    """Refuse n below MIN_N, then a chord count k outside [1, n - 1]."""
     if n < MIN_N:
         raise DegenerateInstance(f"n must be >= {MIN_N}, got {n}")
+    if not 1 <= k < n:
+        raise ValueError("require 1 <= k < n")
 
 
 def solve_lambda(n: int, k: int) -> float:
@@ -115,9 +118,7 @@ def solve_lambda(n: int, k: int) -> float:
     doubled past n when the desk-scale root exceeds n (happens for small
     n with small k; harmless, the hypothesis flags downstream record it).
     """
-    _require_scale(n)
-    if not 1 <= k < n:
-        raise ValueError("require 1 <= k < n")
+    _require_scale(n, k)
     target = n * n * math.log(n) ** 4 / (k * _loglog(n) ** 2)
 
     def g(lam: float) -> float:
@@ -329,7 +330,7 @@ def construct_universal_2dom(
     built, and the runtime check |window| > c0 n (ln n)^2 / (k lnln n) on
     W's window, after build_W has raised EmptyPrimeWindow for an empty one.
     """
-    _require_scale(n)
+    _require_scale(n, k)
     # negated, so that a NaN constant fails its check
     if not k >= _universal2_k_floor(n, C):
         raise HypothesisNotMet(
@@ -365,7 +366,7 @@ def suggest_universal2_constants(n: int, k: int) -> Universal2Constants:
     The theorem's absolute constants are unspecified; at desk scale the
     defaults c = C = 1 typically fail, and this reports the feasible values.
     """
-    _require_scale(n)
+    _require_scale(n, k)
     ll = _loglog(n)
     C_max = k * ll / (math.sqrt(n) * math.log(n) ** 3)
     L_max = math.isqrt((n - 1) // 4)  # largest L with 4L^2 < n; 1 at n = MIN_N
@@ -415,7 +416,7 @@ def almost_dominating_W(n: int, k: int, psi: float = 1.0) -> WSet:
     predicted(1) <= 1 <= budget). The window count is not monotone in L,
     so L fits the budget but need not be the largest L that does.
     """
-    _require_scale(n)
+    _require_scale(n, k)
     budget = almost_budget(n, k, psi)
     if budget < 1:
         raise ValueError("budget below one element; increase psi")

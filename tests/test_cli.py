@@ -225,16 +225,31 @@ def test_audit_nu_hypothesis_not_met_exits_2(monkeypatch, capsys):
     assert captured.err == "HypothesisNotMet: refused n=10000\n"
 
 
+NU_16_ERROR = {"check": "nu", "n": 16, "k": 3, "error": "EmptyPrimeWindow"}
+
+
 def test_audit_nu_empty_window_exits_1(capsys):
     # the fallback constants reach L = 1 at n = 16, whose window [2, 2]
-    # holds no prime coprime to 16: card reports this on its line, nu
-    # fails the whole grid
+    # holds no prime coprime to 16: nu reports this on its line, as card
+    # does, but fails it, since there is no W to 2-dominate
     rc = main(["audit", "--check", "nu", "--n-list", "16", "--k-list", "3"])
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.out == ""
-    assert captured.err == ("error: EmptyPrimeWindow: no primes in [2, 2] "
-                            "coprime to 16\n")
+    assert [json.loads(l) for l in captured.out.splitlines()] == [NU_16_ERROR]
+    assert captured.err == ""
+
+
+def test_audit_nu_empty_window_keeps_other_points(capsys):
+    # one point without a W loses no other point's line
+    rc = main(["audit", "--check", "nu", "--n-list", "10000,16",
+               "--k-list", "3", "--trials", "1"])
+    captured = capsys.readouterr()
+    first, second = map(json.loads, captured.out.splitlines())
+    assert rc == 1
+    assert (first["n"], first["k"], first["trial"]) == (10000, 3, 0)
+    assert "error" not in first
+    assert second == NU_16_ERROR
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("args", [
@@ -322,6 +337,9 @@ BAD_CONSTANTS = {"nan": "nan", "inf": "inf", "0": "0", "-1": "negative"}
       "10", "--trials", "0"), "error: ValueError: --trials=0 is below 1"),
     (("audit", "--check", "nu", "--n-list", "10000", "--k-list", "2000",
       "--trials", "-1"), "error: ValueError: --trials=-1 is below 1"),
+    # a chord count outside [1, n - 1] is refused before W is built
+    *[(("audit", "--check", "nu", "--n-list", "10000", "--k-list", k),
+       "error: ValueError: require 1 <= k < n") for k in ("0", "-3", "20000")],
     (("bench", "--n-list", "", "--k-list", "25"),
      "error: ValueError: --n-list is empty"),
     (("bench", "--n-list", "1000", "--k-list", ""),
@@ -373,7 +391,8 @@ BAD_CONSTANTS = {"nan": "nan", "inf": "inf", "0": "0", "-1": "negative"}
 ], ids=["construct-n", "audit-n", "gamma-n", "construct-r", "audit-L",
         "gamma-k", "audit-empty-n", "card-empty-L", "expsum-empty-L",
         "exceptional-empty-k", "nu-empty-k", "exceptional-trials-0",
-        "nu-trials-negative", "bench-empty-n", "bench-empty-k",
+        "nu-trials-negative", "nu-k-0", "nu-k-negative", "nu-k-above-n",
+        "bench-empty-n", "bench-empty-k",
         "bench-empty-seeds", "bench-empty-methods", "bench-unknown-method",
         "card-reads-no-k-list", "card-reads-no-trials", "expsum-reads-no-seed",
         "exceptional-reads-no-c0", "nu-reads-no-l-list",
@@ -515,7 +534,7 @@ def parse_outcome(parse, argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["nope"], ["nope", "--n", "9"],
-    *([cmd, "--help"] for cmd in cli.COMMANDS),
+    *([cmd, "--help"] for cmd in ("construct", "audit", "bench", "gamma")),
     ["construct", "--n", "x", "--method", "paper"],
     ["construct", "--n", "9", "--method", "paper", "extra"],
     ["audit", "--check", "bogus", "--n-list", "101"],
@@ -523,13 +542,64 @@ def parse_outcome(parse, argv, capsys):
     ["gamma"],
 ], ids=lambda argv: " ".join(argv) or "empty")
 def test_main_parses_as_full_parser(argv, capsys):
-    # main builds only the named command's subparser; help, usage lines
-    # and errors read the same as the full parser's, byte for byte
+    # main reuses one parser for the whole process; help, usage lines and
+    # errors read the same as a freshly built parser's, byte for byte
     want = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv,
                          capsys)
     assert parse_outcome(main, argv, capsys) == want
     assert want[2] == (0 if "--help" in argv else 2)
     assert want[0 if "--help" in argv else 1]
+
+
+def test_parser_built_once_and_not_at_import():
+    # build_parser is counted by its code object, so that calls made
+    # while the module imports are seen too
+    code = """if True:
+        import sys
+        calls = []
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "build_parser":
+                calls.append(frame.f_code.co_filename)
+        sys.setprofile(profile)
+        from circdom import cli
+        print(len(calls))
+        for _ in range(3):
+            cli.main(["gamma", "--n", "9", "--random-chords", "2",
+                      "--seed", "1"])
+        sys.setprofile(None)
+        print(len(calls), calls[0].endswith("cli.py"))
+    """
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[0] == "0"
+    assert res.stdout.splitlines()[-1] == "1 True"
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys):
+    # each argv gives in one process what it gives in its own process: no
+    # default, namespace or half-parsed state carries over to the next call
+    grid = ["bench", "--n-list", "100", "--k-list", "5", "--no-timing"]
+    for argv in ([*grid, "--methods", "greedy"], ["bench", "--n-list"], grid):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        alone = run_cli(*argv)
+        assert (out, err, rc) == (alone.stdout, alone.stderr,
+                                  alone.returncode), argv
+
+
+def test_main_runs_a_command_rebound_after_the_parser_is_built(
+        monkeypatch, capsys):
+    # circbench's tracer rebinds each cmd_* on the module between calls
+    argv = ["gamma", "--n", "9", "--random-chords", "2", "--seed", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "cmd_gamma", lambda args: ("rebound\n", 0))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "rebound\n"
 
 
 def test_bench_scaling_argv_parses():
@@ -538,7 +608,7 @@ def test_bench_scaling_argv_parses():
         "run_bench_scaling", ROOT / "scripts" / "run_bench_scaling.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    args = cli.build_parser("bench").parse_args(script.ARGV)
+    args = cli.build_parser().parse_args(script.ARGV)
     assert args.out == str(ROOT / "artifacts" / "bench_scaling.csv")
 
 

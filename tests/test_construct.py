@@ -663,6 +663,17 @@ def test_universal2_empty_window_left_to_build_w():
         construct_universal_2dom(10**4, 2000, c=1e-6, C=0.01)
 
 
+@pytest.mark.parametrize("k", [0, -3, 10**4], ids=["0", "negative", "n"])
+@pytest.mark.parametrize("build", [
+    solve_lambda, construct_universal_2dom, suggest_universal2_constants,
+    almost_dominating_W])
+def test_chord_count_outside_1_to_n_minus_1(build, k):
+    # one guard, before any constant is derived from k: at k = 0 the
+    # constants divided by zero, at k = -3 W was built from negative ones
+    with pytest.raises(ValueError, match=r"^require 1 <= k < n$"):
+        build(10**4, k)
+
+
 def test_universal2_suggested_constants_pass_checks():
     # unstepped, the quotients round past their boundary: at (1000, 999)
     # L comes out at L_max + 1, at (4988, 997) k falls below C_max's floor
