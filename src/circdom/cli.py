@@ -195,12 +195,7 @@ def _name_list(text: str) -> list[str]:
 
 
 def _audit_card(args, n: int, L: int):
-    try:
-        W = cons.build_W(n, L)
-    except EmptyPrimeWindow as exc:
-        yield {"check": "card", "n": n, "L": L,
-               "error": type(exc).__name__}, True
-        return
+    W = cons.build_W(n, L)
     expected = L * len(W.window)
     hyp = W.card_hypothesis_ok
     exact = W.size == expected

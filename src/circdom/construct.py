@@ -210,19 +210,17 @@ def build_W(n: int, L: int) -> WSet:
 
     Under 4L^2 < n, m = ceil(n / L) > 4L, so first_round(n, L) =
     floor(m ln(m / 2)) > 4L ln(2L) - 1 > 2.77L - 1 >= L >= |window(L)|:
-    phase 1 marks the whole window and phase 2 never runs.
-    For L >= n the multiples of any unit already sweep all of Z_n, so the
-    full set is returned directly. Otherwise TooLarge is raised, before
-    anything is allocated, if n * (L + 2^32) >= 2^64 (the bound implies
-    n < 2^32).
+    phase 1 marks the whole window and phase 2 never runs. An empty
+    window marks nothing: W is empty. For L >= n the multiples of any
+    unit already sweep all of Z_n, so the full set is returned directly.
+    Otherwise TooLarge is raised, before anything is allocated, if
+    n * (L + 2^32) >= 2^64 (the bound implies n < 2^32).
     """
     if L < 1:
         raise ValueError("L must be >= 1")
     if L < n and n * (L + 2**32) >= 2**64:
         raise TooLarge(f"build_W needs n * (L + 2^32) < 2^64, got n={n}, L={L}")
     window = primes_in_window(L, n)
-    if not window:
-        raise EmptyPrimeWindow(f"no primes in [{L + 1}, {2 * L}] coprime to {n}")
     if L >= n:
         return WSet(n=n, L=L, elements=VertexSet(n, np.ones(n, dtype=bool)),
                     window=window)
@@ -328,7 +326,7 @@ def construct_universal_2dom(
     theorem hypothesis k >= C sqrt(n) (ln n)^3 / lnln n and the cardinality
     hypothesis L < 0.5 sqrt(n) with L = universal2_L(n, k, c) before W is
     built, and the runtime check |window| > c0 n (ln n)^2 / (k lnln n) on
-    W's window, after build_W has raised EmptyPrimeWindow for an empty one.
+    W's window, which raises EmptyPrimeWindow instead if it holds no prime.
     """
     _require_scale(n, k)
     # negated, so that a NaN constant fails its check
@@ -343,6 +341,8 @@ def construct_universal_2dom(
         )
     W = build_W(n, L)
     num_primes = len(W.window)
+    if not num_primes:
+        raise EmptyPrimeWindow(f"no primes in [{L + 1}, {2 * L}] coprime to {n}")
     if not num_primes > c0 * n * math.log(n) ** 2 / (k * _loglog(n)):
         raise HypothesisNotMet(
             f"window size {num_primes} fails the c0={c0} runtime check"

@@ -14,7 +14,7 @@ class ChordFileError(CircdomError):
 
 
 class EmptyPrimeWindow(CircdomError):
-    """Raised when the prime window [L+1, 2L] contains no prime coprime to n."""
+    """Raised by construct_universal_2dom when [L+1, 2L] has no prime coprime to n."""
 
 
 class DegenerateInstance(CircdomError):

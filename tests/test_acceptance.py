@@ -32,7 +32,7 @@ from circdom.construct import (
     exceptional_bound,
     suggest_universal2_constants,
 )
-from circdom.errors import EmptyPrimeWindow, HypothesisNotMet
+from circdom.errors import HypothesisNotMet
 from circdom.expsum import expsum_audit, parseval_sum
 from circdom.graph import ChordSet, CirculantSpec
 from circdom.verify import exact_gamma, gamma_lower_bound, is_dominating
@@ -86,10 +86,7 @@ def test_criterion_2_cardinality_equality():
         for L in l_values:
             if 4 * L * L >= n:
                 continue
-            try:
-                W = build_W(n, L)
-            except EmptyPrimeWindow:
-                continue
+            W = build_W(n, L)
             assert W.size == L * len(W.window), (n, L)
             checked += 1
     assert checked >= 50

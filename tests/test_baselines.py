@@ -1,4 +1,7 @@
+import hashlib
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +82,22 @@ def test_greedy_picks_match_recount_oracle(cells, monkeypatch):
         assert picks == naive_greedy_picks(n, chords), (n, chords)
         count += 1
     assert count >= 200
+
+
+def test_greedy_first_round_stays_in_cell_budget():
+    # round 1 covers k + 1 vertices: one table of their (k + 1)^2 int64
+    # indices peaked at 129 MB. The digest is of the 129 picks it made.
+    chords = random_chord_set(10**5, 4000, 1).as_array()
+    tracemalloc.start()
+    try:
+        picks = _greedy_picks(10**5, chords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert len(picks) == 129
+    assert hashlib.sha256(np.array(picks, dtype=np.int64)).hexdigest() == (
+        "a3c30edbd77ee78489e82390ee370d54e2c7cc3a6aa1714d89aed1ba31e049fd")
 
 
 @pytest.mark.parametrize("cells", [200, graph.CELLS])
@@ -289,11 +308,27 @@ def test_random_chord_set_basics():
 
 
 def test_random_chord_set_symmetric():
-    # closed under s -> n - s
+    # closed under s -> n - s, at every k a symmetric set can have
+    for n in range(2, 40):
+        for k in range(1 + n % 2, n, 1 + n % 2):
+            S = random_chord_set(n, k, n * k, symmetric=True)
+            assert S.k == k and {n - s for s in S.chords} == set(S.chords)
     S = random_chord_set(100, 10, 1, symmetric=True)
     assert S.k == 10 and {100 - s for s in S.chords} == set(S.chords)
     S = random_chord_set(100, 7, 2, symmetric=True)
     assert S.k == 7 and {100 - s for s in S.chords} == set(S.chords)
     assert 50 in S.chords
-    with pytest.raises(ValueError):
+    assert random_chord_set(100, 7, 2, symmetric=True).chords == S.chords
+    with pytest.raises(ValueError,
+                       match="^odd symmetric chord count requires even n$"):
         random_chord_set(101, 7, 3, symmetric=True)
+
+
+def test_random_chord_set_symmetric_full_draw_is_quick():
+    # the pairs come from one draw without replacement, ~10 ms at n = 2^16
+    # on a 2-vCPU Xeon; a draw until k chords were collected took ~0.65 s
+    n = 2**16
+    t0 = time.perf_counter()
+    S = random_chord_set(n, n - 1, 5, symmetric=True)
+    assert time.perf_counter() - t0 < 0.25
+    assert S.chords == tuple(range(1, n))

@@ -116,15 +116,31 @@ def test_audit_card():
     assert all(l["exact"] for l in lines)
 
 
-def test_audit_card_error_line_passes(capsys):
-    # n = 102 is even, so L = 1 has an empty window: reported, not failed
+def test_audit_card_empty_window_passes(capsys):
+    # n = 102 is even, so L = 1 has an empty window: the empty W is exact
     rc = main(["audit", "--check", "card", "--n-list", "102",
                "--l-list", "3,1"])
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert rc == 0
     assert lines[0]["hypothesis_ok"] and lines[0]["exact"]
-    assert lines[1] == {"check": "card", "n": 102, "L": 1,
-                        "error": "EmptyPrimeWindow"}
+    assert lines[1] == {"check": "card", "n": 102, "L": 1, "num_primes": 0,
+                        "w_size": 0, "expected": 0, "hypothesis_ok": True,
+                        "exact": True}
+
+
+def test_audit_expsum_empty_window_keeps_other_points(capsys):
+    # n = 16384 is even, so L = 1 has the empty W, whose sums are all 0:
+    # its line passes and n = 16381's line is printed too
+    rc = main(["audit", "--check", "expsum", "--n-list", "16381,16384",
+               "--l-list", "1"])
+    captured = capsys.readouterr()
+    first, second = map(json.loads, captured.out.splitlines())
+    assert rc == 0 and captured.err == ""
+    assert (first["n"], first["w_size"]) == (16381, 1)
+    assert {k: second[k] for k in ("n", "w_size", "max_abs", "argmax_a",
+                                   "ratio", "direct_check_err")} == {
+        "n": 16384, "w_size": 0, "max_abs": 0.0, "argmax_a": 1,
+        "ratio": 0.0, "direct_check_err": 0.0}
 
 
 def test_audit_failed_line_prints_whole_grid(monkeypatch, capsys):
@@ -443,6 +459,22 @@ def test_almost_w_infinite_budget(capsys):
     assert captured.out == ""
     assert captured.err.strip() == (
         "error: ValueError: budget is not a finite number; decrease psi")
+
+
+def test_almost_w_empty_window_reports_empty_set(capsys):
+    # budget 1.5 bisects to L = 1, whose window [2, 2] divides n = 10^4:
+    # the set is empty, and the budget, not domination, sets the exit code
+    psi = 3.0141587594817143e-06
+    assert construct.almost_budget(10**4, 50, psi) == pytest.approx(1.5)
+    rc = main(["construct", "--n", "10000", "--random-chords", "50",
+               "--seed", "1", "--method", "almost-w", "--psi", str(psi)])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert rc == 0 and captured.err == ""
+    assert (doc["size"], doc["verified"]) == (0, False)
+    assert doc["parameters"]["L"] == 1
+    assert doc["parameters"]["num_primes"] == 0
+    assert doc["parameters"]["coverage_fraction"] == 0.0
 
 
 def test_audit_expsum_below_scale_floor(capsys):

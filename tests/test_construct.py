@@ -117,8 +117,9 @@ def test_build_w_101_3():
 
 
 def test_build_w_empty_window():
-    with pytest.raises(EmptyPrimeWindow):
-        build_W(6, 1)
+    # the window [2, 2] holds no prime coprime to 6: no element, no mark
+    W = build_W(6, 1)
+    assert W.window == () and W.size == 0 and W.marks == 0
 
 
 def test_paper_window_never_empty():
@@ -300,10 +301,7 @@ def test_build_w_forced_phase_2_at_large_prime(monkeypatch):
 @example(57, 24 / 57)
 def test_build_w_tested_primes_match_naive(n, frac):
     L = max(1, int(frac * n))
-    try:
-        W = build_W(n, L)
-    except EmptyPrimeWindow:
-        return
+    W = build_W(n, L)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construct, "first_round", lambda n, L: 1)  # test after one
         tested = build_W(n, L)
@@ -428,10 +426,7 @@ def test_card_lemma_property(n, L):
     # |W| = L * |window| exactly whenever L < 0.5 sqrt(n)
     if 4 * L * L >= n:
         return
-    try:
-        W = build_W(n, L)
-    except EmptyPrimeWindow:
-        return
+    W = build_W(n, L)
     assert W.size == L * len(W.window)
 
 
@@ -655,12 +650,17 @@ def test_universal2_runtime_check_sieves_once(monkeypatch):
     assert len(W.window) == 10 and calls == [W.L, W.L]
 
 
-def test_universal2_empty_window_left_to_build_w():
-    # L = 1 and n even: the window {2} is empty, which is not a c0 failure
+def test_universal2_refuses_empty_window_before_c0_check():
+    # L = 1 and n even: the window {2} is empty. build_W returns the empty
+    # W, and the theorem refuses it before its c0 check, which 0 primes
+    # fail at every c0 > 0 with HypothesisNotMet, not EmptyPrimeWindow
     assert construct.universal2_L(10**4, 2000, 1e-6) == 1
+    assert build_W(10**4, 1).window == ()
+    assert not issubclass(EmptyPrimeWindow, HypothesisNotMet)
     message = "no primes in [2, 2] coprime to 10000"
-    with pytest.raises(EmptyPrimeWindow, match=f"^{re.escape(message)}$"):
-        construct_universal_2dom(10**4, 2000, c=1e-6, C=0.01)
+    for c0 in (1.0, 1e-300):
+        with pytest.raises(EmptyPrimeWindow, match=f"^{re.escape(message)}$"):
+            construct_universal_2dom(10**4, 2000, c=1e-6, C=0.01, c0=c0)
 
 
 @pytest.mark.parametrize("k", [0, -3, 10**4], ids=["0", "negative", "n"])
