@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -88,27 +89,12 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _fmt_ms(ms: float, no_timing: bool) -> float:
-    return 0.0 if no_timing else round(ms, 3)
-
-
-def report_to_dict(rep: DominationReport, uncovered: list[int] | None = None,
-                   no_timing: bool = False) -> dict:
-    """Stable-schema JSON dict for a DominationReport."""
-    return {
-        "n": rep.n,
-        "k": rep.k,
-        "method": rep.method,
-        "r": rep.r,
-        "seed": rep.seed,
-        "generator": rep.generator,
-        "size": rep.size,
-        "verified": rep.verified,
-        "uncovered_count": rep.uncovered_count,
-        "uncovered_sample": uncovered or [],
-        "wall_ms": _fmt_ms(rep.wall_ms, no_timing),
-        "parameters": rep.parameters,
-    }
+def report_to_dict(rep: DominationReport, no_timing: bool = False) -> dict:
+    """The construct record: rep's fields before D, its last, with wall_ms
+    rounded to 3 places, or 0.0 under no_timing."""
+    doc = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)[:-1]}
+    doc["wall_ms"] = 0.0 if no_timing else round(rep.wall_ms, 3)
+    return doc
 
 
 def _chords_from_args(args) -> ChordSet:
@@ -180,8 +166,8 @@ def cmd_construct(args) -> tuple[str, int]:
     rep.r, rep.verified, rep.uncovered_count = args.r, verified, uncov.size
     if rep.method == "almostW":  # the share covered at --r
         rep.parameters["coverage_fraction"] = 1.0 - uncov.size / spec.n
-    uncovered = [int(v) for v in uncov.indices()[:UNCOVERED_SAMPLE_CAP]]
-    doc = report_to_dict(rep, uncovered, no_timing=args.no_timing)
+    rep.uncovered_sample = uncov.indices()[:UNCOVERED_SAMPLE_CAP].tolist()
+    doc = report_to_dict(rep, no_timing=args.no_timing)
     # almostW's contract is the size budget, not full domination
     return json.dumps(doc) + "\n", int(not verified and rep.method != "almostW")
 
@@ -208,12 +194,8 @@ def _audit_card(args, n: int, L: int):
 
 def _audit_expsum(args, n: int, L: int):
     audit = expsum_audit(n, L)
-    yield {
-        "n": audit.n, "L": audit.L, "w_size": audit.w_size,
-        "max_abs": audit.max_abs, "argmax_a": audit.argmax_a,
-        "bound": audit.bound, "ratio": audit.ratio,
-        "check": "expsum", "direct_check_err": audit.direct_check_err,
-    }, audit.direct_check_err <= FFT_TOL_PER_ELEMENT * audit.w_size
+    yield ({"check": "expsum", **dataclasses.asdict(audit)},
+           audit.direct_check_err <= FFT_TOL_PER_ELEMENT * audit.w_size)
 
 
 def _audit_exceptional(args, n: int, k: int):
@@ -249,9 +231,7 @@ def _audit_nu(args, n: int, k: int):
             "seed": seed, "L": W.L, "w_size": W.size,
             "min_nu": min_nu, "two_dominates": dominated,
             "used_fallback_constants": used is not None,
-            "c": c, "C": C, "c0": c0,
-            "c_max": sugg.c_max, "C_max": sugg.C_max,
-            "c0_max": sugg.c0_max,
+            "c": c, "C": C, "c0": c0, **dataclasses.asdict(sugg),
         }, min_nu > 0 and dominated
 
 
@@ -425,6 +405,8 @@ def main(argv: list[str] | None = None) -> int:
         for L in getattr(args, "l_list", []):
             if L > MAX_N:
                 raise TooLarge(f"L={L} exceeds MAX_N={MAX_N}")
+            if L < 1:
+                raise ValueError("L must be >= 1")
         # looked up per call: the parser outlives any rebinding of a cmd_*
         text, code = globals()[f"cmd_{args.command}"](args)
         _emit(text, _resolve_out(args.out))

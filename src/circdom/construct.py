@@ -65,22 +65,23 @@ class WSet:
         return 4 * self.L * self.L < self.n
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DominationReport:
-    """Outcome of one construction run: the set, its audit, and timings."""
+    """One run's outcome; its fields before D are the construct record."""
 
-    method: str
     n: int
     k: int
+    method: str
     r: int
-    D: VertexSet
+    seed: int | None = None
+    generator: str | None = None
     size: int
     verified: bool
     uncovered_count: int
+    uncovered_sample: list[int] = field(default_factory=list)
     wall_ms: float
     parameters: dict = field(default_factory=dict)
-    seed: int | None = None
-    generator: str | None = None
+    D: VertexSet
 
 
 def report(method: str, spec: CirculantSpec, D: VertexSet, r: int, t0: float,
@@ -352,11 +353,12 @@ def construct_universal_2dom(
 
 @dataclass(frozen=True)
 class Universal2Constants:
-    """Largest constants that keep the universal-2-dom checks satisfiable.
+    """Largest constants that keep the universal-2-dom checks satisfiable,
+    in (c, C, c0) order, the order of a nu audit line's last three keys.
     c_max gives the largest L with 4L^2 < n, L = isqrt((n - 1) // 4)."""
 
-    C_max: float  # hypothesis holds iff C <= C_max
     c_max: float  # L(c) < 0.5 sqrt(n) iff c <= c_max
+    C_max: float  # hypothesis holds iff C <= C_max
     c0_max: float  # runtime check at L(c_max) holds iff c0 < c0_max
 
 
@@ -379,7 +381,7 @@ def suggest_universal2_constants(n: int, k: int) -> Universal2Constants:
         c_max = math.nextafter(c_max, 0.0)
     num_primes = len(primes_in_window(L_max, n))
     c0_max = num_primes * k * ll / (n * math.log(n) ** 2)
-    return Universal2Constants(C_max=C_max, c_max=c_max, c0_max=c0_max)
+    return Universal2Constants(c_max=c_max, C_max=C_max, c0_max=c0_max)
 
 
 def all_representation_counts(n: int, S: ChordSet, W: WSet) -> np.ndarray:

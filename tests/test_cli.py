@@ -58,6 +58,18 @@ def test_construct_paper_from_file_n16(tmp_path):
     assert list(doc.keys()) == CONSTRUCT_KEYS  # golden schema
 
 
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_report_fields_are_construct_keys(method, capsys):
+    # DominationReport's fields before D, its last, are the construct record
+    names = [f.name for f in dataclasses.fields(construct.DominationReport)]
+    assert names == [*CONSTRUCT_KEYS, "D"]
+    constants = ["--c", "0.027", "--C", "0.05", "--c0", "0.02"]
+    argv = ["construct", "--n", "10000", "--random-chords", "2000", "--seed",
+            "1", "--method", method, *(constants * (method == "universal2"))]
+    assert main(argv) == 0
+    assert list(json.loads(capsys.readouterr().out)) == CONSTRUCT_KEYS
+
+
 def test_construct_greedy_cycle(cycle_file):
     res = run_cli("construct", "--n", "9", "--chords-file", cycle_file,
                   "--method", "greedy")
@@ -205,6 +217,25 @@ def test_audit_expsum_fields():
         assert field in line
 
 
+def test_audit_lines_start_with_check(capsys):
+    grids = {"card": ("--l-list", "3"), "expsum": ("--l-list", "3"),
+             "exceptional": ("--k-list", "20"), "nu": ("--k-list", "2000")}
+    for check, axis in grids.items():
+        n = "10000" if check == "nu" else "1009"
+        assert main(["audit", "--check", check, "--n-list", n, *axis]) == 0
+        for line in capsys.readouterr().out.splitlines():
+            assert next(iter(json.loads(line))) == "check", check
+
+
+def test_audit_nu_ends_with_universal2_constants(capsys):
+    assert main(["audit", "--check", "nu", "--n-list", "10000",
+                 "--k-list", "2000"]) == 0
+    line = json.loads(capsys.readouterr().out)
+    names = [f.name for f in dataclasses.fields(construct.Universal2Constants)]
+    assert list(line)[-3:] == names
+    assert list(line)[-6:-3] == ["c", "C", "c0"]
+
+
 def test_audit_nu_smoke():
     res = run_cli("audit", "--check", "nu", "--n-list", "10000",
                   "--k-list", "2000", "--trials", "3", "--seed", "7")
@@ -301,15 +332,23 @@ def test_input_size_guard(args):
 
 
 @pytest.mark.parametrize("check", ["card", "expsum"])
-def test_l_list_size_guard(check, capsys):
-    # build_W sieves (L, 2L] whatever n is: L is capped like n, up front
-    rc = main(["audit", "--check", check, "--n-list", "101",
-               "--l-list", f"3,{MAX_N + 1}"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: TooLarge: L={MAX_N + 1} exceeds MAX_N={MAX_N}\n")
+def test_l_list_size_guard(check, capsys, monkeypatch):
+    # build_W sieves (L, 2L] whatever n is: L is range-checked like n, up
+    # front, so not even the good L = 3 point is built
+    built, build_W = [], construct.build_W
+    for module in (construct, expsum):
+        monkeypatch.setattr(module, "build_W",
+                            lambda n, L: built.append(L) or build_W(n, L))
+    for bad, message in [
+            (MAX_N + 1, f"TooLarge: L={MAX_N + 1} exceeds MAX_N={MAX_N}"),
+            (0, "ValueError: L must be >= 1")]:
+        rc = main(["audit", "--check", check, "--n-list", "101",
+                   "--l-list", f"3,{bad}"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert built == []
 
 
 # each theorem constant, with a command that reads it, and its bad values
