@@ -19,11 +19,16 @@ A greedy point is an (n, k) at chord seed CHORD_SEED: its one job
 give (greedy_size, rounds).
 
 The JSON holds one record per point: the outputs every tree must agree
-on (L, num_primes, size, random_size, draws, gamma_sum), and under each
-tree its work counters and the median and quartiles of each job's wall
-ms over all repeats x PASSES samples. The counters are `marks` and
-`checks` of build_W's WSet and, from spies on the tree's own names,
-`survivors` (the vertices build_W's phase 2 hands to construct._sieve;
+on (theorem_L, random_size, draws, gamma_sum, greedy_size, rounds), and
+under each tree the construct outputs (L, num_primes, size and its
+ratios), its work counters and the median and quartiles of each job's
+wall ms over all repeats x PASSES samples. Every run of a tree must
+give that tree's first-run outputs; only the construct outputs may
+differ between trees, so a tree that changes how construct picks L can
+be timed against one that does not. `build_w` builds W at theorem_L =
+ceil(solve_lambda(n, k)), the theorem's L, at which phase 2 runs. The
+counters are `marks` and `checks` of that WSet and, from spies on the
+tree's own names, `survivors` (the vertices build_W's phase 2 hands to construct._sieve;
 null where phase 2 does not run), `ored_before_switch` (k + 1 minus the
 chords verification hands to graph._sieve; null where it never
 switches), `prefix_draws` (the last return of baselines.prefix_draws in
@@ -46,6 +51,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import platform
 import statistics
@@ -70,7 +76,7 @@ GREEDY_POINTS = {f"greedy_{n}_{k}": (n, k)
                  for n, k in ((5000, 100), (10**5, 100), (10**5, 1000))}
 # every wall_ms entry of a point: what it times
 JOBS = {
-    "build_w": "construct.build_W(n, L) at construct's L",
+    "build_w": "construct.build_W(n, theorem_L) at the theorem's L",
     "build_w_phase2": "its construct._sieve call, testing the vertices left",
     "construct": f"`construct --method paper` in cli.main, seed {CHORD_SEED}",
     "construct_first": "the warm-up construct, one sample a process",
@@ -158,7 +164,7 @@ def measure(src: str) -> list[dict]:
         with spy(cli, "main") as first:
             doc = run_construct(argv)  # the warm-up
         wall_ms = {"construct_first": [first[0][2]], "build_w_phase2": []}
-        L = doc["parameters"]["L"]
+        L = math.ceil(construct.solve_lambda(n, k))
         with spy(construct, "_sieve") as phase2:
             W = construct.build_W(n, L)
         spec = graph.CirculantSpec(
@@ -181,13 +187,14 @@ def measure(src: str) -> list[dict]:
                 raise SystemExit(f"error: |D| changed between runs: {argv}")
 
         lb = -(-n // (k + 1))
-        return {"shared": {"n": n, "k": k, "L": L,
-                           "num_primes": doc["parameters"]["num_primes"],
-                           "size": doc["size"], "size_over_n": doc["size"] / n,
-                           "size_over_lb": doc["size"] / lb,
+        return {"shared": {"n": n, "k": k, "theorem_L": L,
                            "random_size": rand.size,
                            "random_size_over_lb": rand.size / lb,
                            "draws": rand.parameters["draws"]},
+                "outputs": {"L": doc["parameters"]["L"],
+                            "num_primes": doc["parameters"]["num_primes"],
+                            "size": doc["size"], "size_over_n": doc["size"] / n,
+                            "size_over_lb": doc["size"] / lb},
                 "counters": {
                     **{c: getattr(W, c, None) for c in ("marks", "checks")},
                     "survivors": phase2[0][0][0].size if phase2 else None,
@@ -211,7 +218,7 @@ def measure(src: str) -> list[dict]:
             raise SystemExit(f"error: exact_gamma disagrees with {table}")
         return {"shared": {"name": name, "sets": len(sets),
                            "gamma_sum": sum(values)},
-                "counters": {}, "wall_ms": {}}, {
+                "outputs": {}, "counters": {}, "wall_ms": {}}, {
                     "gamma": lambda: [verify.exact_gamma(s) for s in specs]}
 
     def greedy_point(name: str, n: int, k: int) -> tuple[dict, dict]:
@@ -221,7 +228,7 @@ def measure(src: str) -> list[dict]:
         return {"shared": {"name": name, "n": n, "k": k,
                            "greedy_size": rep.size,
                            "rounds": rep.parameters["rounds"]},
-                "counters": {}, "wall_ms": {}}, {
+                "outputs": {}, "counters": {}, "wall_ms": {}}, {
                     "greedy": lambda: baselines.greedy_dominating(spec)}
 
     points, jobs = zip(*[grid_point(n, k) for n, k in GRID] + [
@@ -258,7 +265,8 @@ def spread(times: list[float | None]) -> dict | None:
 
 def summarise(trees: dict[str, str], runs: dict[str, list]) -> list[dict]:
     """Per point: its shared outputs, which every run of every tree must
-    give, and per tree its counters and the spread of each job."""
+    give, and per tree the outputs every run of that tree must give, its
+    counters and the spread of each job."""
     points = []
     for i, point in enumerate(runs[next(iter(trees))][0]):
         shared, out = point["shared"], {**point["shared"], "trees": {}}
@@ -267,9 +275,15 @@ def summarise(trees: dict[str, str], runs: dict[str, list]) -> list[dict]:
             if any(s["shared"] != shared for s in samples):
                 raise SystemExit(f"error: tree {name} disagrees with the "
                                  f"first run on the outputs {shared}")
-            out["trees"][name] = {**samples[0]["counters"], "wall_ms": {
-                job: spread([t for s in samples for t in s["wall_ms"][job]])
-                for job in JOBS if job in point["wall_ms"]}}
+            outputs = samples[0]["outputs"]
+            if any(s["outputs"] != outputs for s in samples):
+                raise SystemExit(f"error: a run of tree {name} disagrees "
+                                 f"with its first on the outputs {outputs}")
+            out["trees"][name] = {
+                **outputs, **samples[0]["counters"], "wall_ms": {
+                    job: spread([t for s in samples
+                                 for t in s["wall_ms"][job]])
+                    for job in JOBS if job in point["wall_ms"]}}
         points.append(out)
     return points
 

@@ -27,7 +27,7 @@ from .errors import (
 )
 from . import graph
 from .graph import ChordSet, CirculantSpec, VertexSet, _sieve, shift_cover
-from .primes import primes_in_window
+from .primes import primes_in_window, window_counts
 from .verify import is_dominating
 
 MIN_N = 16
@@ -38,8 +38,8 @@ COUNT_ROUND_TOL = 0.25
 # that it spans the window: a vertex x whose products x * ell mod n move
 # slowly with ell misses a run of neighbouring primes together, and would
 # survive a round of the lowest primes into phase 2. W is the same in any
-# order; at n = 10^6, k = 100 stride 4 cuts the phase-2 tests from 12.3 M
-# (lowest primes first) to 6.91 M.
+# order; at n = 10^6, k = 100 and the theorem's L = ceil(lambda) stride 4
+# cuts the phase-2 tests from 12.3 M (lowest primes first) to 6.91 M.
 ROUND_STRIDE = 4
 
 
@@ -142,8 +142,10 @@ def first_round(n: int, L: int) -> int:
     """Primes build_W marks before it tests the vertices left unmarked:
     m ln(m / 2) with m = ceil(n / L), none for m <= 2. L random marks per
     prime would then leave about 2L vertices unmarked; the round spread by
-    ROUND_STRIDE leaves 1.6L to 3.2L at the paper instances with
-    k = 100 and 1000 from n = 12 500 to 10^6. About there one more prime's
+    ROUND_STRIDE leaves 1.6L to 3.2L at the theorem's L = ceil(lambda)
+    with k = 100 and 1000 from n = 12 500 to 10^6 (at construct_dominating's
+    model L phase 1 marks the whole window there, and phase 2 does not
+    run). About there one more prime's
     L marks (~7-8 ns each) cost what they save in phase 2: they would
     drop about u L / n of the u vertices left, each tested against about
     m primes (~1.5-2 ns a test) before its first hit, and spare that
@@ -283,16 +285,39 @@ def dom_size_envelope(n: int, k: int) -> float:
     return n * math.log(n) ** 2.5 / (math.sqrt(k) * _loglog(n))
 
 
-def construct_dominating(spec: CirculantSpec) -> DominationReport:
-    """Build D = U union W with L = ceil(lambda) and verify domination.
+def model_L(n: int, k: int) -> tuple[int, float]:
+    """(L, f(L)) for the L that minimises f(L) = w + n exp(-k w / n), with
+    w = min(n, L |window(L)|), over the L in [1, 4 isqrt(n)] with a
+    non-empty window; ties go to the smallest L.
 
-    The prime window of L = ceil(lambda) is never empty, since lambda >=
-    n^(1/4) (see test_paper_window_never_empty).
+    f is the Alon-Spencer random-then-fix estimate of |W u U| (The
+    Probabilistic Method, Thm 1.2.2), reading W as a random set of its
+    size. Window sizes are not monotone in L, so the argmin is taken over
+    every L, not at the first L with w >= (n / k) ln k. The range holds a
+    non-empty window for n >= MIN_N: each prime p <= 8 isqrt(n) lies in
+    the window of L = ceil(p / 2), and the primes up to 8 isqrt(n) >= 32
+    cannot all divide n, since their product exceeds 2^(8 isqrt(n)) > n
+    (see test_model_window_never_empty).
+    """
+    _require_scale(n, k)
+    counts = window_counts(n, 4 * math.isqrt(n))
+    w = np.minimum(n, np.arange(1, counts.size + 1) * counts)
+    f = np.where(counts > 0, w + n * np.exp(-k * w / n), np.inf)
+    L = int(np.argmin(f)) + 1
+    return L, float(f[L - 1])
+
+
+def construct_dominating(spec: CirculantSpec) -> DominationReport:
+    """Build D = U union W at the model L of model_L and verify domination.
+
+    The report keeps lambda, from which the theorem's L = ceil(lambda)
+    follows; build_W(n, math.ceil(solve_lambda(n, k))) builds that W.
     """
     n, k = spec.n, spec.k
     t0 = time.perf_counter()
     lam = solve_lambda(n, k)
-    W = build_W(n, math.ceil(lam))
+    L, predicted = model_L(n, k)
+    W = build_W(n, L)
     U = exceptional_set(n, spec.chords, W)
     D = VertexSet(n, W.elements.members | U.members)
     return report("paper", spec, D, 1, t0, {
@@ -301,6 +326,7 @@ def construct_dominating(spec: CirculantSpec) -> DominationReport:
         "num_primes": len(W.window),
         "w_size": W.size,
         "u_size": U.size,
+        "predicted_size": predicted,
         "card_hypothesis_ok": W.card_hypothesis_ok,
     })
 

@@ -19,6 +19,7 @@ from circdom.construct import (
     construct_dominating,
     construct_universal_2dom,
     exceptional_set,
+    model_L,
     solve_lambda,
     suggest_universal2_constants,
 )
@@ -30,7 +31,7 @@ from circdom.errors import (
     TooLarge,
 )
 from circdom.graph import ChordSet, CirculantSpec, VertexSet, coverage
-from circdom.primes import primes_in_window
+from circdom.primes import primes_in_window, window_counts
 from circdom.verify import exact_gamma, is_dominating
 
 from conftest import (
@@ -123,7 +124,7 @@ def test_build_w_empty_window():
 
 
 def test_paper_window_never_empty():
-    """construct_dominating's L = ceil(lambda(n, k)) always has a prime.
+    """The theorem's L = ceil(lambda(n, k)) always has a prime.
 
     solve_lambda returns lambda >= n^(1/4), so n <= L^4. The window
     (L, 2L] is empty only when every prime in it divides n. For L >= 15
@@ -140,6 +141,74 @@ def test_paper_window_never_empty():
             assert math.ceil(solve_lambda(n, n - 1)) > L, (n, L)
             checked += 1
     assert checked == 180
+
+
+def naive_model_L(n, k):
+    """model_L by a loop over primes_in_window, in Python floats."""
+    best = None
+    for L in range(1, 4 * math.isqrt(n) + 1):
+        count = len(primes_in_window(L, n))
+        if count:
+            w = min(n, L * count)
+            f = w + n * math.exp(-k * w / n)
+            if best is None or f < best[1]:
+                best = (L, f)
+    return best
+
+
+def test_model_L_matches_naive_argmin():
+    for n in range(16, 401):
+        for k in sorted({1, 2, n // 3, n - 1}):
+            L, f = model_L(n, k)
+            want_L, want_f = naive_model_L(n, k)
+            assert L == want_L and f == pytest.approx(want_f, rel=1e-12), (n, k)
+
+
+def test_model_L_is_the_argmin_not_the_first_large_window():
+    # at (10^4, 100) the first L with L |window(L)| >= (n / k) ln k is 49,
+    # but window sizes are not monotone in L, and f is least at 46
+    n, k = 10**4, 100
+    assert model_L(n, k) == naive_model_L(n, k)
+    assert model_L(n, k)[0] == 46
+    assert next(L for L in range(1, 401) if L * len(primes_in_window(L, n))
+                >= n / k * math.log(k)) == 49
+
+
+def test_model_window_never_empty():
+    # model_L's range [1, 4 isqrt(n)] holds a window with a prime, so its
+    # argmin is a finite f at an L whose window has one
+    for n in range(construct.MIN_N, 2 * 10**4 + 1):
+        assert window_counts(n, 4 * math.isqrt(n)).any(), n
+    for n in (16, 17, 720_720, 2**24):
+        for k in (1, n - 1):
+            L, f = model_L(n, k)
+            assert primes_in_window(L, n) and math.isfinite(f), (n, k)
+
+
+# the five points of the model-L table: |D| is what f(L) predicts
+@pytest.mark.parametrize("n,k", [(10**5, 100), (10**5, 1000), (10**6, 100),
+                                 (10**6, 1000), (999_983, 1000)])
+def test_paper_size_matches_predicted(n, k):
+    rep = construct_dominating(CirculantSpec(n, random_chord_set(n, k, 1)))
+    p = rep.parameters
+    assert rep.verified and (p["L"], p["predicted_size"]) == model_L(n, k)
+    w, u = p["w_size"], p["u_size"]  # U may meet W
+    assert max(w, u) <= rep.size <= w + u
+    assert 0.95 <= rep.size / p["predicted_size"] <= 1.05, rep.size
+
+
+def test_paper_L_does_not_depend_on_S():
+    n, k = 10**4, 100
+    L, predicted = model_L(n, k)
+    chord_sets = [random_chord_set(n, k, seed) for seed in range(4)]
+    chord_sets += [ChordSet(n, tuple(range(1, k + 1))),
+                   random_chord_set(n, k, 5, symmetric=True)]
+    for S in chord_sets:
+        rep = construct_dominating(CirculantSpec(n, S))
+        assert rep.verified
+        assert (rep.parameters["L"], rep.parameters["predicted_size"]) == (
+            L, predicted)
+        assert rep.parameters["lambda"] == solve_lambda(n, k)
 
 
 @pytest.mark.parametrize(
@@ -505,10 +574,20 @@ def test_cover_at_scale_matches_index_scatter(kind):
         assert np.array_equal(coverage(spec, D, r).members, expected)
 
 
+def _theorem_L_cover(n, k):
+    """(spec, W, U, D) of the theorem's L = ceil(lambda) at chord seed 1."""
+    spec = CirculantSpec(n, random_chord_set(n, k, 1))
+    W = build_W(n, math.ceil(solve_lambda(n, k)))
+    U = exceptional_set(n, spec.chords, W)
+    return spec, W, U, VertexSet(n, W.elements.members | U.members)
+
+
 def test_cover_tests_sparse_sets_only(monkeypatch):
-    # the paper's dense covers (exceptional_set, the verification) saturate
-    # at shift_cover's first count; the sparse random covers switch:
-    # the cover of the random baseline's prefix, then its verification
+    # the theorem-L sets are dense: their covers (exceptional_set, the
+    # verification) saturate at shift_cover's first count. The sparse
+    # covers switch: the model-L set's verification (and at k = 1000 its
+    # exceptional_set too), and the random baseline's prefix cover, then
+    # its verification
     tested, sieve = [], graph._sieve
 
     def spy(alive, chords, hit):
@@ -517,9 +596,12 @@ def test_cover_tests_sparse_sets_only(monkeypatch):
 
     monkeypatch.setattr(graph, "_sieve", spy)
     for n, k in ((10**6, 100), (10**6, 1000)):
-        spec = CirculantSpec(n, random_chord_set(n, k, 1))
-        rep = construct_dominating(spec)
-        assert rep.verified and tested == []
+        spec, _, _, D = _theorem_L_cover(n, k)
+        assert is_dominating(spec, D)[0] and tested == []
+    for n, k, covers in ((10**6, 100, 1), (10**6, 1000, 2)):
+        rep = construct_dominating(CirculantSpec(n, random_chord_set(n, k, 1)))
+        assert rep.verified and len(tested) == covers
+        assert all(0 < tested.pop() < k for _ in range(covers))
     for n, k in ((10**6, 1000), (10**5, 100)):
         rep = random_dominating(CirculantSpec(n, random_chord_set(n, k, 1)), 2)
         assert rep.verified and len(tested) == 2
@@ -529,11 +611,11 @@ def test_cover_tests_sparse_sets_only(monkeypatch):
 def test_cover_ors_words_from_the_first_chord(monkeypatch):
     # every cover hands all its chords to the word stage: the k of S to
     # exceptional_set's open cover, and the k + 1 of S u {0} to a closed
-    # cover. The paper's dense sets at n = 10^6 (98.4-99.6% of Z_n)
-    # saturate there, so neither exceptional_set nor the verification
-    # calls _sieve; the random baseline's prefix and its set leave vertices
-    # that _sieve tests, and it gets just the chords the word stage returns
-    # and the vertices its packed cover leaves clear
+    # cover. The theorem-L sets at n = 10^6 (98.4-99.6% of Z_n) saturate
+    # there, so neither exceptional_set nor the verification calls _sieve;
+    # the model-L set, the random baseline's prefix and its set leave
+    # vertices that _sieve tests, and it gets just the chords the word
+    # stage returns and the vertices its packed cover leaves clear
     calls, tested, or_words, sieve = [], [], graph._or_words, graph._sieve
 
     def spy_words(sources, chords):
@@ -550,15 +632,26 @@ def test_cover_ors_words_from_the_first_chord(monkeypatch):
     monkeypatch.setattr(graph, "_sieve", spy_test)
     n = 10**6
     for k in (100, 1000):
-        spec = CirculantSpec(n, random_chord_set(n, k, 1))
-        rep = construct_dominating(spec)
-        assert rep.size > 0.98 * n and tested == []
+        spec, W, U, D = _theorem_L_cover(n, k)
+        assert D.size > 0.98 * n and is_dominating(spec, D)[0]
         # both covers saturate: W + S is Z_n (U is empty), and D dominates
-        assert rep.parameters["u_size"] == 0 and rep.verified
+        assert U.size == 0 and tested == []
         assert [(size, rest.size, bool((cover == graph.FULL).all()))
                 for size, rest, cover in calls] == [(k, 0, True),
                                                     (k + 1, 0, True)]
         calls.clear()
+    for k in (100, 1000):
+        spec = CirculantSpec(n, random_chord_set(n, k, 1))
+        rep = construct_dominating(spec)
+        assert rep.verified and rep.size < 0.06 * n and len(calls) == 2
+        assert [size for size, *_ in calls] == [k, k + 1]
+        # no cover is full after its packed chords, and the verification
+        # tests the vertices left against the chords it did not OR
+        assert not any((cover == graph.FULL).all() for *_, cover in calls)
+        assert tested == [rest.size for _, rest, _ in calls if rest.size]
+        assert tested[-1] == calls[-1][1].size > 0
+        calls.clear()
+        tested.clear()
     for k in (100, 1000):
         spec = CirculantSpec(n, random_chord_set(n, k, 1))
         rep = random_dominating(spec, 2)

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circdom.primes import primes_in_window
+from circdom.primes import primes_in_window, window_counts
 
 
 def test_window_all_divide_n():
@@ -42,3 +43,20 @@ def test_window_pnt_sanity_band(L, n):
     omega = len(sympy.primefactors(n))
     assert count >= 0.5 * L / math.log(2 * L) - omega
 
+
+
+# an even n, a prime n, a prime power and 720 720 = 2^4 3^2 5 7 11 13
+@pytest.mark.parametrize("n", [10**6, 999_983, 3**10, 720_720])
+def test_window_counts_match_windows(n):
+    L_max = 4 * math.isqrt(n)
+    counts = window_counts(n, L_max)
+    assert counts.dtype == np.int64 and counts.shape == (L_max,)
+    assert counts.tolist() == [len(primes_in_window(L, n))
+                               for L in range(1, L_max + 1)]
+
+
+def test_window_counts_refuse_bad_arguments():
+    with pytest.raises(ValueError, match="L_max must be >= 1"):
+        window_counts(100, 0)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        window_counts(1, 5)

@@ -77,10 +77,52 @@ def test_bad_arguments_exit_2_with_usage(bench, argv, capsys):
 def test_trees_disagreeing_on_a_greedy_output_stop_the_run(bench, output):
     point = {"shared": {"name": "greedy_5000_100", "greedy_size": 131,
                         "rounds": 131},
-             "counters": {}, "wall_ms": {"greedy": [3.0]}}
+             "outputs": {}, "counters": {}, "wall_ms": {"greedy": [3.0]}}
     other = {**point, "shared": {**point["shared"], output: 132}}
     with pytest.raises(SystemExit, match="tree b disagrees"):
         bench.summarise({"a": "x", "b": "y"}, {"a": [[point]], "b": [[other]]})
+
+
+def _grid_point(**outputs):
+    return {"shared": {"n": 10**5, "k": 100, "theorem_L": 3562,
+                       "random_size": 11_653, "random_size_over_lb": 11.76,
+                       "draws": 12_402},
+            "outputs": {"L": 159, "num_primes": 29, "size": 5457,
+                        "size_over_n": 0.05457, "size_over_lb": 5.51,
+                        **outputs},
+            "counters": {"marks": 4611}, "wall_ms": {"build_w": [1.0]}}
+
+
+def test_trees_may_differ_on_the_construct_outputs(bench):
+    # a tree that picks another construct L is recorded with its own L
+    # and size, next to the shared outputs both trees gave
+    theorem = {"L": 3562, "num_primes": 413, "size": 99_308}
+    points = bench.summarise({"a": "x", "b": "y"},
+                             {"a": [[_grid_point(**theorem)]] * 2,
+                              "b": [[_grid_point()]] * 2})
+    assert [point["theorem_L"] for point in points] == [3562]
+    trees = points[0]["trees"]
+    assert [trees[name][key] for name in "ab" for key in ("L", "size")] == [
+        3562, 99_308, 159, 5457]
+    assert trees["a"]["marks"] == 4611
+    assert trees["a"]["wall_ms"]["build_w"]["median"] == 1.0
+
+
+def test_a_run_disagreeing_with_its_tree_stops_the_run(bench):
+    with pytest.raises(SystemExit, match="a run of tree b disagrees"):
+        bench.summarise({"a": "x", "b": "y"},
+                        {"a": [[_grid_point()]] * 2,
+                         "b": [[_grid_point()], [_grid_point(size=5458)]]})
+
+
+@pytest.mark.parametrize("output", ["theorem_L", "random_size", "draws"])
+def test_trees_disagreeing_on_a_shared_grid_output_stop_the_run(bench,
+                                                                output):
+    other = _grid_point()
+    other["shared"] = {**other["shared"], output: 1}
+    with pytest.raises(SystemExit, match="tree b disagrees"):
+        bench.summarise({"a": "x", "b": "y"},
+                        {"a": [[_grid_point()]], "b": [[other]]})
 
 
 def test_failing_tree_is_named_with_its_stderr(tmp_path):
@@ -120,16 +162,22 @@ def test_every_point_and_job_and_null_for_a_missing_name(bench, tmp_path):
     assert [p["name"] for p in greedy] == list(bench.GREEDY_POINTS)
     jobs = ["build_w", "build_w_phase2", "construct", "construct_first",
             "random", "verify"]
+    outputs = ["L", "num_primes", "size", "size_over_n", "size_over_lb"]
     for point in grid:
-        assert point["size"] > 0 and point["random_size"] > 0
+        assert point["random_size"] > 0
         src, renamed = point["trees"]["src"], point["trees"]["renamed"]
+        assert list(src)[:len(outputs)] == outputs and src["size"] > 0
+        assert [renamed[key] for key in outputs] == [src[key]
+                                                     for key in outputs]
         assert list(src["wall_ms"]) == jobs
         assert all(src["wall_ms"].values()), src["wall_ms"]
         assert all(src[c] is not None for c in COUNTERS), src
-        # phase 2 runs at every grid point, after one prime or more has
-        # marked L vertices, and tests each survivor once or more
-        assert 0 < src["survivors"] <= min(src["checks"],
-                                           point["n"] - 1 - point["L"])
+        # build_w runs at the theorem's L, where phase 2 runs at every grid
+        # point, after one prime or more has marked L vertices, and tests
+        # each survivor once or more
+        assert point["theorem_L"] > src["L"]
+        assert 0 < src["survivors"] <= min(
+            src["checks"], point["n"] - 1 - point["theorem_L"])
         assert renamed["wall_ms"]["build_w_phase2"] is None
         assert all(renamed["wall_ms"][job] for job in jobs
                    if job != "build_w_phase2")
