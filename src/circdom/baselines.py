@@ -10,11 +10,11 @@ n = 10^6. The randomized baseline samples
 vertices uniformly with replacement until coverage is complete, seeded
 through numpy's PCG64 for cross-platform determinism; draws come in
 chunks from the same stream and stop at the exact draw a one-at-a-time
-loop would stop at. It covers a prefix of the draws by S u {0} in one
-graph.shift_cover call, the closed cover the verification also makes,
-then tests the few vertices left against the next draws with
-graph._sieve, the kernel with which build_W and shift_cover also test
-the few vertices they leave unmarked.
+loop would stop at. It covers a prefix of the draws, which leaves ~2
+vertices expected uncovered, by S u {0} in one graph.shift_cover call
+(the verification's closed cover), then tests the few left against the
+next draws with graph._sieve, the kernel with which build_W and
+shift_cover also test the few vertices they leave unmarked.
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ from .graph import (ChordSet, CirculantSpec, VertexSet, _sieve, shift_cover,
 from .verify import is_dominating  # noqa: F401
 
 RNG_NAME = "PCG64"
-# The random baseline's prefix leaves about PREFIX_LEFT * (k + 1) vertices
-# uncovered in expectation, and at least 2. A smaller share draws more, at
-# one scattered cell a draw, and tests fewer, but more often covers Z_n and
-# draws again: at n = 10^6 on a 2-vCPU Xeon, shares 1, 1/2 and 1/4 took 30,
-# 23 and 19 ms at k = 1000, and 126, 185 and 279 ms at k = 1 (medians, draw
-# seeds 1-8). The floor of 2 keeps small k off that path, and binds only
-# for k < 7.
-PREFIX_LEFT = 0.25
+# The random baseline's prefix leaves about PREFIX_LEFT vertices uncovered
+# in expectation, at every k. Fewer left draws a longer prefix, at one
+# scattered cell a draw, and tests fewer after it, but covers Z_n on about
+# e^-PREFIX_LEFT of seeds and then draws again. At n = 10^6 on a 2-vCPU
+# Xeon, leaving 2 rather than (k + 1) / 4 took 10.8 against 13.9 ms at
+# k = 1000 (means, draw seeds 1-32); no other count was faster at every k.
+PREFIX_LEFT = 2
 
 
 def _greedy_picks(n: int, chords: np.ndarray) -> list[int]:
@@ -117,11 +116,11 @@ def _random_picks(n: int, chords: np.ndarray, seed: int):
     from rng.integers(0, n, size=B) in chunks of at most graph.CELLS, the
     same stream as B scalar draws.
 
-    Phase 1 marks the first prefix_draws draws and covers them by
-    S u {0} in one shift_cover call. If they cover Z_n, the cover
-    completed among them: a fresh generator draws the shorter prefix that
-    leaves twice as many vertices expected, until one is left (the empty
-    prefix leaves all).
+    Phase 1 marks the first prefix_draws(n, k, PREFIX_LEFT) draws and
+    covers them by S u {0} in one shift_cover call. If they cover Z_n,
+    the cover completed among them: a fresh generator draws the shorter
+    prefix that leaves twice as many vertices expected, until one is
+    left (the empty prefix leaves all).
     Phase 2 tests the u vertices left against the next draws with _sieve,
     u cells per draw: draw v covers x iff (x - v) mod n is in S u {0}.
     The cover completes at the draw that drops the last x. A call draws
@@ -129,7 +128,7 @@ def _random_picks(n: int, chords: np.ndarray, seed: int):
     vertex, and at most graph.CELLS // u.
     """
     offsets = np.concatenate(([0], chords))
-    left = max(PREFIX_LEFT * offsets.size, 2)
+    left = PREFIX_LEFT
     while True:
         draws = prefix_draws(n, chords.size, left)
         rng = np.random.default_rng(seed)

@@ -127,8 +127,16 @@ def test_random_draws_match_one_at_a_time(cells, monkeypatch):
 
 
 CHUNK_CELLS = graph.CELLS
-NAIVE_RANDOM = {}  # (n, k) -> chord set, one-at-a-time (picks, draws)
+NAIVE_RANDOM = {}  # (n, k, seed) -> chord set, one-at-a-time (picks, draws)
 NAIVE_DRAWS = {}  # (n, seed) -> the first scalar draws of the stream
+
+
+def naive_random(n, k, seed):
+    """Chord seed 1's set and the one-at-a-time (picks, draws) at seed."""
+    if (n, k, seed) not in NAIVE_RANDOM:
+        S = random_chord_set(n, k, 1)
+        NAIVE_RANDOM[n, k, seed] = S, naive_random_cover(n, S.chords, seed)
+    return NAIVE_RANDOM[n, k, seed]
 
 
 def naive_draws(n, seed, count):
@@ -162,11 +170,11 @@ def spy_phases(monkeypatch):
 
 
 def check_phases(n, S, seed, covers, blocks, cells):
-    """Prefix j holds the first prefix_draws(n, k, 2^j * max(PREFIX_LEFT *
-    (k + 1), 2)) draws of the stream; each prefix but the last covers Z_n,
-    and phase 2's first block tests the u vertices the last one leaves
-    against max(1, min(ceil(n / (k + 1)), cells // u)) draws."""
-    left = max(baselines.PREFIX_LEFT * (S.k + 1), 2)
+    """Prefix j holds the first prefix_draws(n, k, 2^j * PREFIX_LEFT)
+    draws of the stream; each prefix but the last covers Z_n, and phase
+    2's first block tests the u vertices the last one leaves against
+    max(1, min(ceil(n / (k + 1)), cells // u)) draws."""
+    left = baselines.PREFIX_LEFT
     for j, drawn in enumerate(covers):
         prefix = naive_draws(n, seed, baselines.prefix_draws(n, S.k, left))
         assert drawn == sorted(set(prefix)), j
@@ -184,31 +192,52 @@ def check_phases(n, S, seed, covers, blocks, cells):
 @pytest.mark.parametrize("n, k", [(24, 2), (73, 3), (2000, 1), (2000, 25),
                                   (10**5, 100)])
 def test_random_phases_match_one_at_a_time(n, k, cells, monkeypatch):
-    # n = 73 steps back twice (see test_random_prefix_covering_steps_back);
-    # the others cover their first prefix and test the few left (at k < 7
-    # the prefix leaves its floor of 2 vertices expected)
+    # n = 73 steps back twice (see test_random_prefix_covering_steps_back)
     monkeypatch.setattr(graph, "CELLS", cells)
     covers, blocks = spy_phases(monkeypatch)
-    if (n, k) not in NAIVE_RANDOM:
-        S = random_chord_set(n, k, 1)
-        NAIVE_RANDOM[n, k] = S, naive_random_cover(n, S.chords, 2)
-    S, (picks, draws) = NAIVE_RANDOM[n, k]
+    S, (picks, draws) = naive_random(n, k, 2)
     chosen, got = baselines._random_picks(n, S.as_array(), 2)
     assert np.flatnonzero(chosen).tolist() == picks
     assert got == draws
     check_phases(n, S, 2, covers, blocks, cells)
-    assert len(covers) == (3 if n == 73 else 1)
+    # a prefix of T draws covers Z_n iff the one-at-a-time loop stopped
+    # within it: draws <= T; every such prefix is drawn again, shorter
+    j = 0
+    while baselines.prefix_draws(n, k, baselines.PREFIX_LEFT * 2**j) >= draws:
+        j += 1
+    assert len(covers) == j + 1
     if n != 73:
         assert 0 < blocks[0][0] <= k
 
 
+@pytest.mark.parametrize("n, k, seed", [(2000, 25, 2), (10**5, 100, 2),
+                                        (1000, 10, 12)])
+def test_random_prefix_left_changes_no_output(n, k, seed, monkeypatch):
+    # how many vertices the prefix leaves sets the time only: the set and
+    # draws are the one-at-a-time loop's whatever the count. Draw seed 12
+    # is the first of 1-12 whose 2-vertex prefix covers Z_1000 at k = 10
+    # (found by search), so the prefix is drawn again above k = 6 too
+    S, (picks, draws) = naive_random(n, k, seed)
+    got, prefixes = [], []
+    for left in (2, 8, (k + 1) / 4):
+        monkeypatch.setattr(baselines, "PREFIX_LEFT", left)
+        covers, _ = spy_phases(monkeypatch)
+        chosen, used = baselines._random_picks(n, S.as_array(), seed)
+        got.append((np.flatnonzero(chosen).tolist(), used))
+        prefixes.append(len(covers))
+        monkeypatch.undo()
+    assert got == [(picks, draws)] * 3
+    assert (prefixes[0] > 1) == (seed == 12)
+
+
 def test_random_prefix_draws():
-    # about PREFIX_LEFT * (k + 1) vertices are expected to be left uncovered
+    # about left vertices are expected to be left uncovered: PREFIX_LEFT,
+    # or a count that grows with k
     for n, k in ((24, 2), (2000, 25), (10**5, 100), (10**6, 1000)):
-        left = baselines.PREFIX_LEFT * (k + 1)
-        T = baselines.prefix_draws(n, k, left)
-        miss = 1 - (k + 1) / n
-        assert n * miss**T >= left > n * miss ** (T + 1)
+        for left in (baselines.PREFIX_LEFT, (k + 1) / 4):
+            T = baselines.prefix_draws(n, k, left)
+            miss = 1 - (k + 1) / n
+            assert n * miss**T >= left > n * miss ** (T + 1)
     # nothing to draw once one draw may cover Z_n, or all n are to be left
     assert baselines.prefix_draws(3, 2, 0.75) == 0
     assert baselines.prefix_draws(100, 5, 100) == 0
@@ -218,11 +247,11 @@ def test_random_prefix_draws():
 
 
 def test_random_prefix_covering_steps_back(monkeypatch):
-    # chord seed 1, draw seed 2 at n = 73, k = 3, where the floor of 2
-    # binds: the first two prefixes (63 and 51 draws) cover Z_73, the third
-    # (39) leaves 4 vertices; at n = 39, k = 1 the first (56) covers Z_39
-    # and the second (43) does not. An empty prefix leaves every vertex:
-    # at n = 4, k = 3 phase 2 tests all 4
+    # chord seed 1, draw seed 2 at n = 73, k = 3: the first two prefixes
+    # (63 and 51 draws) cover Z_73, the third (39) leaves 4 vertices; at
+    # n = 39, k = 1 the first (56) covers Z_39 and the second (43) does
+    # not. An empty prefix leaves every vertex: at n = 4, k = 3 phase 2
+    # tests all 4
     for n, k, prefixes in ((73, 3, [63, 51, 39]), (39, 1, [56, 43]),
                            (4, 3, [0])):
         S = random_chord_set(n, k, 1)
@@ -231,7 +260,7 @@ def test_random_prefix_covering_steps_back(monkeypatch):
         picks, draws = naive_random_cover(n, S.chords, 2)
         assert (np.flatnonzero(chosen).tolist(), got) == (picks, draws)
         check_phases(n, S, 2, covers, blocks, graph.CELLS)
-        left = max(baselines.PREFIX_LEFT * (k + 1), 2)
+        left = baselines.PREFIX_LEFT
         assert [baselines.prefix_draws(n, k, left * 2**j)
                 for j in range(len(covers))] == prefixes
         monkeypatch.undo()
@@ -261,7 +290,7 @@ def test_random_draw_calls_hold_at_most_cells(monkeypatch):
     monkeypatch.undo()
     assert (np.flatnonzero(chosen).tolist(), got) == naive_random_cover(
         n, S.chords, 3)
-    left = 2  # PREFIX_LEFT * (k + 1) is under the floor at k = 1
+    left = baselines.PREFIX_LEFT
     for j, calls in enumerate(sizes):
         T = baselines.prefix_draws(n, 1, left * 2**j)
         assert T > 100 * cells

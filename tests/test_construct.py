@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circdom import construct, graph
+from circdom import baselines, construct, graph
 from circdom.baselines import random_chord_set, random_dominating
 from circdom.construct import (
     all_representation_counts,
@@ -582,12 +582,25 @@ def _theorem_L_cover(n, k):
     return spec, W, U, VertexSet(n, W.elements.members | U.members)
 
 
+def spy_prefixes(monkeypatch):
+    """Record each prefix length that _random_picks asks prefix_draws for:
+    one per prefix cover, the last one the cover that leaves vertices."""
+    prefixes, prefix_draws = [], baselines.prefix_draws
+
+    def spy(n, k, left):
+        prefixes.append(prefix_draws(n, k, left))
+        return prefixes[-1]
+
+    monkeypatch.setattr(baselines, "prefix_draws", spy)
+    return prefixes
+
+
 def test_cover_tests_sparse_sets_only(monkeypatch):
     # the theorem-L sets are dense: their covers (exceptional_set, the
     # verification) saturate at shift_cover's first count. The sparse
     # covers switch: the model-L set's verification (and at k = 1000 its
-    # exceptional_set too), and the random baseline's prefix cover, then
-    # its verification
+    # exceptional_set too), and the random baseline's prefix covers (one
+    # more for each prefix that covers Z_n), then its verification
     tested, sieve = [], graph._sieve
 
     def spy(alive, chords, hit):
@@ -602,10 +615,16 @@ def test_cover_tests_sparse_sets_only(monkeypatch):
         rep = construct_dominating(CirculantSpec(n, random_chord_set(n, k, 1)))
         assert rep.verified and len(tested) == covers
         assert all(0 < tested.pop() < k for _ in range(covers))
+    prefixes = spy_prefixes(monkeypatch)
     for n, k in ((10**6, 1000), (10**5, 100)):
         rep = random_dominating(CirculantSpec(n, random_chord_set(n, k, 1)), 2)
-        assert rep.verified and len(tested) == 2
-        assert all(0 < tested.pop() < k for _ in range(2))
+        # only the last prefix stops short of the draw that completes
+        assert [T < rep.parameters["draws"] for T in prefixes] == [
+            False] * (len(prefixes) - 1) + [True]
+        covers = len(prefixes) + 1
+        assert rep.verified and len(tested) == covers
+        assert all(0 < tested.pop() < k for _ in range(covers))
+        prefixes.clear()
 
 
 def test_cover_ors_words_from_the_first_chord(monkeypatch):
@@ -652,15 +671,20 @@ def test_cover_ors_words_from_the_first_chord(monkeypatch):
         assert tested[-1] == calls[-1][1].size > 0
         calls.clear()
         tested.clear()
+    prefixes = spy_prefixes(monkeypatch)
     for k in (100, 1000):
         spec = CirculantSpec(n, random_chord_set(n, k, 1))
         rep = random_dominating(spec, 2)
-        assert rep.verified and len(calls) == 2
-        assert is_dominating(spec, rep.D)[0] and len(calls) == 3
-        assert [size for size, *_ in calls] == [k + 1] * 3
+        assert [T < rep.parameters["draws"] for T in prefixes] == [
+            False] * (len(prefixes) - 1) + [True]
+        covers = len(prefixes) + 1
+        assert rep.verified and len(calls) == covers
+        assert is_dominating(spec, rep.D)[0] and len(calls) == covers + 1
+        assert [size for size, *_ in calls] == [k + 1] * (covers + 1)
         assert tested == [rest.size for _, rest, _ in calls] and all(tested)
         calls.clear()
         tested.clear()
+        prefixes.clear()
 
 
 def test_construct_dominating_always_dominates():
