@@ -34,12 +34,7 @@ from .construct import DominationReport
 from .errors import CircdomError, EmptyPrimeWindow, HypothesisNotMet, TooLarge
 from .expsum import FFT_TOL_PER_ELEMENT, expsum_audit
 from .graph import ChordSet, CirculantSpec, load_chord_file
-from .verify import (
-    EXACT_GAMMA_MAX_N,
-    closed_neighborhood_bound,
-    exact_gamma,
-    is_dominating,
-)
+from .verify import EXACT_GAMMA_MAX_N, exact_gamma, is_dominating
 
 UNCOVERED_SAMPLE_CAP = 1000
 # Largest --n / --n-list / --l-list value accepted, checked before anything
@@ -131,8 +126,8 @@ def _universal2_W(n: int, k: int, c: float, C: float, c0: float,
 
 
 def _run_method(method: str, spec: CirculantSpec, seed: int | None,
-                c: float = 1.0, C: float = 1.0, c0: float = 1.0,
-                psi: float = 1.0, fallback: bool = False) -> DominationReport:
+                c: float, C: float, c0: float, psi: float,
+                fallback: bool = False) -> DominationReport:
     """One method's report; universal2 takes the fallback constants of
     _universal2_W if fallback is set."""
     n, k = spec.n, spec.k
@@ -145,14 +140,13 @@ def _run_method(method: str, spec: CirculantSpec, seed: int | None,
     t0 = time.perf_counter()
     if method == "universal2":
         W, (c, C, c0), _ = _universal2_W(n, k, c, C, c0, fallback)
-        return cons.report("universal2", spec, W.elements, 2, t0, {
-            "L": W.L, "num_primes": len(W.window), "w_size": W.size,
-            "c": c, "C": C, "c0": c0,
-        })
-    W = cons.almost_dominating_W(n, k, psi=psi)  # method "almost-w"
-    return cons.report("almostW", spec, W.elements, 1, t0, {
-        "L": W.L, "num_primes": len(W.window), "w_size": W.size,
-        "psi": psi, "budget": cons.almost_budget(n, k, psi),
+        name, r, extra = "universal2", 2, {"c": c, "C": C, "c0": c0}
+    else:  # method "almost-w"
+        W = cons.almost_dominating_W(n, k, psi=psi)
+        name, r, extra = "almostW", 1, {
+            "psi": psi, "budget": cons.almost_budget(n, k, psi)}
+    return cons.report(name, spec, W.elements, r, t0, {
+        "L": W.L, "num_primes": len(W.window), "w_size": W.size, **extra,
     })
 
 
@@ -261,8 +255,9 @@ def _bench_row(n: int, k: int, method: str, seed: int,
     record = {"n": n, "k": k, "method": method, "seed": seed}
     try:
         spec = CirculantSpec(n, random_chord_set(n, k, seed))
-        doc = report_to_dict(_run_method(method, spec, seed, fallback=True),
-                             no_timing=no_timing)
+        rep = _run_method(method, spec, seed, **DEFAULTS["construct"],
+                          fallback=True)
+        doc = report_to_dict(rep, no_timing=no_timing)
         record = {**doc["parameters"], **doc, **record}
         if n >= cons.MIN_N:  # no envelope below the scale floor
             record["ratio_vs_envelope"] = (
@@ -291,8 +286,7 @@ def cmd_gamma(args) -> tuple[str, int]:
         "gamma": exact_gamma(spec),
         # each vertex covers at most k + 1: gamma >= ceil(n / (k + 1))
         "lower_bound": -(-args.n // (spec.k + 1)),
-        "lower_bound_n_over_k_plus_1": closed_neighborhood_bound(
-            args.n, spec.k),
+        "lower_bound_n_over_k_plus_1": args.n / (spec.k + 1),
     }
     return json.dumps(doc) + "\n", 0
 

@@ -268,7 +268,8 @@ def exceptional_set(n: int, S: ChordSet, W: WSet) -> VertexSet:
     """Vertices of Z_n not representable as s + w, (s, w) in S x W.
 
     Rotates the membership mask of W by each chord into one bit array and
-    returns the complement; O(n * chords until saturation).
+    returns the complement: an n/8-byte OR per chord (graph.shift_cover)
+    until few vertices are unmarked, then a test per vertex and chord left.
     """
     return VertexSet(n, ~shift_cover(W.elements.members, S.chords))
 

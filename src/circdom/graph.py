@@ -22,11 +22,11 @@ from .errors import ChordFileError, InvalidChord
 # one packed cover (_or_words), counting every COUNT_EVERY chords, while
 # at least n / TEST_BELOW_SHARE vertices are unmarked; below that it tests
 # just the unmarked vertices against the remaining chords (_sieve). At
-# n = 10^6 on a 2-vCPU Xeon a tested cell costs ~3 ns and ORing a packed
-# chord ~0.0075 ns a vertex (one 7-8 us byte-slice OR), so below about
-# n / 400 unmarked vertices testing a chord costs less than ORing it even
-# when no tested vertex is hit. Shares from 256 to 1024 timed the same
-# within ~5% with the 64-bit words this stage replaced.
+# n = 10^6 on a 2-vCPU Xeon, in the paper's covers at k = 1000, ORing a
+# packed chord costs one 5-6 us byte-slice OR and a tested cell ~5-8 ns
+# in a whole _sieve call, so testing a chord is the cheaper below about
+# n / 1000 unmarked vertices even when no tested vertex is hit. Shares
+# from 256 to 2048 timed within ~10% of each other there.
 COUNT_EVERY = 16
 TEST_BELOW_SHARE = 512
 # _sieve tests blocks of at most CELLS (item, candidate) cells; build_W

@@ -61,13 +61,10 @@ def gamma_lower_bound(n: int, k: int) -> float:
 
     It is not a lower bound on gamma under the closed-neighbourhood
     convention used here: gamma(C_9({1, 8})) = 3 < 9/2 - 1 (criterion 7's
-    strict xfail). closed_neighborhood_bound gives the sound bound n/(k+1).
+    strict xfail). The sound bound is n/(k+1), since each vertex covers at
+    most k + 1; gamma is at least its ceiling.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     return n / k - 1.0
 
-
-def closed_neighborhood_bound(n: int, k: int) -> float:
-    """The self-coverage bound n/(k+1); gamma is at least its ceiling."""
-    return n / (k + 1)

@@ -58,8 +58,10 @@ def test_construct_paper_from_file_n16(tmp_path):
     assert list(doc.keys()) == CONSTRUCT_KEYS  # golden schema
 
 
-@pytest.mark.parametrize("method", cli.METHODS)
-def test_report_fields_are_construct_keys(method, capsys):
+@pytest.mark.parametrize("method, record_method", zip(
+    cli.METHODS, ["paper", "greedy", "random", "universal2", "almostW"]),
+    ids=cli.METHODS)
+def test_report_fields_are_construct_keys(method, record_method, capsys):
     # DominationReport's fields before D, its last, are the construct record
     names = [f.name for f in dataclasses.fields(construct.DominationReport)]
     assert names == [*CONSTRUCT_KEYS, "D"]
@@ -67,7 +69,9 @@ def test_report_fields_are_construct_keys(method, capsys):
     argv = ["construct", "--n", "10000", "--random-chords", "2000", "--seed",
             "1", "--method", method, *(constants * (method == "universal2"))]
     assert main(argv) == 0
-    assert list(json.loads(capsys.readouterr().out)) == CONSTRUCT_KEYS
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == CONSTRUCT_KEYS
+    assert doc["method"] == record_method  # each name runs its own method
 
 
 def test_construct_greedy_cycle(cycle_file):
@@ -701,6 +705,7 @@ def test_gamma_subcommand(cycle_file):
     assert doc["gamma"] == 3
     # ceil(9 / 3); the old field n/k - 1 = 3.5 exceeded gamma here
     assert doc["lower_bound"] == 3
+    assert doc["lower_bound_n_over_k_plus_1"] == 3.0
     assert "lower_bound_n_over_k_minus_1" not in doc
     res = run_cli("gamma", "--n", "25", "--random-chords", "2", "--seed", "1")
     assert res.returncode == 1

@@ -11,7 +11,6 @@ from circdom.baselines import random_chord_set
 from circdom.errors import TooLarge
 from circdom.graph import ChordSet, CirculantSpec, VertexSet
 from circdom.verify import (
-    closed_neighborhood_bound,
     exact_gamma,
     gamma_lower_bound,
     is_dominating,
@@ -142,7 +141,6 @@ def test_lower_bounds():
     assert gamma_lower_bound(9, 2) == pytest.approx(3.5)
     n = 50
     assert 0 < gamma_lower_bound(n, n - 1) < 1
-    assert closed_neighborhood_bound(9, 2) == pytest.approx(3)
 
 
 @given(small)
@@ -156,6 +154,6 @@ def test_exact_gamma_respects_lower_bound(inst):
     spec = spec_of(n, chords)
     g = exact_gamma(spec)
     k = len(chords)
-    assert g >= closed_neighborhood_bound(n, k) - 1e-12
+    assert g >= n / (k + 1) - 1e-12
     if k * (k + 1) >= n:
         assert g >= gamma_lower_bound(n, k)
